@@ -334,14 +334,15 @@ def optimize_batches(params: NetworkParams) -> PlanResult:
 
     Evaluates the stopping time for every integer in [min_batches,
     max_batches]; no convexity is assumed, the full curve is retained. Ties
-    resolve to the smallest batch count.
+    resolve to the smallest batch count. Raises ValueError when no batch
+    count in that range is feasible, including when the range is empty.
     """
     n_lo = min_batches(params)
     n_hi = max_batches(params)
     m = params.batch_size
     t_of_n: Dict[int, int] = {}
     total_of_n: Dict[int, int] = {}
-    best_n = n_hi
+    best_n = None
     best_total = None
     for n in range(n_lo, n_hi + 1):
         try:
@@ -355,6 +356,10 @@ def optimize_batches(params: NetworkParams) -> PlanResult:
         if best_total is None or total < best_total:
             best_total = total
             best_n = n
+    if best_n is None:
+        raise ValueError(
+            "no feasible batch count in [n_min=%d, n_max=%d]" % (n_lo, n_hi)
+        )
     return PlanResult(
         n_min=n_lo, n_max=n_hi, n_opt=best_n, t_of_n=t_of_n, total_of_n=total_of_n
     )

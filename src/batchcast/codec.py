@@ -10,6 +10,12 @@ symbolic system by elimination at the end. That fallback makes the decoder
 exact: it recovers the file precisely when the stacked linear system has full
 rank, and otherwise reports exactly how many packets remain undetermined.
 
+Structure comes first, numbers second. Resolving a packet only updates the
+unresolved counts of the batches that contain it; when a batch fires (or
+drains into the symbolic system) it pulls its right-hand side once, as one
+product of its rows' coefficients on its resolved contributors with those
+contributors' [payload | symbolic] expressions.
+
 Descriptors never travel. Each batch's degree, contributor set, and generator
 are redrawn from a deterministic stream seeded by (session seed, batch id),
 in that draw order, so a two-byte batch id in the packet header is enough for
@@ -383,32 +389,57 @@ class DecodeResult:
     inactivated: int
 
 
+def _grown(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """a copied into the top-left corner of a zero (rows, cols) array."""
+    out = np.zeros((rows, cols), dtype=a.dtype)
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
+
+
 class _ZSystem:
     """Incremental elimination over the symbolic unknowns.
 
     Rows are constraints z_coeffs . Z = rhs gathered from surplus receptions.
     Kept fully reduced so rank queries are free and the final solve is a
-    read-off.
+    read-off. Storage is preallocated and doubles on demand, in rows and in
+    columns, so accepting a row does not copy the system.
     """
 
     def __init__(self, payload_len: int):
         self.payload_len = payload_len
-        self.zrows = np.zeros((0, 0), dtype=np.uint8)
-        self.brows = np.zeros((0, payload_len), dtype=np.uint8)
+        self.width = 0
+        self._z = np.zeros((16, 16), dtype=np.uint8)
+        self._b = np.zeros((16, payload_len), dtype=np.uint8)
         self.pivot_cols: List[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def _widen(self, width: int) -> None:
-        if width > self.zrows.shape[1]:
-            pad = np.zeros((self.zrows.shape[0], width - self.zrows.shape[1]), np.uint8)
-            self.zrows = np.hstack([self.zrows, pad])
+    @property
+    def zrows(self) -> np.ndarray:
+        return self._z[: self.rank, : self.width]
+
+    @property
+    def brows(self) -> np.ndarray:
+        return self._b[: self.rank]
+
+    def _reserve(self, width: int) -> None:
+        """Room for one more row, and for width symbolic columns."""
+        self.width = max(self.width, width)
+        rows, cols = self._z.shape
+        if self.rank == rows:
+            rows *= 2
+            self._b = _grown(self._b, rows, self.payload_len)
+        if self.width > cols:
+            cols = max(self.width, 2 * cols)
+        if (rows, cols) != self._z.shape:
+            self._z = _grown(self._z, rows, cols)
 
     def add(self, zrow: np.ndarray, brow: np.ndarray) -> bool:
-        self._widen(zrow.size)
-        w = np.zeros(self.zrows.shape[1], dtype=np.uint8)
+        self._reserve(zrow.size)
+        zrows, brows = self.zrows, self.brows
+        w = np.zeros(self.width, dtype=np.uint8)
         w[: zrow.size] = zrow
         b = brow.astype(np.uint8, copy=True)
         if self.pivot_cols:
@@ -416,11 +447,11 @@ class _ZSystem:
             hit = np.nonzero(factors)[0]
             if hit.size:
                 w ^= np.bitwise_xor.reduce(
-                    gf.MUL_TABLE[factors[hit, None], self.zrows[hit]], axis=0
+                    gf.MUL_TABLE[factors[hit, None], zrows[hit]], axis=0
                 )
                 if self.payload_len:
                     b ^= np.bitwise_xor.reduce(
-                        gf.MUL_TABLE[factors[hit, None], self.brows[hit]], axis=0
+                        gf.MUL_TABLE[factors[hit, None], brows[hit]], axis=0
                     )
         nz = np.nonzero(w)[0]
         if nz.size == 0:
@@ -433,14 +464,14 @@ class _ZSystem:
         scale = gf._INV[w[pivot]]
         w = gf.MUL_TABLE[scale, w]
         b = gf.MUL_TABLE[scale, b]
-        col = self.zrows[:, pivot].copy()
+        col = zrows[:, pivot].copy()
         hit = np.nonzero(col)[0]
         if hit.size:
-            self.zrows[hit] ^= gf.MUL_TABLE[col[hit, None], w[None, :]]
+            zrows[hit] ^= gf.MUL_TABLE[col[hit, None], w[None, :]]
             if self.payload_len:
-                self.brows[hit] ^= gf.MUL_TABLE[col[hit, None], b[None, :]]
-        self.zrows = np.vstack([self.zrows, w[None, :]])
-        self.brows = np.vstack([self.brows, b[None, :]])
+                brows[hit] ^= gf.MUL_TABLE[col[hit, None], b[None, :]]
+        self._z[self.rank, : self.width] = w
+        self._b[self.rank] = b
         self.pivot_cols.append(pivot)
         return True
 
@@ -461,8 +492,7 @@ class _DecoderBatch:
         "contribs",
         "gen_t",
         "c_rows",
-        "rhs_base",
-        "rhs_tail",
+        "payloads",
         "rows",
         "unres",
         "u",
@@ -471,19 +501,30 @@ class _DecoderBatch:
         "queued",
     )
 
-    def __init__(self, desc: BatchDescriptor, batch_size: int, payload_len: int):
+    def __init__(
+        self,
+        desc: BatchDescriptor,
+        batch_size: int,
+        payload_len: int,
+        unres: np.ndarray,
+    ):
         self.desc = desc
         self.contribs = desc.contributor_ids.astype(np.int64) - 1
         self.gen_t = np.ascontiguousarray(desc.generator.T)
+        # received rows as they arrived: coefficients over the contributors
+        # and the raw payloads
         self.c_rows = np.zeros((batch_size, desc.degree), dtype=np.uint8)
-        self.rhs_base = np.zeros((batch_size, payload_len), dtype=np.uint8)
-        self.rhs_tail = np.zeros((batch_size, 0), dtype=np.uint8)
+        self.payloads = np.zeros((batch_size, payload_len), dtype=np.uint8)
         self.rows = 0
-        self.unres = np.ones(desc.degree, dtype=bool)
+        self.unres = unres  # view of the decoder's per-slot mask
         self.u = desc.degree
         self.fired = False
         self.drained = False
         self.queued = False
+
+    def retire(self) -> None:
+        """Drop the row buffers; later rows go straight to the Z system."""
+        self.c_rows = self.payloads = np.zeros((0, 0), dtype=np.uint8)
 
 
 class IncrementalDecoder:
@@ -504,16 +545,38 @@ class IncrementalDecoder:
     ):
         self.file_packets = file_packets
         self.payload_len = payload_len
+        # one slot per (batch, column), batches in descriptor order; a slot
+        # is set while that contributor is unresolved in a pending batch
+        degrees = [desc.degree for desc in descriptors.values()]
+        starts = np.concatenate([[0], np.cumsum(degrees, dtype=np.int64)])
+        self._unres = np.ones(int(starts[-1]), dtype=bool)
         self.batches: Dict[int, _DecoderBatch] = {}
-        for bid, desc in descriptors.items():
+        for i, (bid, desc) in enumerate(descriptors.items()):
             self.batches[bid] = _DecoderBatch(
-                desc, desc.generator.shape[1], payload_len
+                desc,
+                desc.generator.shape[1],
+                payload_len,
+                self._unres[starts[i] : starts[i + 1]],
             )
+        self._slot_batch = np.repeat(
+            np.array(list(self.batches), dtype=np.int64), degrees
+        )
+        # packet -> slots in CSR form: packet p's slots are
+        # _inc_slot[_inc_ptr[p]:_inc_ptr[p + 1]], in slot order; that order
+        # decides the order batches enter the fire queue, hence the
+        # inactivation picks
+        slot_pkt = np.concatenate(
+            [b.contribs for b in self.batches.values()] + [np.zeros(0, np.int64)]
+        )
+        self._inc_slot = np.argsort(slot_pkt, kind="stable")
+        self._inc_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(slot_pkt, minlength=file_packets))]
+        )
         self.resolved = np.zeros(file_packets, dtype=bool)
         self.resolved_count = 0
-        self.base = np.zeros((file_packets, payload_len), dtype=np.uint8)
-        self.tails = np.zeros((file_packets, 0), dtype=np.uint8)
-        self.tail_width = np.zeros(file_packets, dtype=np.int64)
+        # row p expresses resolved packet p as [base | tails]: its payload is
+        # base ^ tails . Z; written once, when p resolves
+        self.expr = np.zeros((file_packets, payload_len), dtype=np.uint8)
         self.num_z = 0
         self.zsys = _ZSystem(payload_len)
         self.total_rows = 0
@@ -524,175 +587,120 @@ class IncrementalDecoder:
         self._near: set = set()
         self._fire_queue: List[int] = []
         self._subst_queue: List[int] = []
-        # packet -> [(batch_id, local column), ...]
-        self._incidence: Dict[int, List[Tuple[int, int]]] = {}
-        for bid, b in self.batches.items():
-            for col, pkt in enumerate(b.contribs):
-                self._incidence.setdefault(int(pkt), []).append((bid, col))
 
     # -- feeding ------------------------------------------------------------
 
     def _grow_tails(self, width: int) -> None:
-        if width > self.tails.shape[1]:
-            new = max(width, 2 * self.tails.shape[1], 32)
-            pad = np.zeros((self.file_packets, new - self.tails.shape[1]), np.uint8)
-            self.tails = np.hstack([self.tails, pad])
+        cap = self.expr.shape[1] - self.payload_len
+        if width > cap:
+            new = max(width, 2 * cap, 32)
+            self.expr = _grown(self.expr, self.file_packets, self.payload_len + new)
 
-    def _batch_tail(self, b: _DecoderBatch) -> np.ndarray:
-        if self.num_z > b.rhs_tail.shape[1]:
-            cap = max(self.num_z, 2 * b.rhs_tail.shape[1], 16)
-            pad = np.zeros((b.rhs_base.shape[0], cap - b.rhs_tail.shape[1]), np.uint8)
-            b.rhs_tail = np.hstack([b.rhs_tail, pad])
-        return b.rhs_tail
+    def _pull(self, c_rows: np.ndarray, payloads, pkts: np.ndarray) -> np.ndarray:
+        """[payload | Z coefficients] of rows once resolved pkts are known.
 
-    def _residual_of(self, b: _DecoderBatch, c_row: np.ndarray, payload) -> None:
-        """Fold a row for an already-finished batch straight into the
-        symbolic system."""
-        zrow = np.zeros(self.num_z, dtype=np.uint8)
-        brow = np.array(payload, dtype=np.uint8, copy=True)
-        nz = np.nonzero(c_row)[0]
-        if nz.size:
-            pkts = b.contribs[nz]
-            if self.num_z:
-                zrow ^= np.bitwise_xor.reduce(
-                    gf.MUL_TABLE[c_row[nz, None], self.tails[pkts, : self.num_z]],
-                    axis=0,
-                )
-            if self.payload_len:
-                brow ^= np.bitwise_xor.reduce(
-                    gf.MUL_TABLE[c_row[nz, None], self.base[pkts]], axis=0
-                )
-        self.zsys.add(zrow, brow)
+        c_rows holds the rows' coefficients on pkts, payloads their received
+        payloads.
+        """
+        rhs = gf.matmul(c_rows, self.expr[pkts, : self.payload_len + self.num_z])
+        rhs[:, : self.payload_len] ^= payloads
+        return rhs
+
+    def _to_zsys(self, rhs: np.ndarray) -> None:
+        for row in rhs:
+            self.zsys.add(row[self.payload_len :], row[: self.payload_len])
+
+    def _note_rows(self, bid: int, b: _DecoderBatch, added: int) -> None:
+        """Account for added rows just stored in pending batch b."""
+        self.total_rows += added
+        if b.rows == added:
+            np.add.at(self.stall_counts, b.contribs[b.unres], 1)
+        if b.u <= b.rows and not b.queued:
+            b.queued = True
+            self._fire_queue.append(bid)
+        elif b.u - b.rows <= 2:
+            self._near.add(bid)
 
     def add_row(self, batch_id: int, coeff: np.ndarray, payload=None) -> None:
         """Feed one innovative reception (M-wide coefficient vector)."""
         if payload is None:
             payload = np.zeros(self.payload_len, dtype=np.uint8)
         b = self.batches[batch_id]
-        c_row = gf.matmul(coeff[None, :], b.gen_t)[0]
-        self.total_rows += 1
+        c_row = gf.matmul(coeff[None, :], b.gen_t)
         if b.fired or b.drained:
-            self._residual_of(b, c_row, payload)
+            self.total_rows += 1
+            self._to_zsys(self._pull(c_row, payload, b.contribs))
             return
-        i = b.rows
-        b.c_rows[i] = c_row
-        b.rows += 1
+        b.c_rows[b.rows] = c_row[0]
         if self.payload_len:
-            b.rhs_base[i] = payload
-        # fold contributors that resolved before this row arrived
-        done = np.nonzero(~b.unres & (c_row != 0))[0]
-        if done.size:
-            pkts = b.contribs[done]
-            if self.payload_len:
-                b.rhs_base[i] ^= np.bitwise_xor.reduce(
-                    gf.MUL_TABLE[c_row[done, None], self.base[pkts]], axis=0
-                )
-            if self.num_z:
-                tail = self._batch_tail(b)
-                tail[i, : self.num_z] ^= np.bitwise_xor.reduce(
-                    gf.MUL_TABLE[c_row[done, None], self.tails[pkts, : self.num_z]],
-                    axis=0,
-                )
-        if b.rows == 1:
-            np.add.at(self.stall_counts, b.contribs[b.unres], 1)
-        if b.u == 0:
-            self._drain(b)
-        elif b.u <= b.rows and not b.queued:
-            b.queued = True
-            self._fire_queue.append(batch_id)
-        elif b.u - b.rows <= 2:
-            self._near.add(batch_id)
+            b.payloads[b.rows] = payload
+        b.rows += 1
+        self._note_rows(batch_id, b, 1)
 
     def load_state(self, state: BatchState) -> None:
         """Bulk-feed a receiver buffer, the fast path at end of phase 1."""
         b = self.batches[state.batch_id]
         if state.rank == 0:
             return
-        if b.rows or self.resolved_count or b.fired or b.drained:
+        if b.fired or b.drained:
             for i in range(state.rank):
                 self.add_row(state.batch_id, state.coeffs[i], state.payloads[i])
             return
-        block = gf.matmul(state.received_coeffs, b.gen_t)
-        b.c_rows[: state.rank] = block
+        lo, hi = b.rows, b.rows + state.rank
+        b.c_rows[lo:hi] = gf.matmul(state.received_coeffs, b.gen_t)
         if self.payload_len:
-            b.rhs_base[: state.rank] = state.received_payloads
-        b.rows = state.rank
-        self.total_rows += state.rank
-        np.add.at(self.stall_counts, b.contribs[b.unres], 1)
-        if b.u <= b.rows and not b.queued:
-            b.queued = True
-            self._fire_queue.append(state.batch_id)
-        elif b.u - b.rows <= 2:
-            self._near.add(state.batch_id)
+            b.payloads[lo:hi] = state.received_payloads
+        b.rows = hi
+        self._note_rows(state.batch_id, b, state.rank)
 
     # -- resolution ---------------------------------------------------------
 
-    def _assign(self, pkt: int, base_row, tail_row) -> None:
-        if self.payload_len:
-            self.base[pkt] = base_row
-        w = tail_row.size
-        if w:
-            self._grow_tails(w)
-            self.tails[pkt, :w] = tail_row
-        self.tail_width[pkt] = w
+    def _assign(self, pkt: int, row: np.ndarray) -> None:
+        """Resolve pkt as row = [base | tails] over the current unknowns."""
+        self.expr[pkt, : row.size] = row
         self.resolved[pkt] = True
         self.resolved_count += 1
         self._subst_queue.append(pkt)
 
     def _inactivate(self, pkt: int) -> None:
-        j = self.num_z
         self.num_z += 1
         self._grow_tails(self.num_z)
-        self.tails[pkt, :] = 0
-        self.tails[pkt, j] = 1
-        self.tail_width[pkt] = j + 1
-        if self.payload_len:
-            self.base[pkt] = 0
-        self.resolved[pkt] = True
-        self.resolved_count += 1
-        self._subst_queue.append(pkt)
+        row = np.zeros(self.payload_len + self.num_z, dtype=np.uint8)
+        row[-1] = 1
+        self._assign(pkt, row)
 
     def _drain(self, b: _DecoderBatch) -> None:
         """Everything this batch constrains is symbolic; hand its rows over."""
         b.drained = True
-        tail = b.rhs_tail
-        for i in range(b.rows):
-            zrow = tail[i, : self.num_z] if tail.shape[1] else np.zeros(0, np.uint8)
-            self.zsys.add(zrow, b.rhs_base[i])
+        self._to_zsys(
+            self._pull(b.c_rows[: b.rows], b.payloads[: b.rows], b.contribs)
+        )
+        b.retire()
 
     def _flush_substitutions(self) -> None:
-        """Apply all queued resolutions to the batches that contain them.
+        """Mark queued resolutions in the pending batches that contain them.
 
-        Grouping by batch lets each batch take one blocked update per flush
-        instead of one small update per packet, which is what keeps the
-        cascade cheap when coverage is wide.
+        Bookkeeping only: no payload or symbolic data moves here, since a
+        batch pulls its right-hand side when it fires or drains. Batches are
+        visited in the order the queued packets first reach them.
         """
-        pending = self._subst_queue
+        pkts = np.array(self._subst_queue, dtype=np.int64)
         self._subst_queue = []
-        per_batch: Dict[int, List[Tuple[int, int]]] = {}
-        for pkt in pending:
-            for bid, col in self._incidence.get(pkt, ()):
-                b = self.batches[bid]
-                if b.fired or b.drained or not b.unres[col]:
-                    continue
-                b.unres[col] = False
-                b.u -= 1
-                per_batch.setdefault(bid, []).append((col, pkt))
-        for bid, items in per_batch.items():
+        lo = self._inc_ptr[pkts]
+        counts = self._inc_ptr[pkts + 1] - lo
+        ends = np.cumsum(counts)
+        # every queued packet's CSR range, concatenated in queue order
+        pos = np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])
+        slots = self._inc_slot[pos]
+        slots = slots[self._unres[slots]]
+        self._unres[slots] = False
+        bids, first, hits = np.unique(
+            self._slot_batch[slots], return_index=True, return_counts=True
+        )
+        for i in np.argsort(first):
+            bid = int(bids[i])
             b = self.batches[bid]
-            if b.rows:
-                cols = np.array([c for c, _ in items], dtype=np.int64)
-                pkts = np.array([p for _, p in items], dtype=np.int64)
-                factors = b.c_rows[: b.rows][:, cols]
-                if factors.any():
-                    if self.payload_len:
-                        b.rhs_base[: b.rows] ^= gf.matmul(factors, self.base[pkts])
-                    wmax = int(self.tail_width[pkts].max())
-                    if wmax:
-                        tail = self._batch_tail(b)
-                        tail[: b.rows, :wmax] ^= gf.matmul(
-                            factors, self.tails[pkts, :wmax]
-                        )
+            b.u -= int(hits[i])
             if b.u == 0:
                 if b.rows:
                     self._drain(b)
@@ -710,28 +718,21 @@ class IncrementalDecoder:
         if b.fired or b.drained or b.u == 0 or b.u > b.rows:
             return
         active = np.nonzero(b.unres)[0]
+        done = np.nonzero(~b.unres)[0]
         u = active.size
-        upper = b.rows
-        tail = b.rhs_tail[:upper, : self.num_z]
-        aug = np.concatenate(
-            [b.c_rows[:upper][:, active], b.rhs_base[:upper], tail], axis=1
-        )
-        rref, pivots = gf.row_reduce(aug)
+        c_rows = b.c_rows[: b.rows]
+        rhs = self._pull(c_rows[:, done], b.payloads[: b.rows], b.contribs[done])
+        rref, pivots = gf.row_reduce(np.concatenate([c_rows[:, active], rhs], axis=1))
         in_c = sum(1 for p in pivots if p < u)
         if in_c < u:
             return
-        lp = self.payload_len
         for row_i in range(u):
-            pkt = int(b.contribs[active[pivots[row_i]]])
-            self._assign(pkt, rref[row_i, u : u + lp], rref[row_i, u + lp :])
-        for row_i in range(u, len(pivots)):
-            zrow = rref[row_i, u + lp :]
-            brow = rref[row_i, u : u + lp]
-            self.zsys.add(zrow, brow)
+            self._assign(int(b.contribs[active[pivots[row_i]]]), rref[row_i, u:])
+        self._to_zsys(rref[u : len(pivots), u:])
         b.fired = True
         b.unres[:] = False
         b.u = 0
-        b.c_rows = b.rhs_base = b.rhs_tail = np.zeros((0, 0), dtype=np.uint8)
+        b.retire()
 
     def _cascade(self) -> None:
         while self._subst_queue or self._fire_queue:
@@ -790,9 +791,10 @@ class IncrementalDecoder:
     def extract(self) -> np.ndarray:
         """Concrete payloads after a successful attempt."""
         z = self.zsys.solve(self.num_z)
-        out = self.base.copy()
+        lp = self.payload_len
+        out = self.expr[:, :lp].copy()
         if self.num_z:
-            out ^= gf.matmul(self.tails[:, : self.num_z], z)
+            out ^= gf.matmul(self.expr[:, lp : lp + self.num_z], z)
         return out
 
 

@@ -53,6 +53,12 @@ def _build_tables():
 
 _EXP, _LOG, MUL_TABLE, _INV = _build_tables()
 
+# MUL_TABLE flattened: the product a * b sits at index (a << 8) | b.
+_MUL_FLAT = MUL_TABLE.ravel()
+# matmul gathers at most this many products at once (one k-slice more when a
+# single slice is already larger), so its memory stays bounded by the output.
+_CHUNK_ELEMS = 1 << 16
+
 
 def mul(a, b):
     """Field product. Accepts scalars or equally shaped uint8 arrays."""
@@ -96,8 +102,22 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("inner dimensions differ: %d vs %d" % (k, k2))
     if k == 0 or r == 0 or c == 0:
         return np.zeros((r, c), dtype=np.uint8)
-    # (r, k, c) intermediate; callers keep k modest so this stays small.
-    return np.bitwise_xor.reduce(MUL_TABLE[a[:, :, None], b[None, :, :]], axis=1)
+    # Products are taken from the flat table in k-chunks of about
+    # _CHUNK_ELEMS (r, step, c) elements each and XOR-folded into the result.
+    step = max(1, _CHUNK_ELEMS // (r * c))
+    high = a.astype(np.uint16)
+    high <<= 8
+    parts = (
+        np.bitwise_xor.reduce(
+            _MUL_FLAT.take(high[:, s : s + step, None] | b[None, s : s + step, :]),
+            axis=1,
+        )
+        for s in range(0, k, step)
+    )
+    out = next(parts)
+    for part in parts:
+        out ^= part
+    return out
 
 
 def row_reduce(m: np.ndarray):

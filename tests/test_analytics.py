@@ -428,6 +428,23 @@ def test_optimizer_beats_both_endpoints_when_peers_are_better():
         assert best < plan.total_of_n[plan.n_min]
 
 
+def test_optimize_rejects_an_empty_batch_range():
+    # one user: phase 1 alone must deliver, and the outage-corrected lower
+    # bound lands above the upper one, so no batch count is feasible
+    cfg = NetworkParams(
+        num_users=1,
+        loss_common=0.05,
+        loss_source=0.5,
+        loss_peer=0.1,
+        batch_size=16,
+        file_packets=1600,
+    )
+    assert an.min_batches(cfg) == 235
+    assert an.max_batches(cfg) == 213
+    with pytest.raises(ValueError, match=r"n_min=235, n_max=213"):
+        an.optimize_batches(cfg)
+
+
 def test_plan_table_csv_round_trip():
     plan = an.optimize_batches(collapse_cfg())
     text = an.plan_table_csv(plan)

@@ -349,3 +349,18 @@ def test_module_entry_point(tmp_path):
     )
     assert bad.returncode == 2
     assert bad.stderr.startswith("error: missing_field")
+
+
+def test_infeasible_plan_is_a_config_error(tmp_path, capsys):
+    # a single user has an empty feasible batch range; planning and
+    # simulating must both refuse it instead of stalling
+    cfg = write_cfg(
+        tmp_path, {"num_users": "1", "batch_size": "16", "file_packets": "1600"}
+    )
+    for mode in ("plan", "simulate"):
+        assert run_cli([mode, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == (
+            "error: bad_value detail=no feasible batch count in "
+            "[n_min=235, n_max=213]"
+        )

@@ -353,6 +353,24 @@ def test_symbolic_system_consistency_property():
                 sys_.solve(k)
 
 
+def test_symbolic_system_grows_past_its_initial_capacity():
+    """Rows and columns beyond the preallocated block keep the solve exact."""
+    rng = np.random.default_rng(4)
+    k, width = 70, 5
+    hidden = rng.integers(0, 256, (k, width), dtype=np.uint8)
+    sys_ = codec._ZSystem(width)
+    wide = []
+    for t in range(120):
+        w = min(k, 1 + t)  # widths grow the way inactivations do
+        zrow = rng.integers(0, 256, w, dtype=np.uint8)
+        sys_.add(zrow, gf.matmul(zrow[None, :], hidden[:w])[0])
+        wide.append(np.pad(zrow, (0, k - w)))
+    # a reduced basis has the same pivot columns as the rref of its span
+    assert sorted(sys_.pivot_cols) == list(gf.row_reduce(np.array(wide))[1])
+    assert sys_.rank == k
+    assert np.array_equal(sys_.solve(k), hidden)
+
+
 def test_symbolic_system_detects_true_inconsistency():
     sys_ = codec._ZSystem(2)
     sys_.add(np.array([1], np.uint8), np.array([5, 5], np.uint8))
@@ -432,6 +450,55 @@ def test_incremental_feed_matches_oracle():
         assert dec.unresolved == file_packets - rank, "seed %d" % seed
         if ok:
             assert np.array_equal(dec.extract(), file)
+
+
+def test_late_row_for_partly_resolved_batch_matches_oracle():
+    """Rows for a pending batch whose contributors partly resolved earlier.
+
+    The decoder substitutes resolved contributors only when a batch fires or
+    drains, so such rows are stored raw; the next attempt must still agree
+    with dense elimination.
+    """
+    exercised = 0
+    for seed in range(60):
+        file, descriptors, states = random_instance(seed + 2000)
+        file_packets = file.shape[0]
+        dec = codec.IncrementalDecoder(file_packets, file.shape[1], descriptors)
+        items = list(states.items())
+        for bid, st in items[::2]:
+            dec.load_state(st)
+        dec.attempt()
+        for bid, st in items[1::2]:
+            b = dec.batches[bid]
+            if st.rank and not (b.fired or b.drained):
+                exercised += bool(dec.resolved[b.contribs].any())
+            for i in range(st.rank):
+                dec.add_row(bid, st.coeffs[i], st.payloads[i])
+            dec.attempt()
+        rank = global_rank(states, descriptors, file_packets)
+        assert dec.unresolved == file_packets - rank, "seed %d" % seed
+        if dec.unresolved == 0:
+            assert np.array_equal(dec.extract(), file)
+    assert exercised >= 20
+
+
+def test_decode_inactivation_count_is_pinned():
+    """Inactivation picks depend only on structure; this count must not drift."""
+    rng = np.random.default_rng(41)
+    file = make_file(rng, 600, 4)
+    dist = codec.design_distribution(600, 60, 16)
+    descriptors, batch_packets = build_session(file, dist, 60, 16, 41)
+    states = {}
+    for bid, pkts in batch_packets.items():
+        st = codec.BatchState(bid, 16, 4)
+        for p in pkts:
+            if rng.random() < 0.8:
+                st.absorb(p)
+        states[bid] = st
+    result = codec.decode(states, descriptors, 600)
+    assert result.success
+    assert np.array_equal(result.payloads, file)
+    assert result.inactivated == 21
 
 
 def test_decode_loopback_byte_identity():

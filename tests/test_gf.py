@@ -1,5 +1,7 @@
 """Field arithmetic tests backed by independent bit-twiddling oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,66 @@ def test_solve_rejects_shape_mismatch():
     a = np.eye(3, dtype=np.uint8)
     with pytest.raises(ValueError):
         gf.solve(a, np.zeros(4, dtype=np.uint8))
+
+
+def reference_matmul(a, b):
+    """a @ b as one MUL_TABLE outer product per inner index, XOR-summed."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for j in range(a.shape[1]):
+        out ^= gf.MUL_TABLE[a[:, j][:, None], b[j][None, :]]
+    return out
+
+
+def test_reference_matmul_matches_scalar_products():
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 256, (4, 6), dtype=np.uint8)
+    b = rng.integers(0, 256, (6, 5), dtype=np.uint8)
+    want = np.zeros((4, 5), dtype=np.uint8)
+    for i in range(4):
+        for j in range(5):
+            for t in range(6):
+                want[i, j] ^= peasant_mul(int(a[i, t]), int(b[t, j]))
+    assert np.array_equal(reference_matmul(a, b), want)
+
+
+CHUNK = gf._CHUNK_ELEMS
+
+
+@pytest.mark.parametrize(
+    "r, k, c",
+    [
+        (0, 5, 3),  # empty dimensions
+        (3, 0, 4),
+        (3, 5, 0),
+        (7, 1, 9),  # k = 1
+        (4, 3 * (CHUNK // 32) + 5, 8),  # k-chunks of CHUNK // 32, the last short
+        (CHUNK // 128 + 1, 3, 128),  # r * c > CHUNK: one inner index per chunk
+        (16, 1600, 214),
+        (1600, 150, 64),
+    ],
+)
+def test_matmul_matches_reference(r, k, c):
+    rng = np.random.default_rng(r * 1_000_003 + k * 1009 + c)
+    a = rng.integers(0, 256, (r, k), dtype=np.uint8)
+    b = rng.integers(0, 256, (k, c), dtype=np.uint8)
+    got = gf.matmul(a, b)
+    assert got.shape == (r, c) and got.dtype == np.uint8
+    assert np.array_equal(got, reference_matmul(a, b))
+
+
+def test_matmul_memory_is_bounded():
+    # gathering every product at once would take 1600 * 150 * 64 bytes
+    # (15 MB) here; the chunked kernel stays at a few MB
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, 256, (1600, 150), dtype=np.uint8)
+    b = rng.integers(0, 256, (150, 64), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        gf.matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_matvec_matches_matmul():
