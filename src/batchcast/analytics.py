@@ -17,6 +17,8 @@ import numpy as np
 from scipy.special import ndtri
 from scipy.stats import binom
 
+from .codec import MAX_BATCHES
+
 
 @dataclass(frozen=True)
 class NetworkParams:
@@ -333,12 +335,19 @@ def optimize_batches(params: NetworkParams) -> PlanResult:
     """Scan the feasible batch-count range for the lowest total transmissions.
 
     Evaluates the stopping time for every integer in [min_batches,
-    max_batches]; no convexity is assumed, the full curve is retained. Ties
-    resolve to the smallest batch count. Raises ValueError when no batch
-    count in that range is feasible, including when the range is empty.
+    max_batches], the upper end capped at MAX_BATCHES, the most batches the
+    2-byte batch id can name; no convexity is assumed, the full curve is
+    retained. Ties resolve to the smallest batch count. Raises ValueError
+    when min_batches exceeds that cap, or when no batch count in the range
+    is feasible, including when the range is empty.
     """
     n_lo = min_batches(params)
-    n_hi = max_batches(params)
+    if n_lo > MAX_BATCHES:
+        raise ValueError(
+            "n_min=%d exceeds the %d batches a batch id can name"
+            % (n_lo, MAX_BATCHES)
+        )
+    n_hi = min(max_batches(params), MAX_BATCHES)
     m = params.batch_size
     t_of_n: Dict[int, int] = {}
     total_of_n: Dict[int, int] = {}

@@ -14,7 +14,11 @@ Structure comes first, numbers second. Resolving a packet only updates the
 unresolved counts of the batches that contain it; when a batch fires (or
 drains into the symbolic system) it pulls its right-hand side once, as one
 product of its rows' coefficients on its resolved contributors with those
-contributors' [payload | symbolic] expressions.
+contributors' [payload | symbolic] expressions. Firing row-reduces only the
+batch's coefficient block on its unresolved contributors (at most M x 2M,
+with an identity block recording the row transform) and applies that
+transform to the pulled rows in one product. Symbolic constraints keep the
+same [payload | symbolic] row layout.
 
 Descriptors never travel. Each batch's degree, contributor set, and generator
 are redrawn from a deterministic stream seeded by (session seed, batch id),
@@ -35,6 +39,9 @@ from . import gf
 
 
 # ------------------------------------------------------------------ packets
+
+# Batch ids run from 1 and travel as a 2-byte header field (">H").
+MAX_BATCHES = 0xFFFF
 
 
 @dataclass
@@ -399,17 +406,18 @@ def _grown(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
 class _ZSystem:
     """Incremental elimination over the symbolic unknowns.
 
-    Rows are constraints z_coeffs . Z = rhs gathered from surplus receptions.
-    Kept fully reduced so rank queries are free and the final solve is a
-    read-off. Storage is preallocated and doubles on demand, in rows and in
-    columns, so accepting a row does not copy the system.
+    Rows are constraints [b | z] from surplus receptions, meaning z . Z = b,
+    in the decoder's [payload | Z] layout, so one product reduces payload
+    and symbolic columns together. Kept fully reduced so rank queries are
+    free and the final solve is a read-off. Storage is preallocated and
+    doubles on demand, in rows and in symbolic columns, so accepting a row
+    does not copy the system.
     """
 
     def __init__(self, payload_len: int):
         self.payload_len = payload_len
         self.width = 0
-        self._z = np.zeros((16, 16), dtype=np.uint8)
-        self._b = np.zeros((16, payload_len), dtype=np.uint8)
+        self._rows = np.zeros((16, payload_len + 16), dtype=np.uint8)
         self.pivot_cols: List[int] = []
 
     @property
@@ -417,61 +425,42 @@ class _ZSystem:
         return len(self.pivot_cols)
 
     @property
-    def zrows(self) -> np.ndarray:
-        return self._z[: self.rank, : self.width]
-
-    @property
-    def brows(self) -> np.ndarray:
-        return self._b[: self.rank]
+    def rows(self) -> np.ndarray:
+        return self._rows[: self.rank, : self.payload_len + self.width]
 
     def _reserve(self, width: int) -> None:
         """Room for one more row, and for width symbolic columns."""
         self.width = max(self.width, width)
-        rows, cols = self._z.shape
+        rows, cols = self._rows.shape
         if self.rank == rows:
             rows *= 2
-            self._b = _grown(self._b, rows, self.payload_len)
-        if self.width > cols:
-            cols = max(self.width, 2 * cols)
-        if (rows, cols) != self._z.shape:
-            self._z = _grown(self._z, rows, cols)
+        zcap = cols - self.payload_len
+        if self.width > zcap:
+            cols = self.payload_len + max(self.width, 2 * zcap)
+        if (rows, cols) != self._rows.shape:
+            self._rows = _grown(self._rows, rows, cols)
 
-    def add(self, zrow: np.ndarray, brow: np.ndarray) -> bool:
-        self._reserve(zrow.size)
-        zrows, brows = self.zrows, self.brows
-        w = np.zeros(self.width, dtype=np.uint8)
-        w[: zrow.size] = zrow
-        b = brow.astype(np.uint8, copy=True)
+    def add(self, row: np.ndarray) -> bool:
+        lp = self.payload_len
+        self._reserve(row.size - lp)
+        rows = self.rows
+        w = np.zeros(lp + self.width, dtype=np.uint8)
+        w[: row.size] = row
         if self.pivot_cols:
-            factors = w[self.pivot_cols]
-            hit = np.nonzero(factors)[0]
-            if hit.size:
-                w ^= np.bitwise_xor.reduce(
-                    gf.MUL_TABLE[factors[hit, None], zrows[hit]], axis=0
-                )
-                if self.payload_len:
-                    b ^= np.bitwise_xor.reduce(
-                        gf.MUL_TABLE[factors[hit, None], brows[hit]], axis=0
-                    )
-        nz = np.nonzero(w)[0]
+            factors = w[lp:][self.pivot_cols]
+            if factors.any():
+                w ^= gf.matmul(factors[None, :], rows)[0]
+        nz = np.flatnonzero(w[lp:])
         if nz.size == 0:
-            if b.any():
+            if w.any():
                 raise gf.InconsistentSystemError(
                     "received data is internally inconsistent"
                 )
             return False
         pivot = int(nz[0])
-        scale = gf._INV[w[pivot]]
-        w = gf.MUL_TABLE[scale, w]
-        b = gf.MUL_TABLE[scale, b]
-        col = zrows[:, pivot].copy()
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            zrows[hit] ^= gf.MUL_TABLE[col[hit, None], w[None, :]]
-            if self.payload_len:
-                brows[hit] ^= gf.MUL_TABLE[col[hit, None], b[None, :]]
-        self._z[self.rank, : self.width] = w
-        self._b[self.rank] = b
+        w = gf.MUL_TABLE[gf._INV[w[lp + pivot]]].take(w)
+        rows ^= gf.outer(rows[:, lp + pivot], w)
+        self._rows[self.rank, : w.size] = w
         self.pivot_cols.append(pivot)
         return True
 
@@ -481,8 +470,7 @@ class _ZSystem:
                 "symbolic system is not fully determined"
             )
         out = np.zeros((num_z, self.payload_len), dtype=np.uint8)
-        for row, col in enumerate(self.pivot_cols):
-            out[col] = self.brows[row]
+        out[self.pivot_cols] = self.rows[:, : self.payload_len]
         return out
 
 
@@ -608,7 +596,7 @@ class IncrementalDecoder:
 
     def _to_zsys(self, rhs: np.ndarray) -> None:
         for row in rhs:
-            self.zsys.add(row[self.payload_len :], row[: self.payload_len])
+            self.zsys.add(row)
 
     def _note_rows(self, bid: int, b: _DecoderBatch, added: int) -> None:
         """Account for added rows just stored in pending batch b."""
@@ -713,22 +701,32 @@ class IncrementalDecoder:
                 self._near.add(bid)
 
     def _fire(self, bid: int) -> None:
+        """Resolve a batch's unresolved contributors from its rows.
+
+        Reduces only the coefficient block [C_active | I]; its right part is
+        the row transform, applied to the pulled right-hand side in one
+        product. The first u transformed rows resolve the contributors, the
+        rest are surplus constraints for the symbolic system. A batch whose
+        rows are rank-deficient on its unresolved contributors stays pending.
+        """
         b = self.batches[bid]
         b.queued = False
         if b.fired or b.drained or b.u == 0 or b.u > b.rows:
             return
-        active = np.nonzero(b.unres)[0]
-        done = np.nonzero(~b.unres)[0]
-        u = active.size
-        c_rows = b.c_rows[: b.rows]
-        rhs = self._pull(c_rows[:, done], b.payloads[: b.rows], b.contribs[done])
-        rref, pivots = gf.row_reduce(np.concatenate([c_rows[:, active], rhs], axis=1))
-        in_c = sum(1 for p in pivots if p < u)
-        if in_c < u:
+        active = np.flatnonzero(b.unres)
+        done = np.flatnonzero(~b.unres)
+        u, rows = active.size, b.rows
+        c_rows = b.c_rows[:rows]
+        rref, pivots = gf.row_reduce(
+            np.concatenate([c_rows[:, active], np.eye(rows, dtype=np.uint8)], axis=1)
+        )
+        if pivots[u - 1] >= u:
             return
-        for row_i in range(u):
-            self._assign(int(b.contribs[active[pivots[row_i]]]), rref[row_i, u:])
-        self._to_zsys(rref[u : len(pivots), u:])
+        rhs = self._pull(c_rows[:, done], b.payloads[:rows], b.contribs[done])
+        out = gf.matmul(rref[:, u:], rhs)
+        for i in range(u):
+            self._assign(int(b.contribs[active[i]]), out[i])
+        self._to_zsys(out[u:])
         b.fired = True
         b.unres[:] = False
         b.u = 0

@@ -94,6 +94,20 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(MUL_TABLE[m, v[None, :]], axis=1)
 
 
+def outer(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """col[i] * row[j] over the field, as an (r, c) array."""
+    # table rows for col, then their columns for row: two contiguous takes
+    # beat gathering from index pairs at every size the decoder uses
+    return MUL_TABLE.take(col, axis=0).take(row, axis=1)
+
+
+def _products(high: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for high = a << 8, gathered in one piece."""
+    return np.bitwise_xor.reduce(
+        _MUL_FLAT.take(high[:, :, None] | b[None, :, :]), axis=1
+    )
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the field; a is (r, k), b is (k, c)."""
     r, k = a.shape
@@ -102,21 +116,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("inner dimensions differ: %d vs %d" % (k, k2))
     if k == 0 or r == 0 or c == 0:
         return np.zeros((r, c), dtype=np.uint8)
-    # Products are taken from the flat table in k-chunks of about
-    # _CHUNK_ELEMS (r, step, c) elements each and XOR-folded into the result.
-    step = max(1, _CHUNK_ELEMS // (r * c))
     high = a.astype(np.uint16)
     high <<= 8
-    parts = (
-        np.bitwise_xor.reduce(
-            _MUL_FLAT.take(high[:, s : s + step, None] | b[None, s : s + step, :]),
-            axis=1,
-        )
-        for s in range(0, k, step)
-    )
-    out = next(parts)
-    for part in parts:
-        out ^= part
+    # Products are taken from the flat table in k-chunks of about
+    # _CHUNK_ELEMS (r, step, c) elements each and XOR-folded into the result;
+    # a product that fits in one chunk is a single gather.
+    step = max(1, _CHUNK_ELEMS // (r * c))
+    out = _products(high[:, :step], b[:step])
+    for s in range(step, k, step):
+        out ^= _products(high[:, s : s + step], b[s : s + step])
     return out
 
 
@@ -136,17 +144,17 @@ def row_reduce(m: np.ndarray):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + nz[0]
-        if p != r:
+        if not a[r, c]:
+            nz = np.flatnonzero(a[r:, c])
+            if nz.size == 0:
+                continue
+            p = r + nz[0]
             a[[r, p]] = a[[p, r]]
-        a[r] = MUL_TABLE[_INV[a[r, c]], a[r]]
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] ^= MUL_TABLE[a[others, c][:, None], a[r][None, :]]
+        # rows r.. are zero left of column c, so only columns c.. change
+        a[r, c:] = MUL_TABLE[_INV[a[r, c]]].take(a[r, c:])
+        factors = a[:, c].copy()
+        factors[r] = 0
+        a[:, c:] ^= outer(factors, a[r, c:])
         pivots.append(c)
         r += 1
     return a, tuple(pivots)

@@ -101,6 +101,11 @@ def new_session(
 ) -> CodingSession:
     if num_batches < 0:
         raise ValueError("num_batches must be nonnegative")
+    if num_batches > codec.MAX_BATCHES:
+        raise ValueError(
+            "num_batches=%d exceeds the %d batches a batch id can name"
+            % (num_batches, codec.MAX_BATCHES)
+        )
     if dist is None:
         if expected_rank is None and num_batches > 0:
             expected_rank = 1.01 * params.file_packets / num_batches

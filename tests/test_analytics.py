@@ -445,6 +445,32 @@ def test_optimize_rejects_an_empty_batch_range():
         an.optimize_batches(cfg)
 
 
+def test_optimize_never_plans_past_the_batch_id_limit():
+    # M=1 with EX2 losses: batch ids travel in two bytes, so the plan may
+    # not exceed 65535 batches. F=53000 has n_min=65039 under the limit and
+    # an uncapped n_max of 113002 above it; F=70000 has n_min=85791 above.
+    def one_packet_batches(file_packets):
+        return NetworkParams(
+            num_users=3,
+            loss_common=0.05,
+            loss_source=0.5,
+            loss_peer=0.1,
+            batch_size=1,
+            file_packets=file_packets,
+        )
+
+    capped = one_packet_batches(53000)
+    assert an.max_batches(capped) == 113002
+    plan = an.optimize_batches(capped)
+    assert plan.n_min == 65039
+    assert plan.n_max == 65535
+    assert plan.n_opt <= 65535 and max(plan.t_of_n) <= 65535
+    over = one_packet_batches(70000)
+    assert an.min_batches(over) == 85791
+    with pytest.raises(ValueError, match=r"n_min=85791 exceeds the 65535"):
+        an.optimize_batches(over)
+
+
 def test_plan_table_csv_round_trip():
     plan = an.optimize_batches(collapse_cfg())
     text = an.plan_table_csv(plan)

@@ -364,3 +364,21 @@ def test_infeasible_plan_is_a_config_error(tmp_path, capsys):
             "error: bad_value detail=no feasible batch count in "
             "[n_min=235, n_max=213]"
         )
+
+
+def test_batch_count_past_the_batch_id_limit_is_a_config_error(tmp_path, capsys):
+    # batch ids travel in two bytes: a plan needing more batches, or an
+    # explicit n above 65535, is refused before any session starts
+    big = write_cfg(tmp_path, {"batch_size": "1", "file_packets": "70000"})
+    assert run_cli(["plan", "--config", big, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: bad_value detail=n_min=85791 exceeds the 65535 batches a "
+        "batch id can name"
+    )
+    cfg = write_cfg(tmp_path)
+    args = ["simulate", "--config", cfg, "--n", "65536", "--out-dir", str(tmp_path)]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: bad_value detail=num_batches=65536 exceeds the 65535 batches "
+        "a batch id can name"
+    )

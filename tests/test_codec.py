@@ -344,7 +344,7 @@ def test_symbolic_system_consistency_property():
             w = int(rng.integers(1, k + 1))
             zrow = rng.integers(0, 256, w, dtype=np.uint8)
             brow = gf.matmul(zrow[None, :], hidden[:w])[0]
-            sys_.add(zrow, brow)
+            sys_.add(np.concatenate([brow, zrow]))
         assert sys_.rank <= k
         if sys_.rank == k:
             assert np.array_equal(sys_.solve(k), hidden)
@@ -363,7 +363,7 @@ def test_symbolic_system_grows_past_its_initial_capacity():
     for t in range(120):
         w = min(k, 1 + t)  # widths grow the way inactivations do
         zrow = rng.integers(0, 256, w, dtype=np.uint8)
-        sys_.add(zrow, gf.matmul(zrow[None, :], hidden[:w])[0])
+        sys_.add(np.concatenate([gf.matmul(zrow[None, :], hidden[:w])[0], zrow]))
         wide.append(np.pad(zrow, (0, k - w)))
     # a reduced basis has the same pivot columns as the rref of its span
     assert sorted(sys_.pivot_cols) == list(gf.row_reduce(np.array(wide))[1])
@@ -373,9 +373,9 @@ def test_symbolic_system_grows_past_its_initial_capacity():
 
 def test_symbolic_system_detects_true_inconsistency():
     sys_ = codec._ZSystem(2)
-    sys_.add(np.array([1], np.uint8), np.array([5, 5], np.uint8))
+    sys_.add(np.array([5, 5, 1], np.uint8))
     with pytest.raises(gf.InconsistentSystemError):
-        sys_.add(np.array([1], np.uint8), np.array([5, 6], np.uint8))
+        sys_.add(np.array([5, 6, 1], np.uint8))
 
 
 # ------------------------------------------------------------------- decoding
@@ -480,6 +480,52 @@ def test_late_row_for_partly_resolved_batch_matches_oracle():
         if dec.unresolved == 0:
             assert np.array_equal(dec.extract(), file)
     assert exercised >= 20
+
+
+def test_rank_deficient_batch_stays_pending_until_more_rows_arrive():
+    """A batch with u <= rows but rank < u on its unresolved contributors.
+
+    One batch of degree 4 over the whole file (identity generator, so a
+    reception's coefficients are its contributor coefficients). Packet 0 is
+    inactivated; the three rows are independent, but on packets 1..3 the
+    third is the sum of the other two, so rows >= u = 3 is not enough to
+    fire. No expression and no symbolic constraint may come out of it (an
+    early surplus row would pin Z). A later row must still reach the exact
+    dense-elimination result.
+    """
+    rng = np.random.default_rng(43)
+    file = make_file(rng, 4, 5)
+    desc = codec.BatchDescriptor(
+        batch_id=1,
+        degree=4,
+        contributor_ids=np.arange(1, 5),
+        generator=np.eye(4, dtype=np.uint8),
+    )
+    dec = codec.IncrementalDecoder(4, 5, {1: desc})
+    fed = []
+
+    def feed(coeff):
+        coeff = np.array(coeff, dtype=np.uint8)
+        fed.append(coeff)
+        dec.add_row(1, coeff, gf.matmul(coeff[None, :], file)[0])
+
+    feed([3, 5, 2, 0])
+    feed([9, 1, 7, 0])
+    feed([11, 4, 5, 0])
+    dec._inactivate(0)
+    dec._cascade()
+    b = dec.batches[1]
+    assert (b.u, b.rows, dec.num_z) == (3, 3, 1)
+    assert not (b.fired or b.drained)
+    assert list(dec.resolved) == [True, False, False, False]
+    assert not dec.expr[1:].any()
+    assert dec.zsys.rank == 0
+    feed([0, 6, 0, 1])
+    ok = dec.attempt()
+    rank = gf.rank(np.array(fed))
+    assert dec.unresolved == 4 - rank
+    assert ok == (rank == 4)
+    assert ok and np.array_equal(dec.extract(), file)
 
 
 def test_decode_inactivation_count_is_pinned():

@@ -21,10 +21,16 @@ def peasant_mul(a: int, b: int) -> int:
     return p
 
 
-def brute_rank(m) -> int:
-    """Row reduction using only the peasant oracle, no library calls."""
+def brute_rref(m):
+    """Scalar Gauss-Jordan using only the peasant oracle, no library calls.
+
+    Returns (rows, pivot_columns) with the pivot rule gf.row_reduce
+    documents: the first row at or below the current one with a nonzero
+    entry in the column.
+    """
     rows = [list(map(int, r)) for r in m]
     cols = len(rows[0]) if rows else 0
+    pivots = []
     rk = 0
     for c in range(cols):
         piv = None
@@ -41,10 +47,15 @@ def brute_rank(m) -> int:
             if r != rk and rows[r][c]:
                 f = rows[r][c]
                 rows[r] = [v ^ peasant_mul(f, w) for v, w in zip(rows[r], rows[rk])]
+        pivots.append(c)
         rk += 1
         if rk == len(rows):
             break
-    return rk
+    return rows, tuple(pivots)
+
+
+def brute_rank(m) -> int:
+    return len(brute_rref(m)[1])
 
 
 def test_mul_annihilator_and_identity():
@@ -119,6 +130,58 @@ def test_row_reduce_idempotent():
         again, piv2 = gf.row_reduce(red)
         assert np.array_equal(red, again)
         assert piv == piv2
+
+
+def _deficient(rng, r, c, rank):
+    """(r, c) matrix of the given rank: random rows mixed from rank rows."""
+    basis = rng.integers(0, 256, (rank, c), dtype=np.uint8)
+    mix = rng.integers(0, 256, (r, rank), dtype=np.uint8)
+    return gf.matmul(mix, basis)
+
+
+ROW_REDUCE_CASES = {
+    "rank-deficient": lambda rng: _deficient(rng, 7, 10, 4),
+    "deficient-tall": lambda rng: _deficient(rng, 9, 6, 3),
+    "zero-columns": lambda rng: rng.integers(0, 256, (5, 9), dtype=np.uint8)
+    * (np.arange(9) % 3 != 1).astype(np.uint8),
+    "all-zero": lambda rng: np.zeros((4, 6), dtype=np.uint8),
+    "more-rows-than-columns": lambda rng: rng.integers(0, 256, (12, 5), dtype=np.uint8),
+    "1xn": lambda rng: rng.integers(0, 256, (1, 9), dtype=np.uint8),
+    "nx1": lambda rng: rng.integers(0, 256, (7, 1), dtype=np.uint8),
+    "leading-zeros": lambda rng: np.concatenate(
+        [np.zeros((6, 2), np.uint8), rng.integers(0, 3, (6, 8), dtype=np.uint8)], axis=1
+    ),
+    # [C | I], the block the decoder reduces when a batch fires
+    "fire-16x32": lambda rng: np.concatenate(
+        [rng.integers(0, 256, (16, 16), dtype=np.uint8), np.eye(16, dtype=np.uint8)],
+        axis=1,
+    ),
+    "fire-deficient-12x24": lambda rng: np.concatenate(
+        [_deficient(rng, 12, 12, 9), np.eye(12, dtype=np.uint8)], axis=1
+    ),
+    "fire-11x219": lambda rng: rng.integers(0, 256, (11, 219), dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_REDUCE_CASES))
+def test_row_reduce_matches_scalar_gauss_jordan(case):
+    for seed in range(3):
+        rng = np.random.default_rng([seed, len(case)])
+        m = ROW_REDUCE_CASES[case](rng)
+        red, piv = gf.row_reduce(m)
+        want, want_piv = brute_rref(m)
+        assert piv == want_piv
+        assert np.array_equal(red, np.array(want, dtype=np.uint8).reshape(m.shape))
+
+
+def test_outer_matches_table():
+    rng = np.random.default_rng(37)
+    for r, c in [(0, 4), (3, 0), (1, 1), (16, 27), (200, 264)]:
+        col = rng.integers(0, 256, r, dtype=np.uint8)
+        row = rng.integers(0, 256, c, dtype=np.uint8)
+        got = gf.outer(col, row)
+        assert got.shape == (r, c) and got.dtype == np.uint8
+        assert np.array_equal(got, gf.MUL_TABLE[col[:, None], row[None, :]])
 
 
 def test_solve_identity_passthrough():

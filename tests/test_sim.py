@@ -198,6 +198,10 @@ def test_phase2_redundancy_tracks_model_at_light_load():
 def test_zero_batches_edge():
     with pytest.raises(ValueError):
         sim.new_session(FAST, 0, -1)
+    # batch ids travel in a 2-byte header
+    assert sim.new_session(FAST, 0, 65535).num_batches == 65535
+    with pytest.raises(ValueError, match="num_batches=65536 exceeds the 65535"):
+        sim.new_session(FAST, 0, 65536)
     session = sim.new_session(FAST, 0, 0)
     users = sim.make_users(2, session)
     ch = sim.ChannelModel.from_params(FAST, 0)
