@@ -65,20 +65,6 @@ class NetworkParams:
 
 
 @dataclass
-class RankDistribution:
-    """Probability vector over per-batch ranks 0..batch_size."""
-
-    pr: np.ndarray
-
-    def __post_init__(self):
-        self.pr = np.asarray(self.pr, dtype=float)
-        if np.any(self.pr < -1e-12):
-            raise ValueError("rank probabilities must be nonnegative")
-        if abs(float(self.pr.sum()) - 1.0) > 1e-9:
-            raise ValueError("rank probabilities must sum to 1")
-
-
-@dataclass
 class PlanResult:
     n_min: int
     n_max: int

@@ -55,47 +55,13 @@ _STR_KEYS = {"mode", "dist_path", "out_dir"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
 
 # keys that must be present before each mode can run
+_NETWORK = ("loss_common", "loss_source", "loss_peer", "batch_size", "file_packets")
 _REQUIRED = {
-    "plan": (
-        "num_users",
-        "loss_common",
-        "loss_source",
-        "loss_peer",
-        "batch_size",
-        "file_packets",
-    ),
-    "simulate": (
-        "num_users",
-        "loss_common",
-        "loss_source",
-        "loss_peer",
-        "batch_size",
-        "file_packets",
-    ),
-    "sweep": (
-        "loss_common",
-        "loss_source",
-        "loss_peer",
-        "batch_size",
-        "file_packets",
-        "users_min",
-        "users_max",
-    ),
-    "robustness": (
-        "num_users",
-        "loss_common",
-        "loss_source",
-        "loss_peer",
-        "batch_size",
-        "file_packets",
-        "actual_users",
-    ),
-    "single-phase": (
-        "num_users",
-        "loss_common",
-        "loss_source",
-        "file_packets",
-    ),
+    "plan": ("num_users",) + _NETWORK,
+    "simulate": ("num_users",) + _NETWORK,
+    "sweep": _NETWORK + ("users_min", "users_max"),
+    "robustness": ("num_users",) + _NETWORK + ("actual_users",),
+    "single-phase": ("num_users", "loss_common", "loss_source", "file_packets"),
 }
 
 

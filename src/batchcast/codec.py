@@ -29,8 +29,7 @@ any receiver to rebuild them.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -51,25 +50,6 @@ class Packet:
     batch_id: int
     coeff: np.ndarray
     payload: np.ndarray
-
-
-def packet_wire_size(batch_size: int, payload_len: int) -> int:
-    """Bytes one packet occupies on the simulated wire."""
-    return 2 + batch_size + payload_len
-
-
-def pack_packet(p: Packet) -> bytes:
-    """Serialize as batch_id (2 bytes, big endian) + coeff + payload."""
-    return struct.pack(">H", p.batch_id) + p.coeff.tobytes() + p.payload.tobytes()
-
-
-def unpack_packet(data: bytes, batch_size: int, payload_len: int) -> Packet:
-    if len(data) != packet_wire_size(batch_size, payload_len):
-        raise ValueError("wire data has wrong length")
-    (batch_id,) = struct.unpack(">H", data[:2])
-    coeff = np.frombuffer(data[2 : 2 + batch_size], dtype=np.uint8).copy()
-    payload = np.frombuffer(data[2 + batch_size :], dtype=np.uint8).copy()
-    return Packet(batch_id=batch_id, coeff=coeff, payload=payload)
 
 
 # ------------------------------------------------------- degree distribution
@@ -135,31 +115,6 @@ class DegreeDistribution:
         for d, p in zip(degrees, probs):
             psi[d - 1] += p
         return cls(psi)
-
-
-def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
-    return dist.sample(rng)
-
-
-def default_distribution(batch_size: int) -> DegreeDistribution:
-    """Fallback degree law: a robust-soliton shape capped at 4M.
-
-    Good enough for small files and desk tests. Transmission plans sized for
-    large files should use design_distribution instead, which adapts the
-    degree range to the file and batch count.
-    """
-    cap = 4 * batch_size
-    psi = np.zeros(cap)
-    psi[0] = 1.0 / cap
-    for d in range(2, cap + 1):
-        psi[d - 1] = 1.0 / (d * (d - 1))
-    c, delta = 0.1, 0.05
-    r = c * math.log(cap / delta) * math.sqrt(cap)
-    spike = min(cap, max(2, int(round(cap / r))))
-    for d in range(1, spike):
-        psi[d - 1] += r / (d * cap)
-    psi[spike - 1] += r * math.log(r / delta) / cap
-    return DegreeDistribution(psi / psi.sum())
 
 
 def design_distribution(
@@ -238,7 +193,7 @@ def make_descriptor(
     batch_size: int,
 ) -> BatchDescriptor:
     """Draw a batch recipe: degree, then contributors, then generator."""
-    d = sample_degree(dist, rng)
+    d = dist.sample(rng)
     if d > file_packets:
         raise ValueError(
             "degree %d exceeds the file's %d packets" % (d, file_packets)

@@ -82,18 +82,6 @@ def inv(a: int) -> int:
     return int(_INV[a])
 
 
-def scale(vec: np.ndarray, s: int) -> np.ndarray:
-    """s * vec elementwise."""
-    return MUL_TABLE[s, vec]
-
-
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m @ v over the field; m is (r, c), v is (c,)."""
-    if m.shape[1] == 0:
-        return np.zeros(m.shape[0], dtype=np.uint8)
-    return np.bitwise_xor.reduce(MUL_TABLE[m, v[None, :]], axis=1)
-
-
 def outer(col: np.ndarray, row: np.ndarray) -> np.ndarray:
     """col[i] * row[j] over the field, as an (r, c) array."""
     # table rows for col, then their columns for row: two contiguous takes
@@ -166,92 +154,3 @@ def rank(m: np.ndarray) -> int:
     if a.size == 0:
         return 0
     return len(row_reduce(a)[1])
-
-
-def solve(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Solve a @ x = y for x.
-
-    y may be a vector or a matrix of stacked right-hand sides. Raises
-    UnderdeterminedSystemError when rank(a) < columns, and
-    InconsistentSystemError when the system admits no solution.
-    """
-    a = np.asarray(a, dtype=np.uint8)
-    y = np.asarray(y, dtype=np.uint8)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[:, None]
-    if a.shape[0] != y.shape[0]:
-        raise ValueError("a and y disagree on row count")
-    cols = a.shape[1]
-    aug = np.concatenate([a, y], axis=1)
-    red, piv = row_reduce(aug)
-    coeff_piv = [p for p in piv if p < cols]
-    r = len(coeff_piv)
-    # any pivot landing in the rhs block marks a 0 = nonzero row
-    if len(piv) > r:
-        raise InconsistentSystemError("system has no solution")
-    tail = red[r:, cols:]
-    if tail.size and np.any(tail):
-        raise InconsistentSystemError("system has no solution")
-    if r < cols:
-        raise UnderdeterminedSystemError(
-            "rank %d < %d unknowns" % (r, cols)
-        )
-    x = red[:cols, cols:]
-    return x[:, 0] if squeeze else x
-
-
-class IncrementalEchelon:
-    """Maintains an RREF basis row by row for cheap innovation tests.
-
-    add() reduces the candidate against the stored basis and reports whether
-    it enlarged the span. Width is fixed at construction; capacity grows on
-    demand (used both for per-batch 16-wide filters and for wide late-stage
-    systems).
-    """
-
-    def __init__(self, width: int, capacity: int = 16):
-        self.width = width
-        self._rows = np.zeros((max(capacity, 1), width), dtype=np.uint8)
-        self._pivots = np.zeros(max(capacity, 1), dtype=np.int64)
-        self.rank = 0
-
-    def _reduce(self, row: np.ndarray) -> np.ndarray:
-        if self.rank:
-            rows = self._rows[: self.rank]
-            factors = row[self._pivots[: self.rank]]
-            if np.any(factors):
-                row = row ^ np.bitwise_xor.reduce(
-                    MUL_TABLE[factors[:, None], rows], axis=0
-                )
-        return row
-
-    def contains(self, row: np.ndarray) -> bool:
-        """True if row already lies in the stored span."""
-        return not np.any(self._reduce(np.asarray(row, dtype=np.uint8).copy()))
-
-    def add(self, row: np.ndarray) -> bool:
-        """Insert row; True iff it was independent of the stored basis."""
-        row = self._reduce(np.asarray(row, dtype=np.uint8).copy())
-        nz = np.nonzero(row)[0]
-        if nz.size == 0:
-            return False
-        p = nz[0]
-        row = MUL_TABLE[_INV[row[p]], row]
-        if self.rank == len(self._rows):
-            grown = np.zeros((2 * len(self._rows), self.width), dtype=np.uint8)
-            grown[: self.rank] = self._rows[: self.rank]
-            self._rows = grown
-            gp = np.zeros(2 * len(self._pivots), dtype=np.int64)
-            gp[: self.rank] = self._pivots[: self.rank]
-            self._pivots = gp
-        if self.rank:
-            rows = self._rows[: self.rank]
-            f = rows[:, p]
-            hit = np.nonzero(f)[0]
-            if hit.size:
-                rows[hit] ^= MUL_TABLE[f[hit][:, None], row[None, :]]
-        self._rows[self.rank] = row
-        self._pivots[self.rank] = p
-        self.rank += 1
-        return True

@@ -13,7 +13,7 @@ is bit-identical given the same seed and configuration, and the coded
 session (descriptors, payloads) is shared across channel realizations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -31,34 +31,7 @@ _SINGLE_TAG = 5
 
 
 class SimulationStallError(RuntimeError):
-    """Raised when phase 2 exceeds its slot cap without finishing."""
-
-
-@dataclass
-class ChannelModel:
-    """Erasure probabilities for both phases plus the session seed."""
-
-    loss_common: float
-    loss_source: float
-    loss_peer: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.loss_common <= 1.0):
-            raise ValueError("loss_common must lie in [0, 1]")
-        for name in ("loss_source", "loss_peer"):
-            v = getattr(self, name)
-            if not (0.0 <= v < 1.0):
-                raise ValueError("%s must lie in [0, 1), got %r" % (name, v))
-
-    @classmethod
-    def from_params(cls, params: NetworkParams, seed: int = 0) -> "ChannelModel":
-        return cls(
-            loss_common=params.loss_common,
-            loss_source=params.loss_source,
-            loss_peer=params.loss_peer,
-            seed=seed,
-        )
+    """Raised when phase 2 hits its slot cap or can no longer finish."""
 
 
 def _substream(seed: int, tag: int) -> np.random.Generator:
@@ -192,22 +165,18 @@ def make_users(num_users: int, session: CodingSession) -> List[UserState]:
 
 
 def broadcast_source(
-    packet: codec.Packet,
-    users: List[UserState],
-    channel: ChannelModel,
-    rng: np.random.Generator,
+    num_users: int, params: NetworkParams, rng: np.random.Generator
 ) -> np.ndarray:
     """One source transmission: shared loss draw, then per-user draws."""
-    k = len(users)
-    if rng.random() < channel.loss_common:
-        return np.zeros(k, dtype=bool)
-    return rng.random(k) >= channel.loss_source
+    if rng.random() < params.loss_common:
+        return np.zeros(num_users, dtype=bool)
+    return rng.random(num_users) >= params.loss_source
 
 
 def run_phase1(
     session: CodingSession,
     users: List[UserState],
-    channel: ChannelModel,
+    params: NetworkParams,
     rng: np.random.Generator,
     group_distinct: Optional[np.ndarray] = None,
 ) -> int:
@@ -217,7 +186,7 @@ def run_phase1(
         packets = session.batch_packets(bid)
         for p in packets:
             transmissions += 1
-            flags = broadcast_source(p, users, channel, rng)
+            flags = broadcast_source(len(users), params, rng)
             for u, delivered in zip(users, flags):
                 if not delivered:
                     continue
@@ -293,7 +262,7 @@ def _next_send(u: UserState) -> Optional[int]:
 def run_phase2(
     session: CodingSession,
     users: List[UserState],
-    channel: ChannelModel,
+    params: NetworkParams,
     rng: np.random.Generator,
     mix_rng: np.random.Generator,
     group_distinct: np.ndarray,
@@ -309,6 +278,8 @@ def run_phase2(
     sender has an empty buffer pass without a transmission. When until_tx
     is given the phase instead runs for exactly that transmission budget,
     which evaluates the repair process at a planned stopping point.
+    Raises SimulationStallError at the slot cap, or as soon as every pending
+    user holds all the packets the group received.
     """
     k = len(users)
     if cap is None:
@@ -321,10 +292,16 @@ def run_phase2(
         raise ValueError("phase 2 requires prepared queues; run phase 1 first")
     watched = [u for u in users if u.decoder is not None]
     pending = sum(1 for u in watched if not u.decoded)
+    # A pending user holding every packet the group received never gets an
+    # innovative packet again, so it never reaches another decode attempt.
+    group_total = int(group_distinct.sum())
+    saturated = sum(
+        1 for u in watched if not u.decoded and u.innovative == group_total
+    )
     transmissions = 0
     slot = 0
     while pending or (until_tx is not None and transmissions < until_tx):
-        if slot >= cap:
+        if slot >= cap or 0 < pending == saturated:
             stuck = [
                 (u.user_id, u.innovative, u.decoder.unresolved)
                 for u in watched
@@ -332,7 +309,8 @@ def run_phase2(
             ]
             raise SimulationStallError(
                 "phase 2 passed %d slots with users (id, innovative, "
-                "unresolved) still pending: %s" % (cap, stuck)
+                "unresolved) still pending: %s; the group received %d packets"
+                % (slot, stuck, group_total)
             )
         if access == "round_robin":
             sender = users[slot % k]
@@ -344,7 +322,7 @@ def run_phase2(
             continue
         transmissions += 1
         pkt = codec.recode(sender.batches[bid], mix_rng)
-        delivered = rng.random(k) >= channel.loss_peer
+        delivered = rng.random(k) >= params.loss_peer
         delivered[sender.user_id] = False
         for u in users:
             if not delivered[u.user_id]:
@@ -358,6 +336,8 @@ def run_phase2(
                     if u.innovative >= session.file_packets and u.decoder.attempt():
                         _mark_decoded(u, transmissions)
                         pending -= 1
+                    elif u.innovative == group_total:
+                        saturated += 1
             else:
                 u.redundant += 1
         if trace is not None:
@@ -406,8 +386,7 @@ def run_session(
     users = make_users(params.num_users, session)
     group_distinct = np.zeros(num_batches, dtype=np.int64)
     phase1_rng = _substream(seed, _PHASE1_TAG)
-    channel = ChannelModel.from_params(params, seed)
-    phase1_tx = run_phase1(session, users, channel, phase1_rng, group_distinct)
+    phase1_tx = run_phase1(session, users, params, phase1_rng, group_distinct)
     for u in users:
         for bid in range(1, num_batches + 1):
             _check_group_bound(u, bid, group_distinct)
@@ -416,7 +395,7 @@ def run_session(
     phase2_tx = run_phase2(
         session,
         users,
-        channel,
+        params,
         _substream(seed, _PHASE2_TAG),
         _substream(seed, _MIX_TAG),
         group_distinct,
@@ -501,16 +480,7 @@ def run_robustness(
     if actual_users < design_params.num_users:
         raise ValueError("actual_users must be at least the design size")
     plan = optimize_batches(design_params)
-    actual = NetworkParams(
-        num_users=actual_users,
-        loss_common=design_params.loss_common,
-        loss_source=design_params.loss_source,
-        loss_peer=design_params.loss_peer,
-        batch_size=design_params.batch_size,
-        file_packets=design_params.file_packets,
-        code_overhead=design_params.code_overhead,
-        outage_tolerance=design_params.outage_tolerance,
-    )
+    actual = replace(design_params, num_users=actual_users)
     expected = 1.01 * design_params.file_packets / plan.n_opt
     return run_session(
         actual,

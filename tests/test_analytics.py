@@ -80,6 +80,8 @@ def test_params_reject_bad_values():
         dict(loss_common=-0.1),
         dict(loss_common=1.0),
         dict(loss_source=1.2),
+        dict(loss_source=1.0),
+        dict(loss_peer=-0.2),
         dict(loss_peer=0.6),  # worse than the source link
         dict(batch_size=0),
         dict(file_packets=0),
@@ -96,14 +98,6 @@ def test_params_reject_bad_values():
 def test_params_accept_zero_losses():
     p = NetworkParams(2, 0.0, 0.0, 0.0, 4, 10)
     assert an.effective_erasure(p) == 0.0
-
-
-def test_rank_distribution_container_validates():
-    an.RankDistribution(np.full(4, 0.25))
-    with pytest.raises(ValueError):
-        an.RankDistribution(np.array([0.5, 0.4]))
-    with pytest.raises(ValueError):
-        an.RankDistribution(np.array([1.5, -0.5]))
 
 
 # ------------------------------------------------------------- erasure rates

@@ -112,7 +112,7 @@ def test_simulate_writes_traces_on_request(tmp_path):
 
 def test_simulate_accepts_degree_file(tmp_path):
     dist_path = tmp_path / "degrees.txt"
-    codec.default_distribution(8).to_file(str(dist_path))
+    codec.design_distribution(300, 80, 8).to_file(str(dist_path))
     cfg = write_cfg(tmp_path, extra={"dist_path": str(dist_path), "n": "80"})
     out = tmp_path / "out"
     assert run_cli(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0

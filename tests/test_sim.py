@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from batchcast import codec, sim
+from batchcast import sim
 from batchcast.analytics import (
     NetworkParams,
     optimize_batches,
     redundancy,
     stopping_time,
 )
+from conftest import EX2
 
 FAST = NetworkParams(
     num_users=3,
@@ -29,41 +30,19 @@ def fast_plan():
 # ---------------------------------------------------------------- channel
 
 
-def test_channel_validation():
-    with pytest.raises(ValueError):
-        sim.ChannelModel(loss_common=-0.1, loss_source=0.5, loss_peer=0.1)
-    with pytest.raises(ValueError):
-        sim.ChannelModel(loss_common=0.0, loss_source=1.0, loss_peer=0.1)
-    with pytest.raises(ValueError):
-        sim.ChannelModel(loss_common=0.0, loss_source=0.5, loss_peer=-0.2)
-    ch = sim.ChannelModel.from_params(FAST, seed=3)
-    assert ch.loss_common == FAST.loss_common
-    assert ch.loss_peer == FAST.loss_peer
-
-
-def test_broadcast_blackout_and_clear_channel():
-    session = sim.new_session(FAST, 0, 4)
-    users = sim.make_users(3, session)
-    pkt = session.batch_packets(1)[0]
-    rng = np.random.default_rng(0)
-    dark = sim.ChannelModel(loss_common=1.0, loss_source=0.5, loss_peer=0.1)
-    assert not sim.broadcast_source(pkt, users, dark, rng).any()
-    clear = sim.ChannelModel(loss_common=0.0, loss_source=0.0, loss_peer=0.0)
-    assert sim.broadcast_source(pkt, users, clear, rng).all()
+def test_broadcast_clear_channel():
+    clear = NetworkParams(3, 0.0, 0.0, 0.0, 8, 300)
+    assert sim.broadcast_source(3, clear, np.random.default_rng(0)).all()
 
 
 def test_broadcast_source_delivery_rates():
     # Per-user success is (1-p0)(1-p1); any-user success is (1-p0)(1-p1^k).
-    session = sim.new_session(FAST, 0, 1)
-    users = sim.make_users(3, session)
-    pkt = session.batch_packets(1)[0]
-    ch = sim.ChannelModel(loss_common=0.05, loss_source=0.5, loss_peer=0.1)
     rng = np.random.default_rng(42)
     trials = 40_000
     per_user = np.zeros(3)
     any_user = 0
     for _ in range(trials):
-        flags = sim.broadcast_source(pkt, users, ch, rng)
+        flags = sim.broadcast_source(3, FAST, rng)
         per_user += flags
         any_user += bool(flags.any())
     per_user /= trials
@@ -79,8 +58,7 @@ def test_phase1_counts_and_profiles():
     session = sim.new_session(FAST, 5, n)
     users = sim.make_users(3, session)
     gd = np.zeros(n, dtype=np.int64)
-    ch = sim.ChannelModel.from_params(FAST, 5)
-    tx = sim.run_phase1(session, users, ch, sim._substream(5, 1), gd)
+    tx = sim.run_phase1(session, users, FAST, sim._substream(5, 1), gd)
     assert tx == n * FAST.batch_size
     mean = tx * 0.475
     sd = np.sqrt(tx * 0.475 * 0.525)
@@ -105,8 +83,7 @@ def test_phase1_group_distinct_matches_binomial_law():
     session = sim.new_session(FAST, 11, n)
     users = sim.make_users(3, session)
     gd = np.zeros(n, dtype=np.int64)
-    ch = sim.ChannelModel.from_params(FAST, 11)
-    sim.run_phase1(session, users, ch, sim._substream(11, 1), gd)
+    sim.run_phase1(session, users, FAST, sim._substream(11, 1), gd)
     q = 0.95 * (1 - 0.5 ** 3)
     emp = np.bincount(gd, minlength=9)[:9] / float(n)
     ref = binom.pmf(np.arange(9), 8, q)
@@ -128,8 +105,7 @@ def test_phase1_group_distinct_matches_composed_law():
     session = sim.new_session(FAST, 11, n)
     users = sim.make_users(3, session)
     gd = np.zeros(n, dtype=np.int64)
-    ch = sim.ChannelModel.from_params(FAST, 11)
-    sim.run_phase1(session, users, ch, sim._substream(11, 1), gd)
+    sim.run_phase1(session, users, FAST, sim._substream(11, 1), gd)
     own = 0.95 * 0.5
     cover = 1 - 0.5 ** 2
     ref = np.zeros(m + 1)
@@ -204,8 +180,7 @@ def test_zero_batches_edge():
         sim.new_session(FAST, 0, 65536)
     session = sim.new_session(FAST, 0, 0)
     users = sim.make_users(2, session)
-    ch = sim.ChannelModel.from_params(FAST, 0)
-    tx = sim.run_phase1(session, users, ch, sim._substream(0, 1))
+    tx = sim.run_phase1(session, users, FAST, sim._substream(0, 1))
     assert tx == 0
     assert users[0].receptions == 0
     assert users[0].profile.counts.size == 0
@@ -303,17 +278,21 @@ def test_observe_subset_matches_full_run():
     assert one.innovative_at_decode[0] == full.innovative_at_decode[0]
 
 
-def test_payload_bytes_survive_the_protocol():
-    session = sim.new_session(FAST, 13, 64, payload_len=12)
-    users = sim.make_users(3, session)
-    gd = np.zeros(64, dtype=np.int64)
-    ch = sim.ChannelModel.from_params(FAST, 13)
-    sim.run_phase1(session, users, ch, sim._substream(13, 1), gd)
-    sim.prepare_phase2(session, users, FAST)
+@pytest.mark.parametrize(
+    "params, n, payload_len",
+    [(FAST, 64, 12), (EX2, 152, 64)],
+    ids=["fast", "ex2"],
+)
+def test_payload_bytes_survive_the_protocol(params, n, payload_len):
+    session = sim.new_session(params, 13, n, payload_len=payload_len)
+    users = sim.make_users(params.num_users, session)
+    gd = np.zeros(n, dtype=np.int64)
+    sim.run_phase1(session, users, params, sim._substream(13, 1), gd)
+    sim.prepare_phase2(session, users, params)
     sim.run_phase2(
         session,
         users,
-        ch,
+        params,
         sim._substream(13, 2),
         sim._substream(13, 3),
         gd,
@@ -330,14 +309,13 @@ def test_uniform_access_mode():
     session = sim.new_session(FAST, 9, 64)
     users = sim.make_users(3, session)
     gd = np.zeros(64, dtype=np.int64)
-    ch = sim.ChannelModel.from_params(FAST, 9)
-    sim.run_phase1(session, users, ch, sim._substream(9, 1), gd)
+    sim.run_phase1(session, users, FAST, sim._substream(9, 1), gd)
     sim.prepare_phase2(session, users, FAST)
     with pytest.raises(ValueError):
         sim.run_phase2(
             session,
             users,
-            ch,
+            FAST,
             sim._substream(9, 2),
             sim._substream(9, 3),
             gd,
@@ -348,12 +326,11 @@ def test_uniform_access_mode():
 def test_phase2_requires_prepared_queues():
     session = sim.new_session(FAST, 9, 8)
     users = sim.make_users(3, session)
-    ch = sim.ChannelModel.from_params(FAST, 9)
     with pytest.raises(ValueError):
         sim.run_phase2(
             session,
             users,
-            ch,
+            FAST,
             sim._substream(9, 2),
             sim._substream(9, 3),
             np.zeros(8, dtype=np.int64),
@@ -366,6 +343,31 @@ def test_stall_guard_fires_on_undersized_plan():
     with pytest.raises(sim.SimulationStallError) as err:
         sim.run_session(FAST, 3, num_batches=20)
     assert "pending" in str(err.value)
+
+
+def test_phase2_stalls_once_no_pending_user_can_gain():
+    # Once every pending user holds all the packets the group received, no
+    # packet is innovative again and nobody can decode: phase 2 must stop
+    # there rather than spend its whole 1600-slot cap.
+    n = 20
+    session = sim.new_session(FAST, 3, n)
+    users = sim.make_users(3, session)
+    gd = np.zeros(n, dtype=np.int64)
+    sim.run_phase1(session, users, FAST, sim._substream(3, 1), gd)
+    sim.prepare_phase2(session, users, FAST)
+    trace = []
+    with pytest.raises(sim.SimulationStallError, match="pending"):
+        sim.run_phase2(
+            session,
+            users,
+            FAST,
+            sim._substream(3, 2),
+            sim._substream(3, 3),
+            gd,
+            trace=trace,
+        )
+    assert all(u.innovative == gd.sum() for u in users)
+    assert trace[-1][0] < 1600 // 4
 
 
 def test_group_bound_violation_is_detected():
