@@ -74,14 +74,17 @@ class DegreeDistribution:
         self._degrees = support + 1
         # exact renormalization so the sampler never trips on float residue
         self._probs = psi[support] / psi[support].sum()
+        # the CDF Generator.choice(p=...) rebuilds on every call
+        self._cdf = self._probs.cumsum()
+        self._cdf /= self._cdf[-1]
 
     @property
     def max_degree(self) -> int:
         return int(self._degrees[-1])
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        picked = rng.choice(self._degrees, size=size, p=self._probs)
-        return int(picked) if size is None else picked.astype(np.int64)
+    def sample(self, rng: np.random.Generator) -> int:
+        """Same double, same degree as rng.choice(degrees, p=probs)."""
+        return int(self._degrees[self._cdf.searchsorted(rng.random(), side="right")])
 
     def to_file(self, path: str) -> None:
         """Write one "degree probability" pair per line."""
@@ -211,10 +214,10 @@ def make_descriptor(
 class BatchState:
     """One receiver's buffer for one batch, with innovation filtering.
 
-    Keeps every innovative row raw (for recoding) plus a reduced basis used
-    to test innovation. One-hot rows, the common case during the broadcast
-    phase, short-circuit to a received-slot mask so phase 1 costs almost
-    nothing per packet.
+    Keeps every innovative row raw, in arrival order, for recoding and
+    decoding, plus the reduced row echelon form of their span in one M x M
+    array: row p is the basis row with pivot column p (zero in every other
+    pivot column), and rows of non-pivot columns are zero.
     """
 
     def __init__(self, batch_id: int, batch_size: int, payload_len: int):
@@ -224,9 +227,7 @@ class BatchState:
         self.coeffs = np.zeros((batch_size, batch_size), dtype=np.uint8)
         self.payloads = np.zeros((batch_size, payload_len), dtype=np.uint8)
         self.rank = 0
-        self._slot_mask = np.zeros(batch_size, dtype=bool)
-        # reduced general rows: pivot column -> row (slot-masked, pivot = 1)
-        self._pivot_rows: Dict[int, np.ndarray] = {}
+        self.basis = np.zeros((batch_size, batch_size), dtype=np.uint8)
 
     @property
     def received_coeffs(self) -> np.ndarray:
@@ -236,47 +237,16 @@ class BatchState:
     def received_payloads(self) -> np.ndarray:
         return self.payloads[: self.rank]
 
-    def _store(self, packet: Packet) -> None:
-        self.coeffs[self.rank] = packet.coeff
-        self.payloads[self.rank] = packet.payload
-        self.rank += 1
-
-    def _mask_slot(self, slot: int) -> None:
-        self._slot_mask[slot] = True
-        if not self._pivot_rows:
-            return
-        # keep stored rows clean of masked slots; a row that loses its pivot
-        # is reinserted so the basis stays reduced
-        if slot in self._pivot_rows:
-            row = self._pivot_rows.pop(slot)
-            row[slot] = 0
-            self._reduce_and_keep(row)
-        else:
-            for row in self._pivot_rows.values():
-                row[slot] = 0
-
-    def _reduce(self, row: np.ndarray) -> np.ndarray:
-        work = row.copy()
-        work[self._slot_mask] = 0
-        for pivot, basis in self._pivot_rows.items():
-            factor = work[pivot]
-            if factor:
-                work ^= gf.MUL_TABLE[factor, basis]
-        return work
-
-    def _reduce_and_keep(self, row: np.ndarray) -> bool:
-        work = self._reduce(row)
-        nz = np.nonzero(work)[0]
-        if nz.size == 0:
-            return False
-        pivot = int(nz[0])
-        work = gf.MUL_TABLE[gf._INV[work[pivot]], work]
-        for other in self._pivot_rows.values():
-            factor = other[pivot]
-            if factor:
-                other ^= gf.MUL_TABLE[factor, work]
-        self._pivot_rows[pivot] = work
-        return True
+    def load_source(self, slots: np.ndarray, payloads: np.ndarray) -> None:
+        """Load the distinct one-hot source packets e_s, s in slots, into an
+        empty buffer; each is innovative and its own basis row."""
+        if self.rank:
+            raise ValueError("source packets load only into an empty buffer")
+        r = len(slots)
+        self.coeffs[np.arange(r), slots] = 1
+        self.payloads[:r] = payloads
+        self.basis[slots, slots] = 1
+        self.rank = r
 
     def absorb(self, packet: Packet) -> bool:
         """Keep the packet iff it raises this batch's rank."""
@@ -285,25 +255,23 @@ class BatchState:
                 "packet for batch %d absorbed into batch %d"
                 % (packet.batch_id, self.batch_id)
             )
-        if packet.coeff.shape != (self.batch_size,):
+        coeff = packet.coeff
+        if coeff.shape != (self.batch_size,):
             raise ValueError("coefficient vector has wrong length")
         if self.rank == self.batch_size:
             return False
-        nz = np.nonzero(packet.coeff)[0]
+        basis = self.basis
+        row = coeff ^ np.bitwise_xor.reduce(gf.MUL_TABLE[coeff[:, None], basis], axis=0)
+        nz = row.nonzero()[0]
         if nz.size == 0:
             return False
-        if nz.size == 1:
-            slot = int(nz[0])
-            if self._slot_mask[slot]:
-                return False
-            if self._pivot_rows and self._reduce(packet.coeff).max() == 0:
-                return False
-            self._mask_slot(slot)
-            self._store(packet)
-            return True
-        if not self._reduce_and_keep(packet.coeff):
-            return False
-        self._store(packet)
+        pivot = nz[0]
+        row = gf.MUL_TABLE[gf._INV[row[pivot]]].take(row)
+        basis ^= gf.outer(basis[:, pivot], row)
+        basis[pivot] = row
+        self.coeffs[self.rank] = coeff
+        self.payloads[self.rank] = packet.payload
+        self.rank += 1
         return True
 
 
@@ -326,18 +294,11 @@ def encode_batch(
     batch_id: int,
     rng: np.random.Generator,
     batch_size: int,
-) -> Tuple[BatchDescriptor, List[Packet]]:
-    """Produce one batch of M source packets from the (F, L) file array."""
+) -> Tuple[BatchDescriptor, np.ndarray]:
+    """One batch's (M, L) source payloads; packet j has coefficients e_j."""
     file = np.asarray(file, dtype=np.uint8)
     desc = make_descriptor(file.shape[0], dist, batch_id, rng, batch_size)
-    m = desc.generator.shape[1]
-    payloads = gf.matmul(desc.generator.T, file[desc.contributor_ids - 1])
-    packets = []
-    for j in range(m):
-        coeff = np.zeros(m, dtype=np.uint8)
-        coeff[j] = 1
-        packets.append(Packet(batch_id=batch_id, coeff=coeff, payload=payloads[j]))
-    return desc, packets
+    return desc, gf.matmul(desc.generator.T, file[desc.contributor_ids - 1])
 
 
 # ------------------------------------------------------------------ decoding

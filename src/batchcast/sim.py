@@ -51,9 +51,9 @@ class CodingSession:
     file: np.ndarray
     descriptors: Dict[int, codec.BatchDescriptor] = field(default_factory=dict)
 
-    def batch_packets(self, batch_id: int) -> List[codec.Packet]:
-        """Deterministically regenerate one batch; records its descriptor."""
-        desc, packets = codec.encode_batch(
+    def batch_payloads(self, batch_id: int) -> np.ndarray:
+        """Regenerate one batch's (M, L) source payloads; records its descriptor."""
+        desc, payloads = codec.encode_batch(
             self.file,
             self.dist,
             batch_id,
@@ -61,7 +61,7 @@ class CodingSession:
             self.batch_size,
         )
         self.descriptors[batch_id] = desc
-        return packets
+        return payloads
 
 
 def new_session(
@@ -164,13 +164,39 @@ def make_users(num_users: int, session: CodingSession) -> List[UserState]:
     return users
 
 
-def broadcast_source(
-    num_users: int, params: NetworkParams, rng: np.random.Generator
+# doubles read from the phase-1 stream at a time
+_DRAW_BLOCK = 1 << 14
+
+
+def phase1_deliveries(
+    num_packets: int, num_users: int, params: NetworkParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """One source transmission: shared loss draw, then per-user draws."""
-    if rng.random() < params.loss_common:
-        return np.zeros(num_users, dtype=bool)
-    return rng.random(num_users) >= params.loss_source
+    """(num_packets, num_users) delivery mask of the source broadcast.
+
+    Each packet reads one shared loss draw and, only if it survives that
+    draw, one draw per user. Parsing fixed-size blocks of doubles in that
+    order gives the per-packet draws in bounded memory; the stream may be
+    read past the last packet.
+    """
+    k = num_users
+    mask = np.zeros((num_packets, k), dtype=bool)
+    buf = np.empty(0)
+    pkt = 0
+    while pkt < num_packets:
+        buf = np.concatenate([buf, rng.random(_DRAW_BLOCK)])
+        lost = (buf < params.loss_common).tolist()
+        end = len(lost)
+        rows, starts, pos = [], [], 0
+        while pkt < num_packets and pos < end and (lost[pos] or pos + k < end):
+            if not lost[pos]:
+                rows.append(pkt)
+                starts.append(pos + 1)
+            pos += 1 if lost[pos] else 1 + k
+            pkt += 1
+        draws = buf[np.array(starts, dtype=np.intp)[:, None] + np.arange(k)]
+        mask[rows] = draws >= params.loss_source
+        buf = buf[pos:]
+    return mask
 
 
 def run_phase1(
@@ -180,26 +206,24 @@ def run_phase1(
     rng: np.random.Generator,
     group_distinct: Optional[np.ndarray] = None,
 ) -> int:
-    """Broadcast every batch once; returns the transmission count n*M."""
-    transmissions = 0
-    for bid in range(1, session.num_batches + 1):
-        packets = session.batch_packets(bid)
-        for p in packets:
-            transmissions += 1
-            flags = broadcast_source(len(users), params, rng)
-            for u, delivered in zip(users, flags):
-                if not delivered:
-                    continue
-                u.receptions += 1
-                if u.batches[bid].absorb(p):
-                    u.innovative += 1
-                else:
-                    u.redundant += 1
-            if group_distinct is not None and flags.any():
-                group_distinct[bid - 1] += 1
-    for u in users:
-        u.profile = ReceptionProfile(counts=u.batch_ranks(session.num_batches))
-    return transmissions
+    """Broadcast every batch once into empty buffers; returns n*M.
+
+    Source packets are one-hot and distinct: every delivery is innovative.
+    """
+    n, m = session.num_batches, session.batch_size
+    mask = phase1_deliveries(n * m, len(users), params, rng)
+    for bid in range(1, n + 1):
+        payloads = session.batch_payloads(bid)
+        for u, col in zip(users, mask[(bid - 1) * m : bid * m].T):
+            slots = col.nonzero()[0]
+            u.batches[bid].load_source(slots, payloads[slots])
+    for u, count in zip(users, mask.sum(axis=0).tolist()):
+        u.receptions += count
+        u.innovative += count
+        u.profile = ReceptionProfile(counts=u.batch_ranks(n))
+    if group_distinct is not None:
+        group_distinct += mask.any(axis=1).reshape(n, m).sum(axis=1)
+    return n * m
 
 
 def _check_group_bound(

@@ -12,7 +12,7 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
-from batchcast import sim
+from batchcast import codec, sim
 from batchcast.analytics import (
     NetworkParams,
     optimize_batches,
@@ -21,6 +21,12 @@ from batchcast.analytics import (
 )
 
 ACCEPTANCE_LINES: List[str] = []
+
+
+def source_packets(batch_id: int, payloads: np.ndarray) -> List[codec.Packet]:
+    """A batch's source packets: coefficient e_j with payload row j."""
+    eye = np.eye(len(payloads), dtype=np.uint8)
+    return [codec.Packet(batch_id, eye[j], p) for j, p in enumerate(payloads)]
 
 
 def pytest_terminal_summary(terminalreporter):

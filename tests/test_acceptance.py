@@ -23,7 +23,7 @@ from batchcast.analytics import (
     stopping_time,
     tv_distance,
 )
-from conftest import COLLAPSE, EX2, EX3, EXP
+from conftest import COLLAPSE, EX2, EX3, EXP, source_packets
 
 
 def report(number: int, checks, wall: float, budget: float = None):
@@ -328,10 +328,11 @@ def _decode_instance(seed: int):
     dist = codec.design_distribution(file_packets, num_batches, batch_size)
     descriptors, states = {}, {}
     for bid in range(1, num_batches + 1):
-        desc, pkts = codec.encode_batch(
+        desc, payloads = codec.encode_batch(
             file, dist, bid, codec.descriptor_rng(seed, bid), batch_size
         )
         descriptors[bid] = desc
+        pkts = source_packets(bid, payloads)
         sender = codec.BatchState(bid, batch_size, payload_len)
         for p in pkts:
             if rng.random() < 0.8:

@@ -11,8 +11,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from batchcast import codec, gf
+from conftest import source_packets
 
 
 def make_file(rng, file_packets: int, payload_len: int) -> np.ndarray:
@@ -23,11 +26,11 @@ def build_session(file, dist, num_batches, batch_size, seed):
     """Source-side descriptors and the full packet list per batch."""
     descriptors, batch_packets = {}, {}
     for bid in range(1, num_batches + 1):
-        desc, pkts = codec.encode_batch(
+        desc, payloads = codec.encode_batch(
             file, dist, bid, codec.descriptor_rng(seed, bid), batch_size
         )
         descriptors[bid] = desc
-        batch_packets[bid] = pkts
+        batch_packets[bid] = source_packets(bid, payloads)
     return descriptors, batch_packets
 
 
@@ -65,18 +68,35 @@ def test_distribution_validation():
 def test_point_mass_sampling():
     d = codec.DegreeDistribution([0.0, 0.0, 1.0])
     rng = np.random.default_rng(1)
-    draws = d.sample(rng, size=1000)
-    assert np.all(draws == 3)
-    assert d.sample(rng) == 3
+    draws = [d.sample(rng) for _ in range(1000)]
+    assert set(draws) == {3}
 
 
 def test_sampler_matches_probabilities():
     d = codec.DegreeDistribution([0.5, 0.5])
     rng = np.random.default_rng(2)
-    draws = d.sample(rng, size=100_000)
+    draws = np.array([d.sample(rng) for _ in range(100_000)])
     frac_one = np.mean(draws == 1)
     assert frac_one == pytest.approx(0.5, abs=0.01)
     assert set(np.unique(draws)) == {1, 2}
+
+
+@pytest.mark.parametrize("law", ["ex2", "ex3", "file"])
+def test_sampler_draws_equal_generator_choice(law, tmp_path):
+    if law == "ex2":
+        dist = codec.design_distribution(1600, 152, 16)
+    elif law == "ex3":
+        dist = codec.design_distribution(5000, 402, 16)
+    else:
+        path = tmp_path / "psi.txt"
+        path.write_text("1 0.1\n3 0.2\n7 0.3\n12 0.4\n")
+        dist = codec.DegreeDistribution.from_file(str(path))
+    support = np.nonzero(dist.psi)[0]
+    degrees = support + 1
+    probs = dist.psi[support] / dist.psi[support].sum()
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(10_000):
+        assert dist.sample(ours) == theirs.choice(degrees, p=probs)
 
 
 def test_distribution_file_roundtrip(tmp_path):
@@ -184,26 +204,23 @@ def test_encode_batch_payload_algebra():
     rng = np.random.default_rng(11)
     file = make_file(rng, 50, 5)
     dist = codec.DegreeDistribution([0.0, 0.0, 1.0])  # degree 3
-    desc, pkts = codec.encode_batch(file, dist, 1, codec.descriptor_rng(4, 1), 4)
-    assert desc.degree == 3 and len(pkts) == 4
-    for j, p in enumerate(pkts):
+    desc, payloads = codec.encode_batch(file, dist, 1, codec.descriptor_rng(4, 1), 4)
+    assert desc.degree == 3 and payloads.shape == (4, 5)
+    for j, payload in enumerate(payloads):
         expect = np.zeros(5, dtype=np.uint8)
         for i, cid in enumerate(desc.contributor_ids):
             expect ^= gf.mul(int(desc.generator[i, j]), file[cid - 1])
-        assert np.array_equal(p.payload, expect)
-        onehot = np.zeros(4, dtype=np.uint8)
-        onehot[j] = 1
-        assert np.array_equal(p.coeff, onehot)
+        assert np.array_equal(payload, expect)
 
 
 def test_encode_degree_one_is_scalar_multiple():
     rng = np.random.default_rng(12)
     file = make_file(rng, 20, 8)
     dist = codec.DegreeDistribution([1.0])
-    desc, pkts = codec.encode_batch(file, dist, 3, codec.descriptor_rng(8, 3), 4)
+    desc, payloads = codec.encode_batch(file, dist, 3, codec.descriptor_rng(8, 3), 4)
     src = file[desc.contributor_ids[0] - 1]
-    for j, p in enumerate(pkts):
-        assert np.array_equal(p.payload, gf.mul(int(desc.generator[0, j]), src))
+    for j, payload in enumerate(payloads):
+        assert np.array_equal(payload, gf.mul(int(desc.generator[0, j]), src))
 
 
 # ---------------------------------------------------------------- batch state
@@ -213,7 +230,8 @@ def test_absorb_filters_duplicates_and_caps_rank():
     rng = np.random.default_rng(21)
     file = make_file(rng, 100, 6)
     dist = codec.design_distribution(100, 10, 4)
-    desc, pkts = codec.encode_batch(file, dist, 1, codec.descriptor_rng(2, 1), 4)
+    desc, payloads = codec.encode_batch(file, dist, 1, codec.descriptor_rng(2, 1), 4)
+    pkts = source_packets(1, payloads)
     st = codec.BatchState(1, 4, 6)
     assert st.absorb(pkts[0]) is True
     assert st.absorb(pkts[0]) is False
@@ -259,11 +277,77 @@ def test_absorb_rank_matches_dense_elimination():
         assert st.rank == gf.rank(st.received_coeffs)
 
 
+def assert_reduced_basis(state):
+    """state.basis is the RREF of its received rows, row p holding pivot p."""
+    red, pivots = gf.row_reduce(state.received_coeffs)
+    assert len(pivots) == state.rank
+    assert np.array_equal(state.basis[list(pivots)], red[: state.rank])
+    others = np.setdiff1d(np.arange(state.batch_size), pivots)
+    assert not state.basis[others].any()
+
+
+@hst.composite
+def absorb_sequences(draw):
+    m = draw(hst.sampled_from([1, 4, 16]))
+    loaded = draw(hst.lists(hst.integers(0, m - 1), unique=True, max_size=m))
+    steps = draw(
+        hst.lists(
+            hst.tuples(
+                hst.sampled_from(["one-hot", "multiple", "recode", "dense"]),
+                hst.integers(0, m - 1),
+                hst.integers(1, 255),
+                hst.integers(0, 2**32 - 1),
+            ),
+            max_size=3 * m,
+        )
+    )
+    return m, loaded, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(absorb_sequences())
+def test_absorb_is_exact_rank_growth(case):
+    m, loaded, steps = case
+    state = codec.BatchState(1, m, 2)
+    payloads = np.full((len(loaded), 2), 9, dtype=np.uint8)
+    state.load_source(np.array(loaded, dtype=np.int64), payloads)
+    assert state.rank == len(loaded) == gf.rank(state.received_coeffs)
+    assert_reduced_basis(state)
+    for kind, slot, factor, seed in steps:
+        rng = np.random.default_rng(seed)
+        if kind == "one-hot" or (kind in ("multiple", "recode") and not state.rank):
+            coeff = np.zeros(m, dtype=np.uint8)
+            coeff[slot] = factor
+        elif kind == "multiple":
+            coeff = gf.mul(factor, state.received_coeffs[slot % state.rank])
+        elif kind == "recode":
+            coeff = codec.recode(state, rng).coeff
+        else:
+            coeff = rng.integers(0, 256, m, dtype=np.uint8)
+        payload = rng.integers(0, 256, 2, dtype=np.uint8)
+        before = state.rank
+        rises = gf.rank(np.vstack([state.received_coeffs, coeff])) > before
+        assert state.absorb(codec.Packet(1, coeff, payload)) is rises
+        assert state.rank == before + rises == gf.rank(state.received_coeffs)
+        if rises:
+            assert np.array_equal(state.received_coeffs[-1], coeff)
+            assert np.array_equal(state.received_payloads[-1], payload)
+        assert_reduced_basis(state)
+
+
+def test_load_source_needs_an_empty_buffer():
+    state = codec.BatchState(1, 4, 1)
+    state.load_source(np.array([2]), np.ones((1, 1), np.uint8))
+    with pytest.raises(ValueError):
+        state.load_source(np.array([0]), np.ones((1, 1), np.uint8))
+
+
 def test_recode_stays_in_row_space():
     rng = np.random.default_rng(23)
     file = make_file(rng, 80, 4)
     dist = codec.design_distribution(80, 8, 8)
-    desc, pkts = codec.encode_batch(file, dist, 1, codec.descriptor_rng(3, 1), 8)
+    desc, payloads = codec.encode_batch(file, dist, 1, codec.descriptor_rng(3, 1), 8)
+    pkts = source_packets(1, payloads)
     st = codec.BatchState(1, 8, 4)
     for p in pkts[:5]:
         st.absorb(p)
@@ -278,7 +362,8 @@ def test_recode_single_row_is_scalar_multiple():
     rng = np.random.default_rng(24)
     file = make_file(rng, 30, 4)
     dist = codec.DegreeDistribution([0.0, 1.0])
-    desc, pkts = codec.encode_batch(file, dist, 1, codec.descriptor_rng(9, 1), 4)
+    desc, payloads = codec.encode_batch(file, dist, 1, codec.descriptor_rng(9, 1), 4)
+    pkts = source_packets(1, payloads)
     st = codec.BatchState(1, 4, 4)
     st.absorb(pkts[2])
     mixed = codec.recode(st, rng)

@@ -11,7 +11,7 @@ from batchcast.analytics import (
     redundancy,
     stopping_time,
 )
-from conftest import EX2
+from conftest import EX2, source_packets
 
 FAST = NetworkParams(
     num_users=3,
@@ -30,24 +30,75 @@ def fast_plan():
 # ---------------------------------------------------------------- channel
 
 
+def _per_packet_mask(num_packets, k, params, rng):
+    """Reference draws: shared loss, then k user draws unless lost."""
+    mask = np.zeros((num_packets, k), dtype=bool)
+    for i in range(num_packets):
+        if rng.random() >= params.loss_common:
+            mask[i] = rng.random(k) >= params.loss_source
+    return mask
+
+
 def test_broadcast_clear_channel():
     clear = NetworkParams(3, 0.0, 0.0, 0.0, 8, 300)
-    assert sim.broadcast_source(3, clear, np.random.default_rng(0)).all()
+    assert sim.phase1_deliveries(50, 3, clear, np.random.default_rng(0)).all()
 
 
 def test_broadcast_source_delivery_rates():
     # Per-user success is (1-p0)(1-p1); any-user success is (1-p0)(1-p1^k).
-    rng = np.random.default_rng(42)
-    trials = 40_000
-    per_user = np.zeros(3)
-    any_user = 0
-    for _ in range(trials):
-        flags = sim.broadcast_source(3, FAST, rng)
-        per_user += flags
-        any_user += bool(flags.any())
-    per_user /= trials
-    assert np.all(np.abs(per_user - 0.475) < 0.01)
-    assert abs(any_user / trials - 0.95 * (1 - 0.5 ** 3)) < 0.01
+    mask = sim.phase1_deliveries(40_000, 3, FAST, np.random.default_rng(42))
+    assert np.all(np.abs(mask.mean(axis=0) - 0.475) < 0.01)
+    assert abs(mask.any(axis=1).mean() - 0.95 * (1 - 0.5 ** 3)) < 0.01
+
+
+@pytest.mark.parametrize("k", [1, 3, 9])
+@pytest.mark.parametrize("loss_common", [0.0, 0.05, 0.9])
+def test_phase1_mask_equals_per_packet_draws(k, loss_common):
+    params = NetworkParams(k, loss_common, 0.5, 0.1, 8, 300)
+    # every packet reads at least one double, so this spans over 3 blocks
+    n = 3 * sim._DRAW_BLOCK + 5
+    bulk = sim.phase1_deliveries(n, k, params, np.random.default_rng(k))
+    ref = _per_packet_mask(n, k, params, np.random.default_rng(k))
+    assert np.array_equal(bulk, ref)
+    assert sim.phase1_deliveries(0, k, params, np.random.default_rng(k)).shape == (0, k)
+
+
+def test_phase1_matches_per_packet_absorb():
+    """Counters, group counts and buffers equal absorbing packet by packet."""
+    n = 40
+    session = sim.new_session(FAST, 5, n, payload_len=4)
+    users = sim.make_users(3, session)
+    gd = np.zeros(n, dtype=np.int64)
+    sim.run_phase1(session, users, FAST, sim._substream(5, 1), gd)
+    rng = sim._substream(5, 1)
+    ref = sim.make_users(3, session)
+    ref_gd = np.zeros(n, dtype=np.int64)
+    for bid in range(1, n + 1):
+        for p in source_packets(bid, session.batch_payloads(bid)):
+            flags = _per_packet_mask(1, 3, FAST, rng)[0]
+            for u, hit in zip(ref, flags):
+                if not hit:
+                    continue
+                u.receptions += 1
+                if u.batches[bid].absorb(p):
+                    u.innovative += 1
+                else:
+                    u.redundant += 1
+            ref_gd[bid - 1] += flags.any()
+    assert np.array_equal(gd, ref_gd)
+    for u, r in zip(users, ref):
+        assert (u.receptions, u.innovative, u.redundant) == (
+            r.receptions,
+            r.innovative,
+            r.redundant,
+        )
+        assert np.array_equal(u.profile.counts, r.batch_ranks(n))
+        for bid in range(1, n + 1):
+            a, b = u.batches[bid], r.batches[bid]
+            assert a.rank == b.rank
+            assert np.array_equal(a.received_coeffs, b.received_coeffs)
+            assert np.array_equal(a.received_payloads, b.received_payloads)
+            assert np.array_equal(a.basis, b.basis)
 
 
 # ---------------------------------------------------------------- phase 1
@@ -373,9 +424,7 @@ def test_phase2_stalls_once_no_pending_user_can_gain():
 def test_group_bound_violation_is_detected():
     session = sim.new_session(FAST, 1, 2)
     users = sim.make_users(1, session)
-    pkts = session.batch_packets(1)
-    for p in pkts[:3]:
-        users[0].batches[1].absorb(p)
+    users[0].batches[1].load_source(np.arange(3), session.batch_payloads(1)[:3])
     gd = np.array([2, 0], dtype=np.int64)
     with pytest.raises(RuntimeError):
         sim._check_group_bound(users[0], 1, gd)
