@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Dict
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import binom
 
 from .codec import MAX_BATCHES
 
@@ -96,9 +95,38 @@ def _gauss_upper_tail(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+_normal_quantile = NormalDist().inv_cdf
+
+
 def _min_order_quantile(num_users: int) -> float:
     """Normal quantile locating the mean of the minimum of num_users iid draws."""
-    return float(ndtri(0.625 / (num_users + 0.25)))
+    return _normal_quantile(0.625 / (num_users + 0.25))
+
+
+def _binom_pmf(trials: int, p: float, size: int) -> np.ndarray:
+    """P(Binomial(trials, p) = x) for x = 0..size-1.
+
+    Each term is evaluated in log space, with log1p for the failure
+    probability, so large trial counts neither overflow the binomial
+    coefficient nor compound the rounding of 1 - p.
+    """
+    out = np.zeros(size)
+    if p == 0.0 or p == 1.0:
+        x = trials if p else 0
+        if x < size:
+            out[x] = 1.0
+        return out
+    log_p, log_q = math.log(p), math.log1p(-p)
+    for x in range(min(size, trials + 1)):
+        out[x] = math.exp(
+            math.log(math.comb(trials, x)) + x * log_p + (trials - x) * log_q
+        )
+    return out
+
+
+def _survival(pmf: np.ndarray) -> np.ndarray:
+    """P(X >= x) for x = 0..len(pmf)-1, from X's pmf over the same range."""
+    return 1.0 - np.concatenate([[0.0], np.cumsum(pmf[:-1])])
 
 
 def effective_erasure(params: NetworkParams) -> float:
@@ -117,7 +145,7 @@ def min_batches(params: NetworkParams) -> int:
     """
     p_none = effective_erasure(params)
     coded = _coded_length(params)
-    alpha = float(ndtri(params.outage_tolerance))
+    alpha = _normal_quantile(params.outage_tolerance)
     numerator = 2.0 * coded - alpha * math.sqrt(4.0 * p_none * coded)
     return math.ceil(numerator / (2.0 * params.batch_size * (1.0 - p_none)))
 
@@ -155,7 +183,7 @@ def delta_distribution(params: NetworkParams) -> np.ndarray:
     if params.num_users < 2:
         raise ValueError("delta_distribution requires at least 2 users")
     m = params.batch_size
-    return binom.pmf(np.arange(m + 1), m, _peer_gap_prob(params))
+    return _binom_pmf(m, _peer_gap_prob(params), m + 1)
 
 
 def delta_distribution_convolution(params: NetworkParams) -> np.ndarray:
@@ -286,25 +314,23 @@ def rank_distribution(
     the minimum batch count so decoding exhausts the group's packets.
     """
     m = params.batch_size
-    ranks = np.arange(m + 1)
     if approximate:
-        p_none = effective_erasure(params)
-        return binom.pmf(ranks, m, 1.0 - p_none)
+        return _binom_pmf(m, 1.0 - effective_erasure(params), m + 1)
 
     n = batches
     own = (1.0 - params.loss_common) * (1.0 - params.loss_source)
     peer_hold = 1.0 - params.loss_source ** (params.num_users - 1)
-    own_pmf = binom.pmf(ranks, m, own)
+    own_pmf = _binom_pmf(m, own, m + 1)
     peer_trials = int(round(expected_peer_receptions(transmissions, params)))
 
     # cond[i, j] = P(group holds j | user holds i), a shifted binomial
     cond = np.zeros((m + 1, m + 1))
     for i in range(m + 1):
-        cond[i, i:] = binom.pmf(np.arange(m - i + 1), m - i, peer_hold)
+        cond[i, i:] = _binom_pmf(m - i, peer_hold, m - i + 1)
 
-    phase2_pmf = binom.pmf(np.arange(m + 1), peer_trials, 1.0 / n)
+    phase2_pmf = _binom_pmf(peer_trials, 1.0 / n, m + 1)
     # survival[x] = P(phase-2 receptions >= x)
-    survival = binom.sf(np.arange(m + 1) - 1, peer_trials, 1.0 / n)
+    survival = _survival(phase2_pmf)
 
     out = np.zeros(m + 1)
     for r in range(m + 1):

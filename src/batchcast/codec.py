@@ -215,17 +215,20 @@ class BatchState:
     """One receiver's buffer for one batch, with innovation filtering.
 
     Keeps every innovative row raw, in arrival order, for recoding and
-    decoding, plus the reduced row echelon form of their span in one M x M
-    array: row p is the basis row with pivot column p (zero in every other
-    pivot column), and rows of non-pivot columns are zero.
+    decoding: row i of the M x (M + L) array raw is [coeff | payload], and
+    coeffs and payloads are its column views. Beside it, the reduced row
+    echelon form of their span in one M x M array: row p is the basis row
+    with pivot column p (zero in every other pivot column), and rows of
+    non-pivot columns are zero.
     """
 
     def __init__(self, batch_id: int, batch_size: int, payload_len: int):
         self.batch_id = batch_id
         self.batch_size = batch_size
         self.payload_len = payload_len
-        self.coeffs = np.zeros((batch_size, batch_size), dtype=np.uint8)
-        self.payloads = np.zeros((batch_size, payload_len), dtype=np.uint8)
+        self.raw = np.zeros((batch_size, batch_size + payload_len), dtype=np.uint8)
+        self.coeffs = self.raw[:, :batch_size]
+        self.payloads = self.raw[:, batch_size:]
         self.rank = 0
         self.basis = np.zeros((batch_size, batch_size), dtype=np.uint8)
 
@@ -283,9 +286,9 @@ def recode(state: BatchState, rng: np.random.Generator) -> Packet:
         mix = rng.integers(0, 256, size=state.rank, dtype=np.uint8)
         if mix.any():
             break
-    coeff = gf.matmul(mix[None, :], state.received_coeffs)[0]
-    payload = gf.matmul(mix[None, :], state.received_payloads)[0]
-    return Packet(batch_id=state.batch_id, coeff=coeff, payload=payload)
+    row = gf.matmul(mix[None, :], state.raw[: state.rank])[0]
+    m = state.batch_size
+    return Packet(batch_id=state.batch_id, coeff=row[:m], payload=row[m:])
 
 
 def encode_batch(
@@ -462,9 +465,10 @@ class IncrementalDecoder:
                 payload_len,
                 self._unres[starts[i] : starts[i + 1]],
             )
-        self._slot_batch = np.repeat(
-            np.array(list(self.batches), dtype=np.int64), degrees
-        )
+        # slot -> index into _indexed, the (batch id, batch) pairs in
+        # descriptor order
+        self._indexed = list(self.batches.items())
+        self._slot_batch = np.repeat(np.arange(len(degrees)), degrees)
         # packet -> slots in CSR form: packet p's slots are
         # _inc_slot[_inc_ptr[p]:_inc_ptr[p + 1]], in slot order; that order
         # decides the order batches enter the fire queue, hence the
@@ -598,13 +602,12 @@ class IncrementalDecoder:
         slots = self._inc_slot[pos]
         slots = slots[self._unres[slots]]
         self._unres[slots] = False
-        bids, first, hits = np.unique(
-            self._slot_batch[slots], return_index=True, return_counts=True
-        )
-        for i in np.argsort(first):
-            bid = int(bids[i])
-            b = self.batches[bid]
-            b.u -= int(hits[i])
+        hit = self._slot_batch[slots]
+        hits = np.bincount(hit).tolist()
+        # dict keys keep insertion order: the batches in first-hit order
+        for i in dict.fromkeys(hit.tolist()):
+            bid, b = self._indexed[i]
+            b.u -= hits[i]
             if b.u == 0:
                 if b.rows:
                     self._drain(b)

@@ -8,10 +8,12 @@ integer outputs that were hand-verified once against the formulas; any drift
 in the numerics shows up as a failed equality.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import binom
 
 from batchcast import analytics as an
@@ -463,6 +465,54 @@ def test_optimize_never_plans_past_the_batch_id_limit():
     assert an.min_batches(over) == 85791
     with pytest.raises(ValueError, match=r"n_min=85791 exceeds the 65535"):
         an.optimize_batches(over)
+
+
+# ------------------------------------------------------------- scipy oracles
+# The planner computes its normal quantiles with the standard library and
+# its binomial laws with its own pmf; scipy stays a test-only oracle.
+
+
+@pytest.mark.parametrize(
+    "trials, p",
+    [(0, 0.3), (0, 0.0), (0, 1.0), (16, 0.0), (16, 1.0), (5, 0.5), (16, 0.2375),
+     (16, 0.525), (15, 0.75), (16, 0.999), (40, 0.05)]
+    + [(t, 1.0 / n) for t, n in ((1384, 129), (2062, 167), (3054, 402),
+                                  (5000, 402), (8000, 2000))],
+)
+def test_binom_pmf_and_survival_match_scipy(trials, p):
+    size = 17
+    xs = np.arange(size)
+    pmf = an._binom_pmf(trials, p, size)
+    np.testing.assert_allclose(pmf, binom.pmf(xs, trials, p), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        an._survival(pmf), binom.sf(xs - 1, trials, p), rtol=0, atol=1e-12
+    )
+
+
+def _planner_grid():
+    """optimize_batches and the stopping time at n_opt over 216 configs."""
+    out = []
+    for k, f, loss_peer, m in itertools.product(
+        (2, 3, 4, 5, 6, 9), (300, 1600, 2083, 5000), (0.05, 0.1, 0.3), (4, 8, 16)
+    ):
+        cfg = NetworkParams(k, 0.05, 0.5, loss_peer, m, f)
+        plan = an.optimize_batches(cfg)
+        out.append(
+            (plan.n_min, plan.n_max, plan.n_opt, plan.t_of_n, plan.total_of_n,
+             an.stopping_time(plan.n_opt, cfg))
+        )
+    return out
+
+
+def test_planner_matches_scipy_quantile(monkeypatch):
+    # the stdlib quantile is 1 ulp off scipy's ndtri on these arguments, so
+    # the equality of the integer outputs is a finding, not a given
+    args = [0.625 / (k + 0.25) for k in (2, 3, 4, 5, 6, 9)] + [1e-8]
+    assert all(an._normal_quantile(x) != float(ndtri(x)) for x in args)
+    ours = _planner_grid()
+    monkeypatch.setattr(an, "_normal_quantile", lambda x: float(ndtri(x)))
+    assert _planner_grid() == ours
+    assert an.stopping_time(402, five_user_cfg()) == 3054
 
 
 def test_plan_table_csv_round_trip():

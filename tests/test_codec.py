@@ -358,6 +358,24 @@ def test_recode_stays_in_row_space():
         assert gf.rank(stacked) == base_rank
 
 
+def test_recode_applies_one_mix_to_coefficients_and_payloads():
+    rng = np.random.default_rng(25)
+    st = codec.BatchState(1, 8, 6)
+    for _ in range(5):
+        coeff = rng.integers(0, 256, 8, dtype=np.uint8)
+        st.absorb(codec.Packet(1, coeff, rng.integers(0, 256, 6, dtype=np.uint8)))
+    ours, ref = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(20):
+        mixed = codec.recode(st, ours)
+        mix = np.zeros(st.rank, dtype=np.uint8)
+        while not mix.any():
+            mix = ref.integers(0, 256, size=st.rank, dtype=np.uint8)
+        assert np.array_equal(mixed.coeff, gf.matmul(mix[None, :], st.received_coeffs)[0])
+        assert np.array_equal(
+            mixed.payload, gf.matmul(mix[None, :], st.received_payloads)[0]
+        )
+
+
 def test_recode_single_row_is_scalar_multiple():
     rng = np.random.default_rng(24)
     file = make_file(rng, 30, 4)
@@ -535,6 +553,34 @@ def test_late_row_for_partly_resolved_batch_matches_oracle():
         if dec.unresolved == 0:
             assert np.array_equal(dec.extract(), file)
     assert exercised >= 20
+
+
+def test_flush_queues_batches_in_first_hit_order():
+    """Batches enter the fire queue in the order the resolved packets reach
+    them, not in batch-id order; that order decides the inactivation picks.
+
+    Three degree-2 batches with one row each, on packets A={0, 1}, B={2, 3}
+    and C={1, 3}. Resolving packet 3 then packet 0 reaches B, C, then A, and
+    leaves each one unresolved contributor for its one row.
+    """
+    contribs = {1: [1, 2], 2: [3, 4], 3: [2, 4]}
+    descriptors = {
+        bid: codec.BatchDescriptor(
+            batch_id=bid,
+            degree=2,
+            contributor_ids=np.array(ids),
+            generator=np.eye(2, dtype=np.uint8),
+        )
+        for bid, ids in contribs.items()
+    }
+    dec = codec.IncrementalDecoder(4, 0, descriptors)
+    for bid in contribs:
+        dec.add_row(bid, np.array([1, 1], dtype=np.uint8))
+    assert dec._fire_queue == []
+    dec._subst_queue = [3, 0]
+    dec._flush_substitutions()
+    assert dec._fire_queue == [2, 3, 1]
+    assert [dec.batches[bid].u for bid in contribs] == [1, 1, 1]
 
 
 def test_rank_deficient_batch_stays_pending_until_more_rows_arrive():
