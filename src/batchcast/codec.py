@@ -395,7 +395,6 @@ class _ZSystem:
 
 class _DecoderBatch:
     __slots__ = (
-        "desc",
         "contribs",
         "gen_t",
         "c_rows",
@@ -415,7 +414,6 @@ class _DecoderBatch:
         payload_len: int,
         unres: np.ndarray,
     ):
-        self.desc = desc
         self.contribs = desc.contributor_ids.astype(np.int64) - 1
         self.gen_t = np.ascontiguousarray(desc.generator.T)
         # received rows as they arrived: coefficients over the contributors
@@ -487,7 +485,6 @@ class IncrementalDecoder:
         self.expr = np.zeros((file_packets, payload_len), dtype=np.uint8)
         self.num_z = 0
         self.zsys = _ZSystem(payload_len)
-        self.total_rows = 0
         # how many data-bearing pending batches contain each packet
         self.stall_counts = np.zeros(file_packets, dtype=np.int64)
         # batches within two resolutions of becoming solvable; entries may be
@@ -520,7 +517,6 @@ class IncrementalDecoder:
 
     def _note_rows(self, bid: int, b: _DecoderBatch, added: int) -> None:
         """Account for added rows just stored in pending batch b."""
-        self.total_rows += added
         if b.rows == added:
             np.add.at(self.stall_counts, b.contribs[b.unres], 1)
         if b.u <= b.rows and not b.queued:
@@ -536,7 +532,6 @@ class IncrementalDecoder:
         b = self.batches[batch_id]
         c_row = gf.matmul(coeff[None, :], b.gen_t)
         if b.fired or b.drained:
-            self.total_rows += 1
             self._to_zsys(self._pull(c_row, payload, b.contribs))
             return
         b.c_rows[b.rows] = c_row[0]

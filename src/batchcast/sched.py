@@ -10,44 +10,10 @@ are exchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .analytics import NetworkParams
-
-
-@dataclass
-class ReceptionProfile:
-    """Per-batch phase-1 reception counts for one user."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.ndim != 1:
-            raise ValueError("counts must be a 1-D vector")
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be nonnegative")
-
-
-@dataclass
-class UsefulnessMatrix:
-    """s[u, i]: chance the (u+1)th packet sent from batch i+1 helps a peer."""
-
-    s: np.ndarray
-
-    @property
-    def num_batches(self) -> int:
-        return self.s.shape[1]
-
-
-@dataclass
-class TransmitQueue:
-    """Batch IDs (1-based) in descending usefulness order, length M*n."""
-
-    v: np.ndarray
-    values: np.ndarray
 
 
 def prob_exclusive(received: int, missing: int, loss_source: float,
@@ -94,48 +60,46 @@ def usefulness(received: int, already_sent: int, loss_source: float,
     return total
 
 
-def build_matrix(profile: ReceptionProfile, params: NetworkParams) -> UsefulnessMatrix:
-    """Assemble the full M x n usefulness matrix for one user."""
+def build_matrix(counts: np.ndarray, params: NetworkParams) -> np.ndarray:
+    """The M x n usefulness matrix of one user's per-batch phase-1 counts.
+
+    Entry [u, i] is the chance that the (u+1)th packet sent from batch i+1
+    helps a peer. A column depends only on its count, so the matrix is a
+    lookup into an (M+1) x M table, of which only the rows of counts that
+    occur are filled.
+    """
     m = params.batch_size
-    counts = profile.counts
-    if np.any(counts > m):
-        raise ValueError("reception counts cannot exceed the batch size")
-    cache = {}
-    s = np.zeros((m, counts.size))
-    for i, c in enumerate(counts):
-        c = int(c)
-        if c not in cache:
-            cache[c] = [
-                usefulness(c, u, params.loss_source, params.loss_peer, m)
-                for u in range(m)
-            ]
-        s[:, i] = cache[c]
-    return UsefulnessMatrix(s=s)
+    if np.any((counts < 0) | (counts > m)):
+        raise ValueError("reception counts must lie in [0, %d], the batch size" % m)
+    table = np.zeros((m + 1, m))
+    for c in set(counts.tolist()):
+        table[c] = [
+            usefulness(c, u, params.loss_source, params.loss_peer, m) for u in range(m)
+        ]
+    return table[counts].T
 
 
-def build_queue(matrix: UsefulnessMatrix) -> TransmitQueue:
-    """Flatten the matrix into the user's transmission order.
+def build_queue(s: np.ndarray) -> np.ndarray:
+    """Flatten the matrix into the user's transmission order of batch IDs.
 
     Entries are sorted by descending usefulness; exact ties go to the entry
     with fewer packets already sent, then to the lower batch index. Batch IDs
     are 1-based.
     """
-    s = matrix.s
     m, n = s.shape
     u_idx, b_idx = np.divmod(np.arange(m * n), n)
-    flat = s.ravel()
     # lexsort uses the last key as primary
-    order = np.lexsort((b_idx, u_idx, -flat))
-    return TransmitQueue(v=b_idx[order] + 1, values=flat[order])
+    order = np.lexsort((b_idx, u_idx, -s.ravel()))
+    return b_idx[order] + 1
 
 
-def exhaustion_order(matrix: UsefulnessMatrix) -> np.ndarray:
+def exhaustion_order(s: np.ndarray) -> np.ndarray:
     """Batch IDs cycled after the queue runs dry, by final-row usefulness.
 
     The last row holds each batch's usefulness after M sends; cycling in its
     descending order keeps the priority intuition once every queued entry has
     been transmitted. Ties go to the lower batch ID.
     """
-    last = matrix.s[-1]
+    last = s[-1]
     order = np.lexsort((np.arange(last.size), -last))
     return order + 1

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import codec
 from .analytics import NetworkParams, optimize_batches
-from .sched import ReceptionProfile, build_matrix, build_queue, exhaustion_order
+from .sched import build_matrix, build_queue, exhaustion_order
 
 _FILE_TAG = 0
 _PHASE1_TAG = 1
@@ -69,7 +69,6 @@ def new_session(
     seed: int,
     num_batches: int,
     payload_len: int = 0,
-    expected_rank: Optional[float] = None,
     dist: Optional[codec.DegreeDistribution] = None,
 ) -> CodingSession:
     if num_batches < 0:
@@ -80,13 +79,8 @@ def new_session(
             % (num_batches, codec.MAX_BATCHES)
         )
     if dist is None:
-        if expected_rank is None and num_batches > 0:
-            expected_rank = 1.01 * params.file_packets / num_batches
         dist = codec.design_distribution(
-            params.file_packets,
-            max(num_batches, 1),
-            params.batch_size,
-            expected_rank=expected_rank,
+            params.file_packets, max(num_batches, 1), params.batch_size
         )
     file = _substream(seed, _FILE_TAG).integers(
         0, 256, (params.file_packets, payload_len), dtype=np.uint8
@@ -108,7 +102,6 @@ class UserState:
 
     user_id: int
     batches: Dict[int, codec.BatchState] = field(default_factory=dict)
-    profile: Optional[ReceptionProfile] = None
     queue: Optional[np.ndarray] = None
     tail: Optional[np.ndarray] = None
     queue_pos: int = 0
@@ -120,7 +113,6 @@ class UserState:
     innovative: int = 0
     redundant: int = 0
     innovative_at_decode: int = -1
-    rank_hist: Optional[np.ndarray] = None
 
     def batch_ranks(self, num_batches: int) -> np.ndarray:
         return np.array(
@@ -204,11 +196,12 @@ def run_phase1(
     users: List[UserState],
     params: NetworkParams,
     rng: np.random.Generator,
-    group_distinct: Optional[np.ndarray] = None,
+    group_distinct: np.ndarray,
 ) -> int:
     """Broadcast every batch once into empty buffers; returns n*M.
 
     Source packets are one-hot and distinct: every delivery is innovative.
+    group_distinct gains, per batch, the packets at least one user received.
     """
     n, m = session.num_batches, session.batch_size
     mask = phase1_deliveries(n * m, len(users), params, rng)
@@ -220,9 +213,7 @@ def run_phase1(
     for u, count in zip(users, mask.sum(axis=0).tolist()):
         u.receptions += count
         u.innovative += count
-        u.profile = ReceptionProfile(counts=u.batch_ranks(n))
-    if group_distinct is not None:
-        group_distinct += mask.any(axis=1).reshape(n, m).sum(axis=1)
+    group_distinct += mask.any(axis=1).reshape(n, m).sum(axis=1)
     return n * m
 
 
@@ -251,10 +242,16 @@ def prepare_phase2(
     observe: Optional[List[int]] = None,
 ) -> None:
     """Queues for every sender, decoders for every observed user."""
-    watch = set(range(len(users))) if observe is None else set(observe)
+    everyone = set(range(len(users)))
+    watch = everyone if observe is None else set(observe)
+    if not watch <= everyone:
+        raise ValueError(
+            "observe names users outside range(%d): %s"
+            % (len(users), sorted(watch - everyone))
+        )
     for u in users:
-        matrix = build_matrix(u.profile, params)
-        u.queue = build_queue(matrix).v
+        matrix = build_matrix(u.batch_ranks(session.num_batches), params)
+        u.queue = build_queue(matrix)
         u.tail = exhaustion_order(matrix)
         if u.user_id in watch:
             u.decoder = codec.IncrementalDecoder(
@@ -290,28 +287,25 @@ def run_phase2(
     rng: np.random.Generator,
     mix_rng: np.random.Generator,
     group_distinct: np.ndarray,
-    access: str = "round_robin",
     access_rng: Optional[np.random.Generator] = None,
-    cap: Optional[int] = None,
     trace: Optional[List[Tuple]] = None,
     until_tx: Optional[int] = None,
 ) -> int:
     """Cooperative repair until every observed user decodes.
 
-    Returns the number of peer transmissions. Slots where the scheduled
-    sender has an empty buffer pass without a transmission. When until_tx
-    is given the phase instead runs for exactly that transmission budget,
-    which evaluates the repair process at a planned stopping point.
+    Returns the number of peer transmissions. Senders take turns in round
+    robin order, or are drawn uniformly from access_rng when it is given.
+    Slots where the scheduled sender has an empty buffer pass without a
+    transmission. When until_tx is given the phase instead runs for exactly
+    that transmission budget, which evaluates the repair process at a
+    planned stopping point.
     Raises SimulationStallError at the slot cap, or as soon as every pending
     user holds all the packets the group received.
     """
     k = len(users)
-    if cap is None:
-        cap = 10 * session.num_batches * session.batch_size
-        if until_tx is not None:
-            cap = max(cap, 2 * until_tx)
-    if access == "uniform" and access_rng is None:
-        raise ValueError("uniform access needs an access_rng")
+    cap = 10 * session.num_batches * session.batch_size
+    if until_tx is not None:
+        cap = max(cap, 2 * until_tx)
     if any(u.queue is None for u in users):
         raise ValueError("phase 2 requires prepared queues; run phase 1 first")
     watched = [u for u in users if u.decoder is not None]
@@ -336,7 +330,7 @@ def run_phase2(
                 "unresolved) still pending: %s; the group received %d packets"
                 % (slot, stuck, group_total)
             )
-        if access == "round_robin":
+        if access_rng is None:
             sender = users[slot % k]
         else:
             sender = users[int(access_rng.integers(k))]
@@ -370,14 +364,6 @@ def run_phase2(
                 + tuple(int(d) for d in delivered)
                 + tuple(u.innovative for u in users)
             )
-    # The batch-rank histogram is read off once repair stops, i.e. at the
-    # moment the whole observed group can recover the file, and every user
-    # contributes regardless of whether it carried a decoder.
-    for u in users:
-        ranks = u.batch_ranks(session.num_batches)
-        u.rank_hist = np.bincount(
-            ranks, minlength=session.batch_size + 1
-        ) / float(max(session.num_batches, 1))
     return transmissions
 
 
@@ -386,27 +372,29 @@ def run_session(
     seed: int,
     num_batches: Optional[int] = None,
     payload_len: int = 0,
-    expected_rank: Optional[float] = None,
     access: str = "round_robin",
     observe: Optional[List[int]] = None,
-    cap: Optional[int] = None,
     with_trace: bool = False,
     dist: Optional[codec.DegreeDistribution] = None,
     phase2_budget: Optional[int] = None,
 ) -> SimReport:
     """Full protocol: plan-sized phase 1, cooperative phase 2, report.
 
+    access picks the phase-2 sender of each slot: "round_robin" takes users
+    in turn, "uniform" draws one at random from its own substream.
     observe selects which users run decoders (default: all). Limiting
     observation to one user keeps large rank-statistics batteries cheap;
     the remaining users still receive and transmit. phase2_budget runs
     the repair phase for a fixed transmission count instead of stopping
     at group decode (pass observe=[] to skip decoders entirely then).
     """
+    if access not in ("round_robin", "uniform"):
+        raise ValueError(
+            "access must be 'round_robin' or 'uniform', got %r" % (access,)
+        )
     if num_batches is None:
         num_batches = optimize_batches(params).n_opt
-    session = new_session(
-        params, seed, num_batches, payload_len, expected_rank=expected_rank, dist=dist
-    )
+    session = new_session(params, seed, num_batches, payload_len, dist=dist)
     users = make_users(params.num_users, session)
     group_distinct = np.zeros(num_batches, dtype=np.int64)
     phase1_rng = _substream(seed, _PHASE1_TAG)
@@ -423,17 +411,21 @@ def run_session(
         _substream(seed, _PHASE2_TAG),
         _substream(seed, _MIX_TAG),
         group_distinct,
-        access=access,
-        access_rng=_substream(seed, _ACCESS_TAG),
-        cap=cap,
+        access_rng=_substream(seed, _ACCESS_TAG) if access == "uniform" else None,
         trace=trace,
         until_tx=phase2_budget,
     )
-    observed = [u for u in users if u.rank_hist is not None]
-    if observed:
-        rank_distribution = np.mean([u.rank_hist for u in observed], axis=0)
-    else:
-        rank_distribution = np.zeros(params.batch_size + 1)
+    # The batch-rank histogram is read off once repair stops, i.e. at the
+    # moment the whole observed group can recover the file, and every user
+    # contributes regardless of whether it carried a decoder.
+    rank_distribution = np.mean(
+        [
+            np.bincount(u.batch_ranks(num_batches), minlength=params.batch_size + 1)
+            / float(max(num_batches, 1))
+            for u in users
+        ],
+        axis=0,
+    )
     return SimReport(
         seed=seed,
         num_users=params.num_users,
@@ -494,7 +486,6 @@ def run_robustness(
     seed: int,
     payload_len: int = 0,
     observe: Optional[List[int]] = None,
-    cap: Optional[int] = None,
 ) -> SimReport:
     """Plan for the design group size, then simulate a larger group.
 
@@ -505,15 +496,8 @@ def run_robustness(
         raise ValueError("actual_users must be at least the design size")
     plan = optimize_batches(design_params)
     actual = replace(design_params, num_users=actual_users)
-    expected = 1.01 * design_params.file_packets / plan.n_opt
     return run_session(
-        actual,
-        seed,
-        num_batches=plan.n_opt,
-        payload_len=payload_len,
-        expected_rank=expected,
-        observe=observe,
-        cap=cap,
+        actual, seed, num_batches=plan.n_opt, payload_len=payload_len, observe=observe
     )
 
 

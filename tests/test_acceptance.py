@@ -63,12 +63,11 @@ def test_criterion_1_usefulness_matrix():
         batch_size=4,
         file_packets=100,
     )
-    profile = sched.ReceptionProfile(counts=np.array([2, 1, 3, 4, 2]))
-    matrix = sched.build_matrix(profile, params)
+    matrix = sched.build_matrix(np.array([2, 1, 3, 4, 2]), params)
     queue = sched.build_queue(matrix)
-    gap = float(np.abs(matrix.s - EX1_MATRIX).max())
+    gap = float(np.abs(matrix - EX1_MATRIX).max())
     matrix_ok = gap <= 5.1e-5
-    prefix = [int(v) for v in queue.v[:6]]
+    prefix = [int(v) for v in queue[:6]]
     queue_ok = prefix == [4, 3, 1, 5, 4, 3]
     wall = time.perf_counter() - t0
     report(
@@ -378,11 +377,11 @@ def _usefulness_properties(draws: int, seed: int) -> bool:
             file_packets=64,
         )
         counts = rng.integers(0, params.batch_size + 1, 6)
-        matrix = sched.build_matrix(sched.ReceptionProfile(counts=counts), params)
-        if np.any(np.diff(matrix.s, axis=0) > 1e-12):
+        matrix = sched.build_matrix(counts, params)
+        if np.any(np.diff(matrix, axis=0) > 1e-12):
             return False
         order = np.argsort(counts, kind="stable")
-        if np.any(np.diff(matrix.s[:, order], axis=1) < -1e-12):
+        if np.any(np.diff(matrix[:, order], axis=1) < -1e-12):
             return False
     return True
 

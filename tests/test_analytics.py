@@ -10,14 +10,18 @@ in the numerics shows up as a failed equality.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.special import ndtri
 from scipy.stats import binom
 
 from batchcast import analytics as an
 from batchcast.analytics import NetworkParams
+from batchcast.codec import MAX_BATCHES
 
 
 def three_user_cfg() -> NetworkParams:
@@ -465,6 +469,38 @@ def test_optimize_never_plans_past_the_batch_id_limit():
     assert an.min_batches(over) == 85791
     with pytest.raises(ValueError, match=r"n_min=85791 exceeds the 65535"):
         an.optimize_batches(over)
+
+
+@hst.composite
+def small_params(draw):
+    loss_source = draw(hst.floats(0.0, 0.9))
+    return NetworkParams(
+        num_users=draw(hst.integers(1, 6)),
+        loss_common=draw(hst.floats(0.0, 0.3)),
+        loss_source=loss_source,
+        loss_peer=loss_source * draw(hst.floats(0.0, 1.0)),
+        batch_size=draw(hst.sampled_from([4, 8, 16])),
+        file_packets=draw(hst.integers(20, 3000)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=small_params())
+def test_optimize_plans_inside_its_range_or_says_why(cfg):
+    try:
+        plan = an.optimize_batches(cfg)
+    except ValueError as exc:
+        assert re.search(
+            r"\[n_min=\d+, n_max=\d+\]|exceeds the %d batches" % MAX_BATCHES,
+            str(exc),
+        ), exc
+        return
+    assert plan.n_min <= plan.n_opt <= plan.n_max <= MAX_BATCHES
+    assert plan.n_opt in plan.t_of_n
+    assert set(plan.total_of_n) == set(plan.t_of_n)
+    assert all(plan.n_min <= n <= plan.n_max for n in plan.t_of_n)
+    best = min(plan.total_of_n.values())
+    assert plan.n_opt == min(n for n, t in plan.total_of_n.items() if t == best)
 
 
 # ------------------------------------------------------------- scipy oracles

@@ -1,0 +1,111 @@
+"""Pinned digests of simulator reports and CLI outputs.
+
+Each case hashes an output that a refactor must keep byte for byte: the
+repr of a ``SimReport`` (with the exact bytes of its rank distribution),
+or the CSV files and stdout of one CLI mode, with the output directory
+replaced by ``<out>``. A changed digest means changed outputs. Regenerate
+the digests only for a change that is meant to alter them, and say so in
+CHANGES.md.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from batchcast import cli, sim
+from batchcast.analytics import NetworkParams, stopping_time
+
+FAST = NetworkParams(
+    num_users=3,
+    loss_common=0.05,
+    loss_source=0.5,
+    loss_peer=0.1,
+    batch_size=8,
+    file_packets=300,
+)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _report_text(rep: sim.SimReport) -> str:
+    return repr(rep) + "\n" + rep.rank_distribution.tobytes().hex()
+
+
+REPORTS = {
+    "round_robin_trace": lambda: sim.run_session(
+        FAST, 7, num_batches=64, with_trace=True
+    ),
+    "uniform_access": lambda: sim.run_session(
+        FAST, 9, num_batches=64, access="uniform", with_trace=True
+    ),
+    "payload": lambda: sim.run_session(FAST, 3, num_batches=64, payload_len=16),
+    "repair_budget": lambda: sim.run_session(
+        FAST,
+        5,
+        num_batches=64,
+        observe=[],
+        phase2_budget=stopping_time(64, FAST),
+    ),
+    "robustness": lambda: sim.run_robustness(FAST, 5, 2),
+}
+
+REPORT_DIGESTS = {
+    "round_robin_trace": "cfee2e7a03ca8c962820769c204dd24b9eb85e878bd778260e4671afae488c2a",
+    "uniform_access": "db8f08d829fe91cca786facfa8fb5e55fc58d4264340b5a455c397440c52ba39",
+    "payload": "1a53371d4eaa264eb3a19c58d4edf88ef869a50b31317de253e3882780e51cff",
+    "repair_budget": "4547d7fd1d776d15711c33e3e3c6fcee3ea7fab98f3d9ea5fccbce03932e31a6",
+    "robustness": "c462f3add78b925695de5a15e5e712692d4f916e2cfa248068c71654fa62330b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_digest(name):
+    assert _digest(_report_text(REPORTS[name]())) == REPORT_DIGESTS[name]
+
+
+NETWORK = [
+    arg
+    for setting in (
+        "num_users=3",
+        "loss_common=0.05",
+        "loss_source=0.5",
+        "loss_peer=0.1",
+        "batch_size=8",
+        "file_packets=300",
+    )
+    for arg in ("--set", setting)
+]
+
+CLI_RUNS = {
+    "plan": ["plan"],
+    "simulate": ["simulate", "--runs", "2", "--n", "64", "--set", "write_trace=1"],
+    "sweep": ["sweep", "--n", "64", "--set", "users_min=2", "--set", "users_max=3"],
+    "robustness": ["robustness", "--seed", "4", "--set", "actual_users=4"],
+    "single-phase": ["single-phase", "--runs", "3"],
+}
+
+CLI_DIGESTS = {
+    "plan": "4c75accec4bd162963edafca385b56c5692ad398878939d65061025a64861620",
+    "simulate": "721df60f5c2527c3c1e4c47316c35222bee541ff7ebdc32fd4e3e9baf1c0881c",
+    "sweep": "7cb9f2dd8d74a0e9a7eb92f17b4e5d48b1834d8e53cec1c9bd6c513fc1caec43",
+    "robustness": "4b29624cfccf5de3f9a584b4e5de46917629bd860d93f03cd7393ef09b8e8aa2",
+    "single-phase": "269a93323d3df0035833c60165e1d9f55335bf6bfd5bd28a87ccb36f23f0bbf2",
+}
+
+
+def _cli_text(mode, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert cli.main(CLI_RUNS[mode] + NETWORK + ["--out-dir", out]) == 0
+    parts = [capsys.readouterr().out]
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name)) as fh:
+            parts.append("== %s\n%s" % (name, fh.read()))
+    return "".join(parts).replace(out, "<out>")
+
+
+@pytest.mark.parametrize("mode", sorted(CLI_RUNS))
+def test_cli_digest(mode, tmp_path, capsys):
+    assert _digest(_cli_text(mode, tmp_path, capsys)) == CLI_DIGESTS[mode]

@@ -68,30 +68,34 @@ def test_usefulness_known_values():
 
 
 def test_usefulness_matrix_pinned():
-    profile = sched.ReceptionProfile(np.array([2, 1, 3, 4, 2]))
-    mat = sched.build_matrix(profile, small_cfg())
-    assert mat.s.shape == (4, 5)
-    assert float(np.abs(mat.s - EXPECTED_MATRIX).max()) <= 5.1e-5
+    mat = sched.build_matrix(np.array([2, 1, 3, 4, 2]), small_cfg())
+    assert mat.shape == (4, 5)
+    assert float(np.abs(mat - EXPECTED_MATRIX).max()) <= 5.1e-5
 
 
 def test_matrix_zero_counts_give_zero_columns():
-    profile = sched.ReceptionProfile(np.zeros(6, dtype=int))
-    mat = sched.build_matrix(profile, small_cfg())
-    assert not mat.s.any()
+    mat = sched.build_matrix(np.zeros(6, dtype=int), small_cfg())
+    assert not mat.any()
 
 
 def test_matrix_columns_permute_with_counts():
     cfg = small_cfg()
     counts = np.array([2, 1, 3, 4, 2])
     perm = np.array([3, 0, 4, 1, 2])
-    a = sched.build_matrix(sched.ReceptionProfile(counts), cfg)
-    b = sched.build_matrix(sched.ReceptionProfile(counts[perm]), cfg)
-    assert np.array_equal(a.s[:, perm], b.s)
+    a = sched.build_matrix(counts, cfg)
+    b = sched.build_matrix(counts[perm], cfg)
+    assert np.array_equal(a[:, perm], b)
 
 
 def test_matrix_rejects_counts_above_batch_size():
     with pytest.raises(ValueError):
-        sched.build_matrix(sched.ReceptionProfile(np.array([5])), small_cfg())
+        sched.build_matrix(np.array([5]), small_cfg())
+
+
+def test_matrix_rejects_negative_counts():
+    # a negative count would otherwise index the usefulness table from the end
+    with pytest.raises(ValueError):
+        sched.build_matrix(np.array([2, -1]), small_cfg())
 
 
 def test_column_monotone_and_dominance_properties():
@@ -120,10 +124,9 @@ def test_column_monotone_and_dominance_properties():
 
 
 def test_queue_pinned_order():
-    profile = sched.ReceptionProfile(np.array([2, 1, 3, 4, 2]))
-    mat = sched.build_matrix(profile, small_cfg())
+    mat = sched.build_matrix(np.array([2, 1, 3, 4, 2]), small_cfg())
     q = sched.build_queue(mat)
-    assert q.v.tolist() == EXPECTED_QUEUE
+    assert q.tolist() == EXPECTED_QUEUE
 
 
 def test_queue_shape_and_ordering_invariants():
@@ -132,31 +135,36 @@ def test_queue_shape_and_ordering_invariants():
     for _ in range(20):
         n = int(rng.integers(1, 12))
         counts = rng.integers(0, 5, size=n)
-        mat = sched.build_matrix(sched.ReceptionProfile(counts), cfg)
+        mat = sched.build_matrix(counts, cfg)
         q = sched.build_queue(mat)
-        assert q.v.size == 4 * n
-        ids, reps = np.unique(q.v, return_counts=True)
+        assert q.size == 4 * n
+        ids, reps = np.unique(q, return_counts=True)
         assert ids.tolist() == list(range(1, n + 1))
         assert all(reps == 4)
-        assert all(a >= b for a, b in zip(q.values, q.values[1:]))
+        # the j-th send from a batch has usefulness mat[j - 1, batch - 1]
+        sent = np.zeros(n, dtype=int)
+        values = []
+        for b in q - 1:
+            values.append(mat[sent[b], b])
+            sent[b] += 1
+        assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_queue_single_batch():
-    mat = sched.build_matrix(sched.ReceptionProfile(np.array([3])), small_cfg())
+    mat = sched.build_matrix(np.array([3]), small_cfg())
     q = sched.build_queue(mat)
-    assert q.v.tolist() == [1, 1, 1, 1]
+    assert q.tolist() == [1, 1, 1, 1]
 
 
 def test_queue_identical_columns_alternate():
-    mat = sched.build_matrix(sched.ReceptionProfile(np.array([3, 3])), small_cfg())
+    mat = sched.build_matrix(np.array([3, 3]), small_cfg())
     q = sched.build_queue(mat)
-    assert q.v.tolist() == [1, 2, 1, 2, 1, 2, 1, 2]
+    assert q.tolist() == [1, 2, 1, 2, 1, 2, 1, 2]
 
 
 # --------------------------------------------------------------- exhaustion
 
 
 def test_exhaustion_order_follows_last_row():
-    profile = sched.ReceptionProfile(np.array([2, 1, 3, 4, 2]))
-    mat = sched.build_matrix(profile, small_cfg())
+    mat = sched.build_matrix(np.array([2, 1, 3, 4, 2]), small_cfg())
     assert sched.exhaustion_order(mat).tolist() == [4, 3, 1, 5, 2]
