@@ -211,26 +211,74 @@ def make_descriptor(
 # --------------------------------------------------------------- batch state
 
 
+def _empty_buffers(shape: Tuple[int, ...], batch_size: int, payload_len: int):
+    """Operators and raw rows for a shape-sized array of empty buffers.
+
+    Returns (ops, raw) of shapes shape + (M, M) and shape + (M, M + L):
+    every residual operator is the identity and every row is zero.
+    """
+    ops = np.zeros(shape + (batch_size, batch_size), dtype=np.uint8)
+    diag = np.arange(batch_size)
+    ops[..., diag, diag] = 1
+    return ops, np.zeros(shape + (batch_size, batch_size + payload_len), np.uint8)
+
+
+def reduce_packet(coeff: np.ndarray, ops: np.ndarray):
+    """Reduce one coefficient vector against a (g, M, M) operator stack.
+
+    Each buffer's residual operator K turns coeff into coeff . K, which is
+    zero exactly when coeff lies in that buffer's span. Returns (pivots,
+    rows): rows[i] is buffer i's reduced row and pivots[i] its first
+    nonzero column, or 0 when the row is zero. One gather serves the whole
+    stack.
+    """
+    prods = gf._MUL_FLAT.take(gf._HIGH.take(coeff)[:, None] | ops)
+    rows = np.bitwise_xor.reduce(prods, axis=1)
+    return (rows != 0).argmax(axis=1).tolist(), rows
+
+
 class BatchState:
     """One receiver's buffer for one batch, with innovation filtering.
 
     Keeps every innovative row raw, in arrival order, for recoding and
-    decoding: row i of the M x (M + L) array raw is [coeff | payload], and
-    coeffs and payloads are its column views. Beside it, the reduced row
-    echelon form of their span in one M x M array: row p is the basis row
+    decoding: row i of the M x (M + L) array raw is [coeff | payload]. The
+    span of those rows is kept as its M x M residual operator ops = I ^ B,
+    where B is their reduced row echelon form: row p of B is the basis row
     with pivot column p (zero in every other pivot column), and rows of
-    non-pivot columns are zero.
+    non-pivot columns are zero. A vector c reduces to c . ops, and a full
+    buffer has ops = 0.
+
+    Both arrays are views. A simulated group's buffers share session-wide
+    arrays (see BatchBuffers); BatchState(batch_id, M, L) owns its own.
     """
 
+    __slots__ = ("batch_id", "batch_size", "payload_len", "ops", "raw", "rank")
+
     def __init__(self, batch_id: int, batch_size: int, payload_len: int):
+        self._attach(batch_id, *_empty_buffers((), batch_size, payload_len))
+
+    @classmethod
+    def view(cls, batch_id: int, ops: np.ndarray, raw: np.ndarray) -> "BatchState":
+        """An empty buffer over a given (M, M) operator and (M, M + L) rows."""
+        state = cls.__new__(cls)
+        state._attach(batch_id, ops, raw)
+        return state
+
+    def _attach(self, batch_id: int, ops: np.ndarray, raw: np.ndarray) -> None:
         self.batch_id = batch_id
-        self.batch_size = batch_size
-        self.payload_len = payload_len
-        self.raw = np.zeros((batch_size, batch_size + payload_len), dtype=np.uint8)
-        self.coeffs = self.raw[:, :batch_size]
-        self.payloads = self.raw[:, batch_size:]
+        self.batch_size, width = raw.shape
+        self.payload_len = width - self.batch_size
+        self.ops = ops
+        self.raw = raw
         self.rank = 0
-        self.basis = np.zeros((batch_size, batch_size), dtype=np.uint8)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self.raw[:, : self.batch_size]
+
+    @property
+    def payloads(self) -> np.ndarray:
+        return self.raw[:, self.batch_size :]
 
     @property
     def received_coeffs(self) -> np.ndarray:
@@ -240,16 +288,28 @@ class BatchState:
     def received_payloads(self) -> np.ndarray:
         return self.payloads[: self.rank]
 
-    def load_source(self, slots: np.ndarray, payloads: np.ndarray) -> None:
-        """Load the distinct one-hot source packets e_s, s in slots, into an
-        empty buffer; each is innovative and its own basis row."""
-        if self.rank:
-            raise ValueError("source packets load only into an empty buffer")
-        r = len(slots)
-        self.coeffs[np.arange(r), slots] = 1
-        self.payloads[:r] = payloads
-        self.basis[slots, slots] = 1
-        self.rank = r
+    @property
+    def basis(self) -> np.ndarray:
+        """The reduced row echelon basis B = ops ^ I."""
+        return self.ops ^ np.eye(self.batch_size, dtype=np.uint8)
+
+    def insert(self, pivot: int, row: np.ndarray, coeff, payload) -> bool:
+        """Keep [coeff | payload] iff its reduced row, row, is nonzero.
+
+        pivot is the row's first nonzero column (any column when the row is
+        zero). Scaled to 1 there, the row r updates the operator as
+        ops ^= outer(ops[:, pivot], r): the reduced basis gains r as row
+        pivot, and every other basis row loses its pivot-column entry.
+        """
+        lead = row[pivot]
+        if not lead:
+            return False
+        ops = self.ops
+        ops ^= gf.outer(ops[:, pivot], gf.MUL_TABLE[gf._INV[lead]].take(row))
+        self.raw[self.rank, : self.batch_size] = coeff
+        self.raw[self.rank, self.batch_size :] = payload
+        self.rank += 1
+        return True
 
     def absorb(self, packet: Packet) -> bool:
         """Keep the packet iff it raises this batch's rank."""
@@ -258,24 +318,63 @@ class BatchState:
                 "packet for batch %d absorbed into batch %d"
                 % (packet.batch_id, self.batch_id)
             )
-        coeff = packet.coeff
-        if coeff.shape != (self.batch_size,):
+        if packet.coeff.shape != (self.batch_size,):
             raise ValueError("coefficient vector has wrong length")
-        if self.rank == self.batch_size:
-            return False
-        basis = self.basis
-        row = coeff ^ np.bitwise_xor.reduce(gf.MUL_TABLE[coeff[:, None], basis], axis=0)
-        nz = row.nonzero()[0]
-        if nz.size == 0:
-            return False
-        pivot = nz[0]
-        row = gf.MUL_TABLE[gf._INV[row[pivot]]].take(row)
-        basis ^= gf.outer(basis[:, pivot], row)
-        basis[pivot] = row
-        self.coeffs[self.rank] = coeff
-        self.payloads[self.rank] = packet.payload
-        self.rank += 1
-        return True
+        if np.shape(packet.payload) != (self.payload_len,):
+            raise ValueError(
+                "payload has shape %s, expected (%d,)"
+                % (np.shape(packet.payload), self.payload_len)
+            )
+        pivots, rows = reduce_packet(packet.coeff, self.ops[None])
+        return self.insert(pivots[0], rows[0], packet.coeff, packet.payload)
+
+
+class BatchBuffers:
+    """Every receiver's buffer for every batch, in two batch-major arrays.
+
+    ops[b, i] and raw[b, i] are receiver i's operator and rows for batch b
+    (index 0 is unused, batch ids run from 1), so ops[b] is the stack one
+    reduce_packet call reduces a batch-b packet against for every receiver.
+    states[i] maps batch ids to receiver i's BatchState views.
+    """
+
+    def __init__(
+        self, num_batches: int, receivers: int, batch_size: int, payload_len: int
+    ):
+        self.ops, self.raw = _empty_buffers(
+            (num_batches + 1, receivers), batch_size, payload_len
+        )
+        view = BatchState.view
+        self.states = [
+            {
+                bid: view(bid, ops, raw)
+                for bid, ops, raw in zip(
+                    range(1, num_batches + 1), self.ops[1:, i], self.raw[1:, i]
+                )
+            }
+            for i in range(receivers)
+        ]
+
+    def load_sources(self, delivered: np.ndarray, payloads: np.ndarray) -> None:
+        """Load the source broadcast into the still empty buffers.
+
+        delivered is the (n*M, g) mask of which receiver got which source
+        packet, batch by batch; payloads holds those packets' (n*M, L)
+        payloads, or is None when L is 0. Packet j of a batch is the
+        one-hot e_j, so a receiver's rows are its delivered e_j in slot
+        order, each its own basis row.
+        """
+        n, g, m = self.ops.shape[0] - 1, self.ops.shape[1], self.ops.shape[2]
+        hit = delivered.reshape(n, m, g).transpose(0, 2, 1)
+        b, i, j = hit.nonzero()
+        row = (hit.cumsum(axis=2) - 1)[b, i, j]
+        self.raw[b + 1, i, row, j] = 1
+        if payloads is not None:
+            self.raw[b + 1, i, row, m:] = payloads[b * m + j]
+        self.ops[b + 1, i, j, j] = 0
+        for states, ranks in zip(self.states, hit.sum(axis=2).T.tolist()):
+            for state, rank in zip(states.values(), ranks):
+                state.rank = rank
 
 
 def recode(state: BatchState, rng: np.random.Generator) -> Packet:

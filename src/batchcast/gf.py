@@ -55,6 +55,8 @@ _EXP, _LOG, MUL_TABLE, _INV = _build_tables()
 
 # MUL_TABLE flattened: the product a * b sits at index (a << 8) | b.
 _MUL_FLAT = MUL_TABLE.ravel()
+# a << 8 for every element a: where a's row of products starts in _MUL_FLAT
+_HIGH = np.arange(ORDER, dtype=np.uint16) << 8
 # matmul gathers at most this many products at once (one k-slice more when a
 # single slice is already larger), so its memory stays bounded by the output.
 _CHUNK_ELEMS = 1 << 16

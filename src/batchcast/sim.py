@@ -49,7 +49,9 @@ class CodingSession:
     seed: int
     dist: codec.DegreeDistribution
     file: np.ndarray
-    descriptors: Dict[int, codec.BatchDescriptor] = field(default_factory=dict)
+    _drawn: Dict[int, codec.BatchDescriptor] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     def batch_payloads(self, batch_id: int) -> np.ndarray:
         """Regenerate one batch's (M, L) source payloads; records its descriptor."""
@@ -60,8 +62,30 @@ class CodingSession:
             codec.descriptor_rng(self.seed, batch_id),
             self.batch_size,
         )
-        self.descriptors[batch_id] = desc
+        self._drawn[batch_id] = desc
         return payloads
+
+    @property
+    def descriptors(self) -> Dict[int, codec.BatchDescriptor]:
+        """Every batch's descriptor, in batch id order.
+
+        A descriptor not recorded yet is drawn now from its batch's stream,
+        the draws encode_batch makes first, so it is the one the source used.
+        """
+        missing = [
+            bid for bid in range(1, self.num_batches + 1) if bid not in self._drawn
+        ]
+        for bid in missing:
+            self._drawn[bid] = codec.make_descriptor(
+                self.file_packets,
+                self.dist,
+                bid,
+                codec.descriptor_rng(self.seed, bid),
+                self.batch_size,
+            )
+        if missing:
+            self._drawn = dict(sorted(self._drawn.items()))
+        return self._drawn
 
 
 def new_session(
@@ -101,7 +125,9 @@ class UserState:
     """Everything one receiver accumulates across both phases."""
 
     user_id: int
-    batches: Dict[int, codec.BatchState] = field(default_factory=dict)
+    # the group's session-wide buffers; batches holds this user's views
+    buffers: codec.BatchBuffers
+    batches: Dict[int, codec.BatchState]
     queue: Optional[np.ndarray] = None
     tail: Optional[np.ndarray] = None
     queue_pos: int = 0
@@ -145,15 +171,13 @@ class SimReport:
 
 
 def make_users(num_users: int, session: CodingSession) -> List[UserState]:
-    users = []
-    for uid in range(num_users):
-        u = UserState(user_id=uid)
-        for bid in range(1, session.num_batches + 1):
-            u.batches[bid] = codec.BatchState(
-                bid, session.batch_size, session.payload_len
-            )
-        users.append(u)
-    return users
+    buffers = codec.BatchBuffers(
+        session.num_batches, num_users, session.batch_size, session.payload_len
+    )
+    return [
+        UserState(user_id=uid, buffers=buffers, batches=buffers.states[uid])
+        for uid in range(num_users)
+    ]
 
 
 # doubles read from the phase-1 stream at a time
@@ -202,14 +226,16 @@ def run_phase1(
 
     Source packets are one-hot and distinct: every delivery is innovative.
     group_distinct gains, per batch, the packets at least one user received.
+    Without payloads nothing is encoded, so no descriptor is drawn here.
     """
     n, m = session.num_batches, session.batch_size
     mask = phase1_deliveries(n * m, len(users), params, rng)
-    for bid in range(1, n + 1):
-        payloads = session.batch_payloads(bid)
-        for u, col in zip(users, mask[(bid - 1) * m : bid * m].T):
-            slots = col.nonzero()[0]
-            u.batches[bid].load_source(slots, payloads[slots])
+    payloads = None
+    if session.payload_len and n:
+        payloads = np.concatenate(
+            [session.batch_payloads(bid) for bid in range(1, n + 1)]
+        )
+    users[0].buffers.load_sources(mask, payloads)
     for u, count in zip(users, mask.sum(axis=0).tolist()):
         u.receptions += count
         u.innovative += count
@@ -249,10 +275,15 @@ def prepare_phase2(
             "observe names users outside range(%d): %s"
             % (len(users), sorted(watch - everyone))
         )
+    n = session.num_batches
+    # one matrix for the whole group, so each count's row is computed once
+    matrix = build_matrix(
+        np.concatenate([u.batch_ranks(n) for u in users]), params
+    )
     for u in users:
-        matrix = build_matrix(u.batch_ranks(session.num_batches), params)
-        u.queue = build_queue(matrix)
-        u.tail = exhaustion_order(matrix)
+        own = matrix[:, u.user_id * n : (u.user_id + 1) * n]
+        u.queue = build_queue(own)
+        u.tail = exhaustion_order(own)
         if u.user_id in watch:
             u.decoder = codec.IncrementalDecoder(
                 session.file_packets, session.payload_len, session.descriptors
@@ -303,6 +334,7 @@ def run_phase2(
     user holds all the packets the group received.
     """
     k = len(users)
+    ops = users[0].buffers.ops
     cap = 10 * session.num_batches * session.batch_size
     if until_tx is not None:
         cap = max(cap, 2 * until_tx)
@@ -340,24 +372,26 @@ def run_phase2(
             continue
         transmissions += 1
         pkt = codec.recode(sender.batches[bid], mix_rng)
-        delivered = rng.random(k) >= params.loss_peer
+        delivered = (rng.random(k) >= params.loss_peer).tolist()
         delivered[sender.user_id] = False
-        for u in users:
-            if not delivered[u.user_id]:
+        # one reduction against every user's buffer of the batch
+        pivots, rows = codec.reduce_packet(pkt.coeff, ops[bid])
+        for u, hit, pivot, row in zip(users, delivered, pivots, rows):
+            if not hit:
                 continue
             u.receptions += 1
-            if u.batches[bid].absorb(pkt):
-                u.innovative += 1
-                _check_group_bound(u, bid, group_distinct)
-                if u.decoder is not None and not u.decoded:
-                    u.decoder.add_row(bid, pkt.coeff, pkt.payload)
-                    if u.innovative >= session.file_packets and u.decoder.attempt():
-                        _mark_decoded(u, transmissions)
-                        pending -= 1
-                    elif u.innovative == group_total:
-                        saturated += 1
-            else:
+            if not u.batches[bid].insert(pivot, row, pkt.coeff, pkt.payload):
                 u.redundant += 1
+                continue
+            u.innovative += 1
+            _check_group_bound(u, bid, group_distinct)
+            if u.decoder is not None and not u.decoded:
+                u.decoder.add_row(bid, pkt.coeff, pkt.payload)
+                if u.innovative >= session.file_packets and u.decoder.attempt():
+                    _mark_decoded(u, transmissions)
+                    pending -= 1
+                elif u.innovative == group_total:
+                    saturated += 1
         if trace is not None:
             trace.append(
                 (slot, sender.user_id, bid)

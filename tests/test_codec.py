@@ -309,9 +309,12 @@ def absorb_sequences(draw):
 def test_absorb_is_exact_rank_growth(case):
     m, loaded, steps = case
     state = codec.BatchState(1, m, 2)
-    payloads = np.full((len(loaded), 2), 9, dtype=np.uint8)
-    state.load_source(np.array(loaded, dtype=np.int64), payloads)
+    # distinct source packets e_s: each is innovative and its own basis row
+    sources = source_packets(1, np.full((m, 2), 9, dtype=np.uint8))
+    for s in loaded:
+        assert state.absorb(sources[s]) is True
     assert state.rank == len(loaded) == gf.rank(state.received_coeffs)
+    assert np.array_equal(state.basis[loaded], np.eye(m, dtype=np.uint8)[loaded])
     assert_reduced_basis(state)
     for kind, slot, factor, seed in steps:
         rng = np.random.default_rng(seed)
@@ -335,11 +338,87 @@ def test_absorb_is_exact_rank_growth(case):
         assert_reduced_basis(state)
 
 
-def test_load_source_needs_an_empty_buffer():
-    state = codec.BatchState(1, 4, 1)
-    state.load_source(np.array([2]), np.ones((1, 1), np.uint8))
-    with pytest.raises(ValueError):
-        state.load_source(np.array([0]), np.ones((1, 1), np.uint8))
+def test_absorb_checks_the_payload_before_any_state():
+    # a 1-byte payload must not be broadcast into a 6-byte row
+    state = codec.BatchState(1, 4, 6)
+    e = np.eye(4, dtype=np.uint8)
+    with pytest.raises(ValueError, match="payload"):
+        state.absorb(codec.Packet(1, e[0], np.ones(1, np.uint8)))
+    assert state.rank == 0 and not state.raw.any()
+    assert np.array_equal(state.ops, e)
+    assert state.absorb(codec.Packet(1, e[0], np.ones(6, np.uint8)))
+    # a 5-byte payload leaves rank and basis as they were, so e1 still fits
+    with pytest.raises(ValueError, match="payload"):
+        state.absorb(codec.Packet(1, e[1], np.ones(5, np.uint8)))
+    assert state.rank == 1 and np.array_equal(state.basis, np.diag([1, 0, 0, 0]))
+    assert state.absorb(codec.Packet(1, e[1], np.ones(6, np.uint8)))
+    assert state.rank == 2 == gf.rank(state.received_coeffs)
+
+
+@hst.composite
+def group_receptions(draw):
+    m = draw(hst.integers(1, 8))
+    k = draw(hst.integers(1, 6))
+    steps = draw(
+        hst.lists(
+            hst.tuples(
+                hst.sampled_from(["zero", "repeat", "one-hot", "dense", "recode"]),
+                hst.lists(hst.booleans(), min_size=k, max_size=k),
+                hst.integers(0, 2**32 - 1),
+            ),
+            max_size=3 * m + 4,
+        )
+    )
+    return m, k, steps
+
+
+@settings(max_examples=120, deadline=None)
+@given(group_receptions())
+def test_group_reduction_equals_one_absorb_per_receiver(case):
+    """One stacked reduce_packet per packet, then per-receiver inserts, keeps
+    each buffer exactly as absorbing the packet into it alone would."""
+    m, k, steps = case
+    group = codec.BatchBuffers(1, k, m, 2)
+    shared = [states[1] for states in group.states]
+    alone = [codec.BatchState(1, m, 2) for _ in range(k)]
+    arrived = [[] for _ in range(k)]
+    sent = []
+    eye = np.eye(m, dtype=np.uint8)
+    for kind, delivered, seed in steps:
+        rng = np.random.default_rng(seed)
+        holders = [st for st in shared if st.rank]
+        if kind == "zero":
+            coeff = np.zeros(m, dtype=np.uint8)
+        elif kind == "repeat" and sent:
+            coeff = sent[int(rng.integers(len(sent)))]
+        elif kind == "recode" and holders:
+            coeff = codec.recode(holders[int(rng.integers(len(holders)))], rng).coeff
+        elif kind == "one-hot":
+            coeff = eye[int(rng.integers(m))] * np.uint8(rng.integers(1, 256))
+        else:
+            coeff = rng.integers(0, 256, m, dtype=np.uint8)
+        sent.append(coeff)
+        payload = rng.integers(0, 256, 2, dtype=np.uint8)
+        pivots, rows = codec.reduce_packet(coeff, group.ops[1])
+        for i in range(k):
+            st = shared[i]
+            rises = gf.rank(np.vstack([st.received_coeffs, coeff])) > st.rank
+            assert bool(rows[i].any()) is rises
+            if rises:
+                assert not rows[i][: pivots[i]].any() and rows[i][pivots[i]]
+            if not delivered[i]:
+                continue
+            assert st.insert(pivots[i], rows[i], coeff, payload) is rises
+            if rises:
+                arrived[i].append(np.concatenate([coeff, payload]))
+            assert alone[i].absorb(codec.Packet(1, coeff, payload)) is rises
+    for st, ref, rows in zip(shared, alone, arrived):
+        assert st.rank == ref.rank == len(rows) == gf.rank(st.received_coeffs)
+        assert_reduced_basis(st)
+        assert np.array_equal(st.ops, st.basis ^ eye)
+        assert np.array_equal(st.raw[: st.rank], np.array(rows).reshape(-1, m + 2))
+        assert not st.raw[st.rank :].any()
+        assert np.array_equal(st.raw, ref.raw) and np.array_equal(st.ops, ref.ops)
 
 
 def test_recode_stays_in_row_space():

@@ -10,6 +10,7 @@ CHANGES.md.
 
 import hashlib
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +25,8 @@ FAST = NetworkParams(
     batch_size=8,
     file_packets=300,
 )
+# six users: every phase-2 packet reaches four or five receivers on average
+FAST6 = replace(FAST, num_users=6)
 
 
 def _digest(text: str) -> str:
@@ -50,6 +53,16 @@ REPORTS = {
         phase2_budget=stopping_time(64, FAST),
     ),
     "robustness": lambda: sim.run_robustness(FAST, 5, 2),
+    "six_users_payload_budget": lambda: sim.run_session(
+        FAST6,
+        11,
+        num_batches=64,
+        payload_len=8,
+        access="uniform",
+        observe=[2],
+        with_trace=True,
+        phase2_budget=stopping_time(64, FAST6),
+    ),
 }
 
 REPORT_DIGESTS = {
@@ -58,6 +71,7 @@ REPORT_DIGESTS = {
     "payload": "1a53371d4eaa264eb3a19c58d4edf88ef869a50b31317de253e3882780e51cff",
     "repair_budget": "4547d7fd1d776d15711c33e3e3c6fcee3ea7fab98f3d9ea5fccbce03932e31a6",
     "robustness": "c462f3add78b925695de5a15e5e712692d4f916e2cfa248068c71654fa62330b",
+    "six_users_payload_budget": "3f0f787308c617bb075232e98462af71daf0d4307a6412b7d7a6e381d03d47a2",
 }
 
 

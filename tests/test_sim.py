@@ -125,6 +125,31 @@ def test_phase1_counts_and_profiles():
     assert len(session.descriptors) == n
 
 
+def test_descriptors_without_payloads_are_drawn_on_first_read():
+    """Phase 1 at payload 0 encodes nothing; a later read of the descriptors
+    draws each from its batch's stream, equal to what encoding records."""
+    n = 12
+    bare = sim.new_session(FAST, 5, n)
+    sim.run_phase1(
+        bare, sim.make_users(3, bare), FAST, sim._substream(5, 1), np.zeros(n, np.int64)
+    )
+    assert bare._drawn == {}
+    coded = sim.new_session(FAST, 5, n, payload_len=4)
+    coded.batch_payloads(7)
+    # one batch recorded out of order still leaves the dict in batch id order
+    assert list(coded.descriptors) == list(range(1, n + 1))
+    sim.run_phase1(
+        coded, sim.make_users(3, coded), FAST, sim._substream(5, 1), np.zeros(n, np.int64)
+    )
+    assert list(bare.descriptors) == list(range(1, n + 1))
+    assert bare.descriptors is bare.descriptors
+    for bid in range(1, n + 1):
+        a, b = bare.descriptors[bid], coded.descriptors[bid]
+        assert a.degree == b.degree
+        assert np.array_equal(a.contributor_ids, b.contributor_ids)
+        assert np.array_equal(a.generator, b.generator)
+
+
 def test_phase1_group_distinct_matches_binomial_law():
     # Distinct packets the group retains per batch follow B(M, q) with
     # q = (1-p0)(1-p1^k): the packet must clear the shared draw and reach
@@ -422,7 +447,8 @@ def test_phase2_stalls_once_no_pending_user_can_gain():
 def test_group_bound_violation_is_detected():
     session = sim.new_session(FAST, 1, 2)
     users = sim.make_users(1, session)
-    users[0].batches[1].load_source(np.arange(3), session.batch_payloads(1)[:3])
+    for p in source_packets(1, session.batch_payloads(1))[:3]:
+        assert users[0].batches[1].absorb(p)
     gd = np.array([2, 0], dtype=np.int64)
     with pytest.raises(RuntimeError):
         sim._check_group_bound(users[0], 1, gd)
