@@ -351,7 +351,8 @@ def optimize_batches(params: NetworkParams) -> PlanResult:
     2-byte batch id can name; no convexity is assumed, the full curve is
     retained. Ties resolve to the smallest batch count. Raises ValueError
     when min_batches exceeds that cap, or when no batch count in the range
-    is feasible, including when the range is empty.
+    is feasible, including when the range is empty; for a single user the
+    message names its missing peer.
     """
     n_lo = min_batches(params)
     if n_lo > MAX_BATCHES:
@@ -378,9 +379,13 @@ def optimize_batches(params: NetworkParams) -> PlanResult:
             best_total = total
             best_n = n
     if best_n is None:
-        raise ValueError(
-            "no feasible batch count in [n_min=%d, n_max=%d]" % (n_lo, n_hi)
-        )
+        cause = "no feasible batch count"
+        if params.num_users < 2:
+            cause = (
+                "one user has no peer to repair it in phase 2, and phase 1 "
+                "alone delivers the file at no batch count"
+            )
+        raise ValueError("%s in [n_min=%d, n_max=%d]" % (cause, n_lo, n_hi))
     return PlanResult(
         n_min=n_lo, n_max=n_hi, n_opt=best_n, t_of_n=t_of_n, total_of_n=total_of_n
     )

@@ -293,8 +293,8 @@ class BatchState:
         """The reduced row echelon basis B = ops ^ I."""
         return self.ops ^ np.eye(self.batch_size, dtype=np.uint8)
 
-    def insert(self, pivot: int, row: np.ndarray, coeff, payload) -> bool:
-        """Keep [coeff | payload] iff its reduced row, row, is nonzero.
+    def insert(self, pivot: int, row: np.ndarray, full: np.ndarray) -> bool:
+        """Keep full = [coeff | payload] iff its reduced row, row, is nonzero.
 
         pivot is the row's first nonzero column (any column when the row is
         zero). Scaled to 1 there, the row r updates the operator as
@@ -306,8 +306,7 @@ class BatchState:
             return False
         ops = self.ops
         ops ^= gf.outer(ops[:, pivot], gf.MUL_TABLE[gf._INV[lead]].take(row))
-        self.raw[self.rank, : self.batch_size] = coeff
-        self.raw[self.rank, self.batch_size :] = payload
+        self.raw[self.rank] = full
         self.rank += 1
         return True
 
@@ -326,7 +325,8 @@ class BatchState:
                 % (np.shape(packet.payload), self.payload_len)
             )
         pivots, rows = reduce_packet(packet.coeff, self.ops[None])
-        return self.insert(pivots[0], rows[0], packet.coeff, packet.payload)
+        full = np.concatenate((packet.coeff, packet.payload))
+        return self.insert(pivots[0], rows[0], full)
 
 
 class BatchBuffers:
@@ -377,17 +377,21 @@ class BatchBuffers:
                 state.rank = rank
 
 
-def recode(state: BatchState, rng: np.random.Generator) -> Packet:
-    """Random nonzero combination of everything buffered for the batch."""
-    if state.rank == 0:
+def recode(state: BatchState, rng: np.random.Generator) -> np.ndarray:
+    """Random nonzero combination of everything buffered for the batch.
+
+    Returns the (M + L,) row [coeff | payload]: one gather of the mix's
+    products with the buffered rows, XOR-folded.
+    """
+    rank = state.rank
+    if rank == 0:
         raise ValueError("cannot recode from an empty batch buffer")
     while True:
-        mix = rng.integers(0, 256, size=state.rank, dtype=np.uint8)
-        if mix.any():
+        mix = rng.integers(0, 256, size=rank, dtype=np.uint8)
+        if np.count_nonzero(mix):
             break
-    row = gf.matmul(mix[None, :], state.raw[: state.rank])[0]
-    m = state.batch_size
-    return Packet(batch_id=state.batch_id, coeff=row[:m], payload=row[m:])
+    prods = gf._MUL_FLAT.take(gf._HIGH.take(mix)[:, None] | state.raw[:rank])
+    return np.bitwise_xor.reduce(prods, axis=0)
 
 
 def encode_batch(

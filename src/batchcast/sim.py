@@ -334,8 +334,10 @@ def run_phase2(
     user holds all the packets the group received.
     """
     k = len(users)
+    m = session.batch_size
     ops = users[0].buffers.ops
-    cap = 10 * session.num_batches * session.batch_size
+    bounds = group_distinct.tolist()
+    cap = 10 * session.num_batches * m
     if until_tx is not None:
         cap = max(cap, 2 * until_tx)
     if any(u.queue is None for u in users):
@@ -348,6 +350,11 @@ def run_phase2(
     saturated = sum(
         1 for u in watched if not u.decoded and u.innovative == group_total
     )
+    # k delivery doubles per transmission, read from the stream in blocks of
+    # a multiple of k: the same doubles one rng.random(k) per transmission reads
+    block = max(1, _DRAW_BLOCK // k) * k
+    hits: List[bool] = []
+    drawn = 0
     transmissions = 0
     slot = 0
     while pending or (until_tx is not None and transmissions < until_tx):
@@ -371,22 +378,29 @@ def run_phase2(
         if bid is None:
             continue
         transmissions += 1
-        pkt = codec.recode(sender.batches[bid], mix_rng)
-        delivered = (rng.random(k) >= params.loss_peer).tolist()
+        full = codec.recode(sender.batches[bid], mix_rng)
+        if drawn == len(hits):
+            hits = (rng.random(block) >= params.loss_peer).tolist()
+            drawn = 0
+        delivered = hits[drawn : drawn + k]
+        drawn += k
         delivered[sender.user_id] = False
+        bound = bounds[bid - 1]
         # one reduction against every user's buffer of the batch
-        pivots, rows = codec.reduce_packet(pkt.coeff, ops[bid])
+        pivots, rows = codec.reduce_packet(full[:m], ops[bid])
         for u, hit, pivot, row in zip(users, delivered, pivots, rows):
             if not hit:
                 continue
             u.receptions += 1
-            if not u.batches[bid].insert(pivot, row, pkt.coeff, pkt.payload):
+            state = u.batches[bid]
+            if not state.insert(pivot, row, full):
                 u.redundant += 1
                 continue
             u.innovative += 1
-            _check_group_bound(u, bid, group_distinct)
+            if state.rank > bound:
+                _check_group_bound(u, bid, group_distinct)
             if u.decoder is not None and not u.decoded:
-                u.decoder.add_row(bid, pkt.coeff, pkt.payload)
+                u.decoder.add_row(bid, full[:m], full[m:])
                 if u.innovative >= session.file_packets and u.decoder.attempt():
                     _mark_decoded(u, transmissions)
                     pending -= 1
@@ -477,19 +491,17 @@ def run_session(
     )
 
 
-def run_single_phase(
-    params: NetworkParams, seed: int, cap: Optional[int] = None
-) -> int:
+def run_single_phase(params: NetworkParams, seed: int) -> int:
     """Source-only baseline with an ideal rateless code.
 
     The source transmits until every user has collected the coded length
-    (file plus outer-code margin); returns the transmission count.
+    (file plus outer-code margin); returns the transmission count. Raises
+    SimulationStallError past 50 times the expected transmission count.
     """
     needed = int(np.ceil((1.0 + params.code_overhead) * params.file_packets))
     k = params.num_users
     rate = (1.0 - params.loss_common) * (1.0 - params.loss_source)
-    if cap is None:
-        cap = int(50 * needed / max(rate, 1e-6))
+    cap = int(50 * needed / max(rate, 1e-6))
     rng = _substream(seed, _SINGLE_TAG)
     counts = np.zeros(k, dtype=np.int64)
     sent = 0

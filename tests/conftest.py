@@ -29,6 +29,13 @@ def source_packets(batch_id: int, payloads: np.ndarray) -> List[codec.Packet]:
     return [codec.Packet(batch_id, eye[j], p) for j, p in enumerate(payloads)]
 
 
+def recoded_packet(state: codec.BatchState, rng) -> codec.Packet:
+    """codec.recode's [coeff | payload] row as a Packet of the state's batch."""
+    row = codec.recode(state, rng)
+    m = state.batch_size
+    return codec.Packet(state.batch_id, row[:m], row[m:])
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

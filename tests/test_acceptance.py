@@ -23,7 +23,7 @@ from batchcast.analytics import (
     stopping_time,
     tv_distance,
 )
-from conftest import COLLAPSE, EX2, EX3, EXP, source_packets
+from conftest import COLLAPSE, EX2, EX3, EXP, recoded_packet, source_packets
 
 
 def report(number: int, checks, wall: float, budget: float = None):
@@ -339,7 +339,7 @@ def _decode_instance(seed: int):
         st = codec.BatchState(bid, batch_size, payload_len)
         for _ in range(int(rng.integers(0, batch_size + 3))):
             if sender.rank and rng.random() < 0.7:
-                st.absorb(codec.recode(sender, rng))
+                st.absorb(recoded_packet(sender, rng))
             else:
                 st.absorb(pkts[int(rng.integers(batch_size))])
         states[bid] = st

@@ -11,6 +11,7 @@ in the numerics shows up as a failed equality.
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -443,6 +444,25 @@ def test_optimize_rejects_an_empty_batch_range():
     assert an.max_batches(cfg) == 213
     with pytest.raises(ValueError, match=r"n_min=235, n_max=213"):
         an.optimize_batches(cfg)
+
+
+def test_optimize_names_the_missing_peer_of_one_user():
+    cfg = NetworkParams(
+        num_users=1,
+        loss_common=0.05,
+        loss_source=0.5,
+        loss_peer=0.1,
+        batch_size=16,
+        file_packets=1600,
+    )
+    with pytest.raises(ValueError) as err:
+        an.optimize_batches(cfg)
+    assert str(err.value) == (
+        "one user has no peer to repair it in phase 2, and phase 1 alone "
+        "delivers the file at no batch count in [n_min=235, n_max=213]"
+    )
+    # two users share the channel: the same range is no longer empty
+    assert an.optimize_batches(replace(cfg, num_users=2)).n_opt > 0
 
 
 def test_optimize_never_plans_past_the_batch_id_limit():

@@ -361,9 +361,22 @@ def test_infeasible_plan_is_a_config_error(tmp_path, capsys):
         assert run_cli([mode, "--config", cfg, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err.strip()
         assert err == (
-            "error: bad_value detail=no feasible batch count in "
+            "error: bad_value detail=one user has no peer to repair it in "
+            "phase 2, and phase 1 alone delivers the file at no batch count in "
             "[n_min=235, n_max=213]"
         )
+
+
+def test_plan_for_one_user_exits_with_a_config_error(tmp_path, capsys):
+    # EX2 with its group cut to one user, set on the command line
+    ex2 = dict(BASE, num_users="1", batch_size="16", file_packets="1600")
+    args = ["plan", "--out-dir", str(tmp_path)]
+    for key, value in ex2.items():
+        args += ["--set", "%s=%s" % (key, value)]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: bad_value detail=one user has no peer")
 
 
 def test_batch_count_past_the_batch_id_limit_is_a_config_error(tmp_path, capsys):

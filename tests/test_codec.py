@@ -7,6 +7,7 @@ file whenever the rank is full. Round-trip, determinism, and the symbolic
 back-substitution regression are pinned separately.
 """
 
+import copy
 import time
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from batchcast import codec, gf
-from conftest import source_packets
+from conftest import recoded_packet, source_packets
 
 
 def make_file(rng, file_packets: int, payload_len: int) -> np.ndarray:
@@ -239,7 +240,7 @@ def test_absorb_filters_duplicates_and_caps_rank():
         st.absorb(p)
     assert st.rank == 4
     # rank is full; nothing further can be innovative
-    mixed = codec.recode(st, rng)
+    mixed = recoded_packet(st, rng)
     assert st.absorb(mixed) is False
     assert st.rank == 4
 
@@ -324,7 +325,7 @@ def test_absorb_is_exact_rank_growth(case):
         elif kind == "multiple":
             coeff = gf.mul(factor, state.received_coeffs[slot % state.rank])
         elif kind == "recode":
-            coeff = codec.recode(state, rng).coeff
+            coeff = codec.recode(state, rng)[:m]
         else:
             coeff = rng.integers(0, 256, m, dtype=np.uint8)
         payload = rng.integers(0, 256, 2, dtype=np.uint8)
@@ -392,7 +393,7 @@ def test_group_reduction_equals_one_absorb_per_receiver(case):
         elif kind == "repeat" and sent:
             coeff = sent[int(rng.integers(len(sent)))]
         elif kind == "recode" and holders:
-            coeff = codec.recode(holders[int(rng.integers(len(holders)))], rng).coeff
+            coeff = codec.recode(holders[int(rng.integers(len(holders)))], rng)[:m]
         elif kind == "one-hot":
             coeff = eye[int(rng.integers(m))] * np.uint8(rng.integers(1, 256))
         else:
@@ -408,9 +409,10 @@ def test_group_reduction_equals_one_absorb_per_receiver(case):
                 assert not rows[i][: pivots[i]].any() and rows[i][pivots[i]]
             if not delivered[i]:
                 continue
-            assert st.insert(pivots[i], rows[i], coeff, payload) is rises
+            full = np.concatenate([coeff, payload])
+            assert st.insert(pivots[i], rows[i], full) is rises
             if rises:
-                arrived[i].append(np.concatenate([coeff, payload]))
+                arrived[i].append(full)
             assert alone[i].absorb(codec.Packet(1, coeff, payload)) is rises
     for st, ref, rows in zip(shared, alone, arrived):
         assert st.rank == ref.rank == len(rows) == gf.rank(st.received_coeffs)
@@ -433,7 +435,7 @@ def test_recode_stays_in_row_space():
     base_rank = gf.rank(st.received_coeffs)
     for _ in range(50):
         mixed = codec.recode(st, rng)
-        stacked = np.vstack([st.received_coeffs, mixed.coeff[None, :]])
+        stacked = np.vstack([st.received_coeffs, mixed[None, :8]])
         assert gf.rank(stacked) == base_rank
 
 
@@ -449,9 +451,9 @@ def test_recode_applies_one_mix_to_coefficients_and_payloads():
         mix = np.zeros(st.rank, dtype=np.uint8)
         while not mix.any():
             mix = ref.integers(0, 256, size=st.rank, dtype=np.uint8)
-        assert np.array_equal(mixed.coeff, gf.matmul(mix[None, :], st.received_coeffs)[0])
+        assert np.array_equal(mixed[:8], gf.matmul(mix[None, :], st.received_coeffs)[0])
         assert np.array_equal(
-            mixed.payload, gf.matmul(mix[None, :], st.received_payloads)[0]
+            mixed[8:], gf.matmul(mix[None, :], st.received_payloads)[0]
         )
 
 
@@ -463,7 +465,7 @@ def test_recode_single_row_is_scalar_multiple():
     pkts = source_packets(1, payloads)
     st = codec.BatchState(1, 4, 4)
     st.absorb(pkts[2])
-    mixed = codec.recode(st, rng)
+    mixed = recoded_packet(st, rng)
     nz = np.nonzero(pkts[2].coeff)[0][0]
     factor = int(mixed.coeff[nz])
     assert factor != 0
@@ -475,6 +477,63 @@ def test_recode_empty_buffer_raises():
     st = codec.BatchState(1, 4, 4)
     with pytest.raises(ValueError):
         codec.recode(st, np.random.default_rng(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hst.integers(1, 16), hst.integers(0, 8), hst.integers(0, 2**32 - 1))
+def test_recode_row_is_the_product_of_the_same_draws(m, payload_len, seed):
+    """At every rank, recode's row is mix . raw[:rank] for the mix a cloned
+    generator draws, and it leaves the generator where the clone ends."""
+    rng = np.random.default_rng(seed)
+    st = codec.BatchState(1, m, payload_len)
+    # recode reads only rank and the raw rows, dependent or not
+    st.raw[:] = rng.integers(0, 256, st.raw.shape, dtype=np.uint8)
+    for rank in range(1, m + 1):
+        st.rank = rank
+        clone = copy.deepcopy(rng)
+        row = codec.recode(st, rng)
+        mix = np.zeros(rank, dtype=np.uint8)
+        while not mix.any():
+            mix = clone.integers(0, 256, size=rank, dtype=np.uint8)
+        assert row.shape == (m + payload_len,) and row.dtype == np.uint8
+        assert np.array_equal(row, gf.matmul(mix[None, :], st.raw[:rank])[0])
+        assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def test_recode_redraws_an_all_zero_mix():
+    # a seed whose first one-element mix is 0: recode must draw again
+    seed = next(
+        s for s in range(10_000)
+        if not np.random.default_rng(s).integers(0, 256, size=1, dtype=np.uint8)[0]
+    )
+    st = codec.BatchState(1, 3, 2)
+    st.raw[0] = [1, 0, 0, 7, 9]
+    st.rank = 1
+    rng, clone = np.random.default_rng(seed), np.random.default_rng(seed)
+    row = codec.recode(st, rng)
+    assert clone.integers(0, 256, size=1, dtype=np.uint8)[0] == 0
+    factor = clone.integers(0, 256, size=1, dtype=np.uint8)[0]
+    assert factor and np.array_equal(row, gf.mul(factor, st.raw[0]))
+    assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def test_insert_keeps_the_full_row():
+    rng = np.random.default_rng(27)
+    st = codec.BatchState(1, 6, 5)
+    for _ in range(9):
+        full = rng.integers(0, 256, 11, dtype=np.uint8)
+        if rng.random() < 0.3 and st.rank:
+            full = codec.recode(st, rng)
+        before = st.rank
+        pivots, rows = codec.reduce_packet(full[:6], st.ops[None])
+        rises = st.insert(pivots[0], rows[0], full)
+        assert st.rank == before + rises
+        if rises:
+            assert np.array_equal(st.raw[before], full)
+            assert np.array_equal(st.received_coeffs[-1], full[:6])
+            assert np.array_equal(st.received_payloads[-1], full[6:])
+        assert not st.raw[st.rank :].any()
+    assert st.rank == 6
 
 
 # ------------------------------------------------- symbolic back-substitution
@@ -555,7 +614,7 @@ def random_instance(seed):
         deliveries = int(rng.integers(0, batch_size + 3))
         for _ in range(deliveries):
             if sender.rank and rng.random() < 0.7:
-                st.absorb(codec.recode(sender, rng))
+                st.absorb(recoded_packet(sender, rng))
             else:
                 st.absorb(batch_packets[bid][int(rng.integers(batch_size))])
         states[bid] = st

@@ -80,6 +80,26 @@ def test_report_digest(name):
     assert _digest(_report_text(REPORTS[name]())) == REPORT_DIGESTS[name]
 
 
+# FAST at n=20 and seed 3: the group holds 138 of 300 packets after phase 1,
+# so phase 2 stalls once every user holds all of them (slot 232)
+STALL_DIGEST = "4c698757c8a01b1eed78568c2323491334c4124e148504c62ba6a981dcbf0c10"
+
+
+def test_stall_digest(monkeypatch):
+    """The stall message and the trace up to the stall slot stay pinned."""
+    seen = {}
+    run_phase2 = sim.run_phase2
+
+    def keep_trace(*args, **kwargs):
+        seen["trace"] = kwargs["trace"]
+        return run_phase2(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "run_phase2", keep_trace)
+    with pytest.raises(sim.SimulationStallError) as err:
+        sim.run_session(FAST, 3, num_batches=20, with_trace=True)
+    assert _digest(str(err.value) + "\n" + repr(seen["trace"])) == STALL_DIGEST
+
+
 NETWORK = [
     arg
     for setting in (

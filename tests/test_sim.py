@@ -1,7 +1,11 @@
 """Tests for the two-phase broadcast simulator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.stats import binom
 
 from batchcast import sim
@@ -61,6 +65,36 @@ def test_phase1_mask_equals_per_packet_draws(k, loss_common):
     ref = _per_packet_mask(n, k, params, np.random.default_rng(k))
     assert np.array_equal(bulk, ref)
     assert sim.phase1_deliveries(0, k, params, np.random.default_rng(k)).shape == (0, k)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 9])
+def test_block_draws_equal_per_transmission_draws(k):
+    """Phase 2 reads its delivery doubles in blocks whose size is a multiple
+    of k: consecutive k-wide slices of the blocks are the doubles that one
+    rng.random(k) call per transmission would read."""
+    one_by_one = sim._substream(31, sim._PHASE2_TAG)
+    blocks = sim._substream(31, sim._PHASE2_TAG)
+    drawn = np.concatenate([blocks.random(17 * k), blocks.random(23 * k)])
+    for i in range(40):
+        assert np.array_equal(one_by_one.random(k), drawn[i * k : (i + 1) * k])
+    assert one_by_one.random() == blocks.random()
+
+
+@pytest.mark.parametrize("k", [3, 5])
+def test_phase2_deliveries_match_per_transmission_draws(k):
+    """Past the first block boundary, every traced delivery is the draw of
+    one rng.random(k) call per transmission, with the sender left out."""
+    params = NetworkParams(k, 0.05, 0.5, 0.3, 8, 300)
+    budget = sim._DRAW_BLOCK // k + 40
+    rep = sim.run_session(
+        params, 13, num_batches=16, observe=[], with_trace=True, phase2_budget=budget
+    )
+    assert len(rep.trace) == budget
+    ref = sim._substream(13, sim._PHASE2_TAG)
+    for row in rep.trace:
+        want = ref.random(k) >= params.loss_peer
+        want[row[1]] = False
+        assert list(row[3 : 3 + k]) == want.astype(int).tolist()
 
 
 def test_phase1_matches_per_packet_absorb():
@@ -345,6 +379,68 @@ def test_determinism_bit_identical():
     )
 
 
+@hst.composite
+def small_sessions(draw):
+    k = draw(hst.integers(2, 6))
+    m = draw(hst.integers(2, 8))
+    f = draw(hst.integers(1, 60))
+    loss_source = draw(hst.floats(0.0, 0.7))
+    params = NetworkParams(
+        num_users=k,
+        loss_common=draw(hst.floats(0.0, 0.3)),
+        loss_source=loss_source,
+        loss_peer=draw(hst.floats(0.0, loss_source)),
+        batch_size=m,
+        file_packets=f,
+    )
+    fewest = -(-f // m)
+    return (
+        params,
+        draw(hst.integers(fewest, 3 * fewest + 1)),
+        draw(hst.integers(0, 2**16)),
+        draw(hst.sampled_from(["round_robin", "uniform"])),
+        draw(hst.sampled_from([0, 3])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_sessions())
+def test_small_sessions_are_deterministic_and_within_their_bounds(case):
+    """Same seed, same report and trace (or the same stall); a user decodes
+    only once it holds at least F innovative packets; no batch rank ever
+    exceeds what the group received of that batch."""
+    params, n, seed, access, payload_len = case
+    phase2_ends = []
+    run_phase2 = sim.run_phase2
+
+    def keep_buffers(session, users, *args, **kwargs):
+        try:
+            return run_phase2(session, users, *args, **kwargs)
+        finally:
+            phase2_ends.append((users, args[3]))
+
+    outcomes = []
+    with mock.patch.object(sim, "run_phase2", keep_buffers):
+        for _ in range(2):
+            try:
+                rep = sim.run_session(
+                    params, seed, n, payload_len, access=access, with_trace=True
+                )
+            except sim.SimulationStallError as exc:
+                outcomes.append(("stall", str(exc)))
+                continue
+            text = repr(rep) + rep.rank_distribution.tobytes().hex()
+            outcomes.append(("report", text))
+            for slot, at_decode in zip(rep.decode_slots, rep.innovative_at_decode):
+                assert slot < 0 or at_decode >= params.file_packets
+    assert outcomes[0] == outcomes[1]
+    assert len(phase2_ends) == 2
+    for users, group_distinct in phase2_ends:
+        assert group_distinct.max(initial=0) <= params.batch_size
+        for u in users:
+            assert (u.batch_ranks(n) <= group_distinct).all()
+
+
 def test_observe_subset_matches_full_run():
     full = sim.run_session(FAST, 7, num_batches=64)
     one = sim.run_session(FAST, 7, num_batches=64, observe=[0])
@@ -494,7 +590,7 @@ def test_single_phase_worsens_with_loss():
     assert b > a * 1.5
 
 
-def test_single_phase_determinism_and_cap():
+def test_single_phase_determinism():
     p = NetworkParams(
         num_users=2,
         loss_common=0.0,
@@ -504,8 +600,6 @@ def test_single_phase_determinism_and_cap():
         file_packets=300,
     )
     assert sim.run_single_phase(p, 4) == sim.run_single_phase(p, 4)
-    with pytest.raises(sim.SimulationStallError):
-        sim.run_single_phase(p, 4, cap=10)
 
 
 # --------------------------------------------------------- robustness
