@@ -12,13 +12,16 @@ rank, and otherwise reports exactly how many packets remain undetermined.
 
 Structure comes first, numbers second. Resolving a packet only updates the
 unresolved counts of the batches that contain it; when a batch fires (or
-drains into the symbolic system) it pulls its right-hand side once, as one
+drains into the symbolic system) it pulls its right-hand side once: the
 product of its rows' coefficients on its resolved contributors with those
-contributors' [payload | symbolic] expressions. Firing row-reduces only the
-batch's coefficient block on its unresolved contributors (at most M x 2M,
-with an identity block recording the row transform) and applies that
-transform to the pulled rows in one product. Symbolic constraints keep the
-same [payload | symbolic] row layout.
+contributors' [payload | symbolic] expressions. A packet's expression is
+only as wide as the symbolic unknowns that existed when it resolved, so a
+pull multiplies its contributors in a few bands of similar width, each at
+the band's widest. Firing row-reduces only the batch's coefficient block on
+its unresolved contributors (at most M x 2M, with an identity block
+recording the row transform) and applies that transform to the pulled rows
+in one product. Symbolic constraints keep the same [payload | symbolic] row
+layout.
 
 Descriptors never travel. Each batch's degree, contributor set, and generator
 are redrawn from a deterministic stream seeded by (session seed, batch id),
@@ -535,6 +538,12 @@ class _DecoderBatch:
         self.c_rows = self.payloads = np.zeros((0, 0), dtype=np.uint8)
 
 
+# a pull over at least _BAND_MIN contributors multiplies them in _BANDS
+# width bands
+_BAND_MIN = 256
+_BANDS = 8
+
+
 class IncrementalDecoder:
     """Joint decoder fed one innovative reception at a time.
 
@@ -584,8 +593,10 @@ class IncrementalDecoder:
         self.resolved = np.zeros(file_packets, dtype=bool)
         self.resolved_count = 0
         # row p expresses resolved packet p as [base | tails]: its payload is
-        # base ^ tails . Z; written once, when p resolves
+        # base ^ tails . Z; written once, when p resolves, and zero past
+        # column payload_len + width[p], the num_z of that moment
         self.expr = np.zeros((file_packets, payload_len), dtype=np.uint8)
+        self.width = np.zeros(file_packets, dtype=np.int64)
         self.num_z = 0
         self.zsys = _ZSystem(payload_len)
         # how many data-bearing pending batches contain each packet
@@ -608,10 +619,21 @@ class IncrementalDecoder:
         """[payload | Z coefficients] of rows once resolved pkts are known.
 
         c_rows holds the rows' coefficients on pkts, payloads their received
-        payloads.
+        payloads. Each contributor is multiplied only as wide as it resolved:
+        a pull over _BAND_MIN or more contributors sorts them by width and
+        multiplies _BANDS equal-count bands, each at its widest member's
+        width; a smaller pull is one band.
         """
-        rhs = gf.matmul(c_rows, self.expr[pkts, : self.payload_len + self.num_z])
-        rhs[:, : self.payload_len] ^= payloads
+        lp = self.payload_len
+        rhs = np.zeros((c_rows.shape[0], lp + self.num_z), dtype=np.uint8)
+        rhs[:, :lp] = payloads
+        widths = self.width[pkts]
+        bands = [slice(None)]
+        if pkts.size >= _BAND_MIN:
+            bands = np.array_split(np.argsort(widths), _BANDS)
+        for sel in bands:
+            end = lp + int(widths[sel].max(initial=0))
+            rhs[:, :end] ^= gf.matmul(c_rows[:, sel], self.expr[pkts[sel], :end])
         return rhs
 
     def _to_zsys(self, rhs: np.ndarray) -> None:
@@ -653,7 +675,14 @@ class IncrementalDecoder:
                 self.add_row(state.batch_id, state.coeffs[i], state.payloads[i])
             return
         lo, hi = b.rows, b.rows + state.rank
-        b.c_rows[lo:hi] = gf.matmul(state.received_coeffs, b.gen_t)
+        coeffs = state.received_coeffs
+        # a unit row e_j (every source packet, so all of phase 1) maps to
+        # row j of gen_t; only the other rows need the product
+        unit = coeffs.sum(axis=1) == 1
+        c_rows = b.c_rows[lo:hi]
+        c_rows[unit] = b.gen_t[coeffs[unit].argmax(axis=1)]
+        if not unit.all():
+            c_rows[~unit] = gf.matmul(coeffs[~unit], b.gen_t)
         if self.payload_len:
             b.payloads[lo:hi] = state.received_payloads
         b.rows = hi
@@ -664,6 +693,7 @@ class IncrementalDecoder:
     def _assign(self, pkt: int, row: np.ndarray) -> None:
         """Resolve pkt as row = [base | tails] over the current unknowns."""
         self.expr[pkt, : row.size] = row
+        self.width[pkt] = self.num_z
         self.resolved[pkt] = True
         self.resolved_count += 1
         self._subst_queue.append(pkt)
@@ -758,9 +788,10 @@ class IncrementalDecoder:
 
     def _pick_inactivation(self) -> Optional[int]:
         # prefer the packet that unblocks the most batches sitting one or two
-        # resolutions short of solvable; freeing one tends to chain
+        # resolutions short of solvable, weighting one short twice; freeing
+        # one tends to chain. Ties go to the lowest packet id.
         if self._near:
-            counts: Dict[int, int] = {}
+            pkts = []
             stale = []
             for bid in self._near:
                 b = self.batches[bid]
@@ -768,14 +799,13 @@ class IncrementalDecoder:
                 if b.fired or b.drained or not b.rows or gap < 1 or gap > 2:
                     stale.append(bid)
                     continue
-                w = 2 if gap == 1 else 1
-                for col in np.nonzero(b.unres)[0]:
-                    pkt = int(b.contribs[col])
-                    counts[pkt] = counts.get(pkt, 0) + w
+                unres = b.contribs[b.unres]
+                pkts.append(unres)
+                if gap == 1:
+                    pkts.append(unres)
             self._near.difference_update(stale)
-            if counts:
-                best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-                return best[0]
+            if pkts:
+                return int(np.bincount(np.concatenate(pkts)).argmax())
         masked = np.where(self.resolved, -1, self.stall_counts)
         pkt = int(np.argmax(masked))
         if masked[pkt] <= 0:

@@ -859,3 +859,293 @@ def test_decode_runtime_scales_gently():
     small = min(timed(600, 60, s) for s in (41, 42))
     big = min(timed(1800, 180, s) for s in (43, 44))
     assert big <= 8 * small + 0.25
+
+
+# ------------------------------------------------- decoder work at its width
+
+
+def pinned_instance():
+    """The 600-packet instance of test_decode_inactivation_count_is_pinned."""
+    rng = np.random.default_rng(41)
+    file = make_file(rng, 600, 4)
+    dist = codec.design_distribution(600, 60, 16)
+    descriptors, batch_packets = build_session(file, dist, 60, 16, 41)
+    states = {}
+    for bid, pkts in batch_packets.items():
+        st = codec.BatchState(bid, 16, 4)
+        for p in pkts:
+            if rng.random() < 0.8:
+                st.absorb(p)
+        states[bid] = st
+    return file, descriptors, states
+
+
+def full_width_pull(dec, c_rows, payloads, pkts):
+    """A pull multiplied at the decoder's current full width."""
+    lp = dec.payload_len
+    rhs = gf.matmul(c_rows, dec.expr[pkts, : lp + dec.num_z])
+    rhs[:, :lp] ^= payloads
+    return rhs
+
+
+def assert_expr_within_widths(dec):
+    """Resolved rows are zero past their recorded width, the rest all zero."""
+    cols = np.arange(dec.expr.shape[1])
+    beyond = cols[None, :] >= dec.payload_len + dec.width[:, None]
+    assert not (dec.expr * beyond).any()
+    assert not dec.expr[~dec.resolved].any()
+    assert dec.width.max(initial=0) <= dec.num_z
+
+
+def assert_random_pulls_match(dec, rng, tries=4):
+    """_pull equals the full-width product for random rows on resolved pkts."""
+    resolved = np.flatnonzero(dec.resolved)
+    for _ in range(tries):
+        pkts = rng.permutation(resolved)[: int(rng.integers(0, resolved.size + 1))]
+        rows = int(rng.integers(1, 17))
+        c_rows = rng.integers(0, 256, (rows, pkts.size), dtype=np.uint8)
+        payloads = rng.integers(0, 256, (rows, dec.payload_len), dtype=np.uint8)
+        assert np.array_equal(
+            dec._pull(c_rows, payloads, pkts),
+            full_width_pull(dec, c_rows, payloads, pkts),
+        )
+
+
+def checked_pulls(dec):
+    """Make every pull of dec also check itself against the full width."""
+    calls = []
+    pull = dec._pull
+
+    def checked(c_rows, payloads, pkts):
+        rhs = pull(c_rows, payloads, pkts)
+        assert np.array_equal(rhs, full_width_pull(dec, c_rows, payloads, pkts))
+        calls.append(pkts.size)
+        return rhs
+
+    dec._pull = checked
+    return calls
+
+
+def test_pulls_equal_the_full_width_product_mid_decode():
+    """Stopped between attempts, with symbolic unknowns in play, a pull over
+    any resolved packets equals the product at the full current width, and
+    every pull the decoder makes on its own does too."""
+    rng = np.random.default_rng(5)
+    symbolic = 0
+    for seed in range(40):
+        file, descriptors, states = random_instance(seed + 3000)
+        dec = codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
+        checked_pulls(dec)
+        items = list(states.items())
+        for part in (items[::2], items[1::2]):
+            for bid, st in part:
+                dec.load_state(st)
+            dec.attempt()
+            symbolic += dec.num_z > 0
+            assert_expr_within_widths(dec)
+            assert_random_pulls_match(dec, rng)
+    assert symbolic >= 20
+
+
+def test_large_pulls_take_the_banded_path():
+    """The pinned instance drains full-mix batches of degree 600 through
+    width bands; the decode and pulls over every packet stay exact."""
+    file, descriptors, states = pinned_instance()
+    dec = codec.IncrementalDecoder(600, 4, descriptors)
+    calls = checked_pulls(dec)
+    for st in states.values():
+        dec.load_state(st)
+    assert dec.attempt()
+    assert np.array_equal(dec.extract(), file)
+    assert max(calls) >= codec._BAND_MIN
+    assert_expr_within_widths(dec)
+    assert len(set(dec.width.tolist())) > codec._BANDS
+    rng = np.random.default_rng(6)
+    c_rows = rng.integers(0, 256, (16, 600), dtype=np.uint8)
+    payloads = rng.integers(0, 256, (16, 4), dtype=np.uint8)
+    pkts = rng.permutation(600)
+    assert np.array_equal(
+        dec._pull(c_rows, payloads, pkts),
+        full_width_pull(dec, c_rows, payloads, pkts),
+    )
+
+
+def mixed_states(seed, kind):
+    """A session whose buffers hold rows of one kind, or of every kind.
+
+    kind is "unit" (source packets e_j), "scaled" (c . e_j with c != 1),
+    "recoded" (random combinations) or "mixed" (any of the three per row).
+    Each batch gets one try per slot j, delivered with probability 0.75.
+    """
+    rng = np.random.default_rng(seed)
+    file_packets, batch_size, payload_len = 48, 8, 3
+    num_batches = int(rng.integers(7, 12))
+    file = make_file(rng, file_packets, payload_len)
+    dist = codec.design_distribution(file_packets, num_batches, batch_size)
+    descriptors, batch_packets = build_session(
+        file, dist, num_batches, batch_size, seed
+    )
+    kinds = ("unit", "scaled", "recoded") if kind == "mixed" else (kind,)
+    states = {}
+    for bid, packets in batch_packets.items():
+        sender = codec.BatchState(bid, batch_size, payload_len)
+        for p in packets:
+            sender.absorb(p)
+        st = codec.BatchState(bid, batch_size, payload_len)
+        for p in packets:
+            if rng.random() >= 0.75:
+                continue
+            pick = kinds[int(rng.integers(len(kinds)))]
+            if pick == "recoded":
+                p = recoded_packet(sender, rng)
+            elif pick == "scaled":
+                c = int(rng.integers(2, 256))
+                p = codec.Packet(bid, gf.mul(c, p.coeff), gf.mul(c, p.payload))
+            st.absorb(p)
+        states[bid] = st
+    return file, descriptors, states
+
+
+@pytest.mark.parametrize("kind", ["unit", "scaled", "recoded", "mixed"])
+def test_load_state_rows_equal_the_general_product(kind):
+    """Unit rows load as generator rows; every kind of row, alone or mixed,
+    loads as the product of its coefficients with the generator, and the
+    decode matches dense elimination."""
+    outcomes = set()
+    for seed in range(12):
+        file, descriptors, states = mixed_states(seed + 50, kind)
+        dec = codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
+        for bid, st in states.items():
+            dec.load_state(st)
+            b = dec.batches[bid]
+            assert b.rows == st.rank
+            assert np.array_equal(
+                b.c_rows[: st.rank],
+                gf.matmul(st.received_coeffs, descriptors[bid].generator.T),
+            )
+            assert np.array_equal(b.payloads[: st.rank], st.received_payloads)
+        rank = global_rank(states, descriptors, file.shape[0])
+        result = codec.decode(states, descriptors, file.shape[0])
+        assert result.unresolved == file.shape[0] - rank, "seed %d" % seed
+        assert result.success == (rank == file.shape[0])
+        if result.success:
+            assert np.array_equal(result.payloads, file)
+        outcomes.add(result.success)
+    assert outcomes == {True, False}
+
+
+def reference_pick(dec):
+    """The inactivation rule as a per-contributor dict, without side effects."""
+    counts = {}
+    for bid in dec._near:
+        b = dec.batches[bid]
+        gap = b.u - b.rows
+        if b.fired or b.drained or not b.rows or gap < 1 or gap > 2:
+            continue
+        w = 2 if gap == 1 else 1
+        for col in np.nonzero(b.unres)[0]:
+            pkt = int(b.contribs[col])
+            counts[pkt] = counts.get(pkt, 0) + w
+    if counts:
+        return max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+    masked = np.where(dec.resolved, -1, dec.stall_counts)
+    pkt = int(np.argmax(masked))
+    return None if masked[pkt] <= 0 else pkt
+
+
+def checked_picks(dec):
+    picks = []
+    pick = dec._pick_inactivation
+
+    def checked():
+        expect = reference_pick(dec)
+        got = pick()
+        assert got == expect
+        picks.append(got)
+        return got
+
+    dec._pick_inactivation = checked
+    return picks
+
+
+def test_inactivation_pick_equals_the_dict_rule():
+    """Every pick, in every attempt of incremental and one-shot decodes,
+    equals the reference rule's pick."""
+    total = 0
+    for seed in range(30):
+        file, descriptors, states = random_instance(seed + 4000)
+        dec = codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
+        picks = checked_picks(dec)
+        for bid, st in states.items():
+            dec.load_state(st)
+            dec.attempt()
+        total += len(picks)
+    file, descriptors, states = pinned_instance()
+    dec = codec.IncrementalDecoder(600, 4, descriptors)
+    picks = checked_picks(dec)
+    for st in states.values():
+        dec.load_state(st)
+    assert dec.attempt()
+    assert sum(p is not None for p in picks) == dec.inactivated == 21
+    assert total + len(picks) >= 100
+
+
+def test_inactivation_pick_breaks_ties_to_the_lowest_packet():
+    """Packets 4 and 1 tie at weight 3; 4 is met first, 1 must win.
+
+    Batch 1 on {4, 1} holds one row (one short: weight 2 each); batches 2
+    on {4, 3, 0} and 3 on {1, 3, 5} hold one row each (two short: weight 1
+    each), so 4 and 1 reach 3 and packet 3 reaches 2.
+    """
+    contribs = {1: [4, 1], 2: [4, 3, 0], 3: [1, 3, 5]}
+    rng = np.random.default_rng(9)
+    descriptors = {
+        bid: codec.BatchDescriptor(
+            batch_id=bid,
+            degree=len(ids),
+            contributor_ids=np.array(ids) + 1,
+            generator=rng.integers(1, 256, (len(ids), 2), dtype=np.uint8),
+        )
+        for bid, ids in contribs.items()
+    }
+    dec = codec.IncrementalDecoder(6, 0, descriptors)
+    for bid in contribs:
+        dec.add_row(bid, np.array([1, 0], dtype=np.uint8))
+    assert dec._near == {1, 2, 3}
+    assert reference_pick(dec) == 1
+    assert dec._pick_inactivation() == 1
+
+
+def test_decode_multiplication_count_is_pinned(monkeypatch):
+    """Field multiplications of one decode, summed over gf.matmul calls.
+
+    Pulls at resolution width and unit-row loads must keep the pinned
+    decode well under the count it takes at full width; a change that
+    widens pulls again moves this count.
+    """
+    file, descriptors, states = pinned_instance()
+    count = {"mults": 0, "full": 0}
+    matmul = gf.matmul
+
+    def counted(a, b):
+        count["mults"] += a.shape[0] * a.shape[1] * b.shape[1]
+        return matmul(a, b)
+
+    pull = codec.IncrementalDecoder._pull
+
+    def full_width_count(dec, c_rows, payloads, pkts):
+        before = count["mults"]
+        rhs = pull(dec, c_rows, payloads, pkts)
+        count["full"] += c_rows.shape[0] * pkts.size * rhs.shape[1]
+        count["full"] -= count["mults"] - before
+        return rhs
+
+    monkeypatch.setattr(gf, "matmul", counted)
+    monkeypatch.setattr(codec.IncrementalDecoder, "_pull", full_width_count)
+    result = codec.decode(states, descriptors, 600)
+    assert result.success and np.array_equal(result.payloads, file)
+    # the general product every source row took before unit-row loads
+    loaded = sum(st.rank * 16 * descriptors[bid].degree for bid, st in states.items())
+    full = count["mults"] + count["full"] + loaded
+    assert count["mults"] == 1_581_708
+    assert count["mults"] < full == 4_816_323
