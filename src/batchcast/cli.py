@@ -197,7 +197,7 @@ def _write_csv(cfg: ExperimentConfig, name: str, body: str) -> str:
 
 
 def _seeds(cfg: ExperimentConfig) -> List[int]:
-    return sorted(range(cfg.seed, cfg.seed + cfg.runs))
+    return list(range(cfg.seed, cfg.seed + cfg.runs))
 
 
 def _load_dist(cfg: ExperimentConfig) -> Optional[codec.DegreeDistribution]:
@@ -237,7 +237,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         "decode_tx_max,innovative_at_decode_mean,redundant_total"
     )
     lines = [header]
-    ok_reports = []
+    # per ok seed: its six values, in header order, and its rank distribution
+    values = []
+    ranks = []
     for seed in _seeds(cfg):
         try:
             rep = sim.run_session(
@@ -250,11 +252,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         except sim.SimulationStallError:
             lines.append("%d,stalled,,,,,," % seed)
             continue
-        ok_reports.append(rep)
-        lines.append(
-            "%d,ok,%d,%d,%d,%d,%.2f,%d"
-            % (
-                seed,
+        values.append(
+            (
                 rep.phase1_tx,
                 rep.phase2_tx,
                 rep.total_tx,
@@ -263,18 +262,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 rep.redundant_total,
             )
         )
+        ranks.append(rep.rank_distribution)
+        lines.append("%d,ok,%d,%d,%d,%d,%.2f,%d" % ((seed,) + values[-1]))
         if cfg.write_trace:
             _write_csv(cfg, "trace_%d.csv" % seed, sim.trace_to_csv(rep))
-    if ok_reports:
-        columns = [
-            [float(r.phase1_tx) for r in ok_reports],
-            [float(r.phase2_tx) for r in ok_reports],
-            [float(r.total_tx) for r in ok_reports],
-            [float(max(r.decode_slots)) for r in ok_reports],
-            [float(np.mean(r.innovative_at_decode)) for r in ok_reports],
-            [float(r.redundant_total) for r in ok_reports],
-        ]
-        stats = [_mean_sd(col) for col in columns]
+    stats = [_mean_sd([v[i] for v in values]) for i in range(6)]
+    if values:
         for idx, label in ((0, "mean"), (1, "sd")):
             lines.append(
                 "%s,ok,%s" % (label, ",".join("%.2f" % s[idx] for s in stats))
@@ -282,8 +275,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     path = _write_csv(cfg, "simulate.csv", "\n".join(lines) + "\n")
 
     rank_lines = ["rank,empirical,exact_model,normal_approx"]
-    if ok_reports:
-        empirical = np.mean([r.rank_distribution for r in ok_reports], axis=0)
+    if ranks:
+        empirical = np.mean(ranks, axis=0)
         t_est = stopping_time(n, params)
         exact = rank_distribution(n, t_est, params)
         approx = rank_distribution(n, t_est, params, approximate=True)
@@ -293,11 +286,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             )
     rank_path = _write_csv(cfg, "rank_distribution.csv", "\n".join(rank_lines) + "\n")
 
-    totals = [r.total_tx for r in ok_reports]
-    mean_total, sd_total = _mean_sd(totals)
+    mean_total, sd_total = stats[2]
     print(
         "simulate: n=%d runs=%d ok=%d mean_total=%.1f sd_total=%.1f"
-        % (n, cfg.runs, len(ok_reports), mean_total, sd_total)
+        % (n, cfg.runs, len(values), mean_total, sd_total)
     )
     print("wrote %s" % path)
     print("wrote %s" % rank_path)

@@ -10,14 +10,17 @@ symbolic system by elimination at the end. That fallback makes the decoder
 exact: it recovers the file precisely when the stacked linear system has full
 rank, and otherwise reports exactly how many packets remain undetermined.
 
-Structure comes first, numbers second. Resolving a packet only updates the
-unresolved counts of the batches that contain it; when a batch fires (or
-drains into the symbolic system) it pulls its right-hand side once: the
-product of its rows' coefficients on its resolved contributors with those
-contributors' [payload | symbolic] expressions. A packet's expression is
-only as wide as the symbolic unknowns that existed when it resolved, so a
-pull multiplies its contributors in a few bands of similar width, each at
-the band's widest. Firing row-reduces only the batch's coefficient block on
+Structure comes first, numbers second. A batch keeps its receptions as
+received, [coeff | payload] rows over its M-wide coefficient space, and
+expands their coefficients over its contributors (coeff . G^T) only when it
+fires or drains, or when rows arrive after it did. Resolving a packet only
+updates the unresolved counts of the batches that contain it; when a batch
+fires (or drains into the symbolic system) it pulls its right-hand side
+once: the product of its rows' coefficients on its resolved contributors
+with those contributors' [payload | symbolic] expressions. A packet's
+expression is only as wide as the symbolic unknowns that existed when it
+resolved, so a pull multiplies its contributors in a few bands of similar
+width, each at the band's widest. Firing row-reduces only the batch's coefficient block on
 its unresolved contributors (at most M x 2M, with an identity block
 recording the row transform) and applies that transform to the pulled rows
 in one product. Symbolic constraints keep the same [payload | symbolic] row
@@ -124,10 +127,7 @@ class DegreeDistribution:
 
 
 def design_distribution(
-    file_packets: int,
-    batches: int,
-    batch_size: int,
-    expected_rank: Optional[float] = None,
+    file_packets: int, batches: int, batch_size: int
 ) -> DegreeDistribution:
     """Degree law sized for a planned transmission.
 
@@ -135,16 +135,13 @@ def design_distribution(
     release points across the whole peeling timeline: a degree-d batch
     becomes solvable once its unresolved count falls to its received rank,
     so the ramp is anchored just above the rank a batch is expected to hold
-    at decode time (the natural spread of realized ranks lets the lowest
-    ramp degrees start the cascade) and decays slowly enough that batches
-    keep releasing until the very end. On top of that, a sliver of full-mix
-    batches (degree F) guarantees every packet is covered by received
-    equations, which is what keeps the reception overhead needed for full
-    rank near zero; sized so that even rare plans draw several.
-
-    expected_rank should be the mean per-batch rank anticipated at the
-    moment decoding starts. When omitted it is inferred from the plan,
-    assuming decoding triggers right above file_packets worth of rank.
+    when decoding starts, right above F worth of rank: 1.01 F / n (the
+    natural spread of realized ranks lets the lowest ramp degrees start the
+    cascade). It decays slowly enough that batches keep releasing until the
+    very end. On top of that, a sliver of full-mix batches (degree F)
+    guarantees every packet is covered by received equations, which is what
+    keeps the reception overhead needed for full rank near zero; sized so
+    that even rare plans draw several.
     """
     f, n, m = file_packets, batches, batch_size
     if f < 1 or n < 1 or m < 1:
@@ -153,9 +150,7 @@ def design_distribution(
         psi = np.zeros(f)
         psi[f - 1] = 1.0
         return DegreeDistribution(psi)
-    if expected_rank is None:
-        expected_rank = 1.01 * f / n
-    r = min(max(float(expected_rank), 2.0), float(m))
+    r = min(max(1.01 * f / n, 2.0), float(m))
     d_lo = min(max(4, int(math.ceil(r)) + 2), m, f)
     w_cov = min(0.25, 12.0 / n)
     degrees = np.arange(d_lo, f + 1, dtype=float)
@@ -500,42 +495,34 @@ class _ZSystem:
 
 
 class _DecoderBatch:
-    __slots__ = (
-        "contribs",
-        "gen_t",
-        "c_rows",
-        "payloads",
-        "rows",
-        "unres",
-        "u",
-        "fired",
-        "drained",
-        "queued",
-    )
+    """One batch in the decoder; it is finished exactly when u == 0."""
 
-    def __init__(
-        self,
-        desc: BatchDescriptor,
-        batch_size: int,
-        payload_len: int,
-        unres: np.ndarray,
-    ):
+    __slots__ = ("contribs", "gen_t", "raw", "rows", "unres", "u", "queued")
+
+    def __init__(self, desc: BatchDescriptor, payload_len: int, unres: np.ndarray):
         self.contribs = desc.contributor_ids.astype(np.int64) - 1
         self.gen_t = np.ascontiguousarray(desc.generator.T)
-        # received rows as they arrived: coefficients over the contributors
-        # and the raw payloads
-        self.c_rows = np.zeros((batch_size, desc.degree), dtype=np.uint8)
-        self.payloads = np.zeros((batch_size, payload_len), dtype=np.uint8)
+        m = self.gen_t.shape[0]
+        # raw[:rows] holds the receptions, [coeff | payload], in arrival
+        # order (the layout of BatchState.raw)
+        self.raw = np.zeros((m, m + payload_len), dtype=np.uint8)
         self.rows = 0
         self.unres = unres  # view of the decoder's per-slot mask
         self.u = desc.degree
-        self.fired = False
-        self.drained = False
         self.queued = False
 
-    def retire(self) -> None:
-        """Drop the row buffers; later rows go straight to the Z system."""
-        self.c_rows = self.payloads = np.zeros((0, 0), dtype=np.uint8)
+
+def _expand(coeffs: np.ndarray, gen_t: np.ndarray) -> np.ndarray:
+    """Rows' coefficients over their batch's contributors: coeffs . gen_t.
+
+    A unit row e_j (every source packet, so all of phase 1) is row j of
+    gen_t; only the other rows need the product.
+    """
+    out = gen_t[coeffs.argmax(axis=1)]
+    unit = coeffs.sum(axis=1) == 1
+    if not unit.all():
+        out[~unit] = gf.matmul(coeffs[~unit], gen_t)
+    return out
 
 
 # a pull over at least _BAND_MIN contributors multiplies them in _BANDS
@@ -570,10 +557,7 @@ class IncrementalDecoder:
         self.batches: Dict[int, _DecoderBatch] = {}
         for i, (bid, desc) in enumerate(descriptors.items()):
             self.batches[bid] = _DecoderBatch(
-                desc,
-                desc.generator.shape[1],
-                payload_len,
-                self._unres[starts[i] : starts[i + 1]],
+                desc, payload_len, self._unres[starts[i] : starts[i + 1]]
             )
         # slot -> index into _indexed, the (batch id, batch) pairs in
         # descriptor order
@@ -640,53 +624,50 @@ class IncrementalDecoder:
         for row in rhs:
             self.zsys.add(row)
 
-    def _note_rows(self, bid: int, b: _DecoderBatch, added: int) -> None:
-        """Account for added rows just stored in pending batch b."""
-        if b.rows == added:
-            np.add.at(self.stall_counts, b.contribs[b.unres], 1)
+    def _watch(self, bid: int, b: _DecoderBatch) -> None:
+        """Queue pending batch b if it may fire, or keep it as near."""
         if b.u <= b.rows and not b.queued:
             b.queued = True
             self._fire_queue.append(bid)
-        elif b.u - b.rows <= 2:
+        elif b.rows and b.u - b.rows <= 2:
             self._near.add(bid)
+
+    def _feed(self, bid: int, coeffs: np.ndarray, payloads: np.ndarray) -> None:
+        """Take received rows [coeffs | payloads] of batch bid, in order.
+
+        A pending batch stores them as they are; a finished one expands
+        them and hands them to the Z system. Shapes are checked first, so a
+        malformed reception changes nothing.
+        """
+        b = self.batches[bid]
+        m, k = b.raw.shape[0], len(coeffs)
+        if coeffs.shape[1:] != (m,):
+            raise ValueError("coefficient rows must be %d wide" % m)
+        if payloads.shape != (k, self.payload_len):
+            raise ValueError("payload rows must be %d wide" % self.payload_len)
+        if b.u and b.rows + k > m:
+            raise ValueError("batch %d holds at most %d rows" % (bid, m))
+        if k == 0:
+            return
+        rows = np.concatenate((coeffs, payloads), axis=1)
+        if b.u == 0:
+            self._drain(b, rows)
+            return
+        lo, b.rows = b.rows, b.rows + k
+        b.raw[lo : b.rows] = rows
+        if lo == 0:
+            np.add.at(self.stall_counts, b.contribs[b.unres], 1)
+        self._watch(bid, b)
 
     def add_row(self, batch_id: int, coeff: np.ndarray, payload=None) -> None:
         """Feed one innovative reception (M-wide coefficient vector)."""
         if payload is None:
             payload = np.zeros(self.payload_len, dtype=np.uint8)
-        b = self.batches[batch_id]
-        c_row = gf.matmul(coeff[None, :], b.gen_t)
-        if b.fired or b.drained:
-            self._to_zsys(self._pull(c_row, payload, b.contribs))
-            return
-        b.c_rows[b.rows] = c_row[0]
-        if self.payload_len:
-            b.payloads[b.rows] = payload
-        b.rows += 1
-        self._note_rows(batch_id, b, 1)
+        self._feed(batch_id, coeff[None, :], np.asarray(payload)[None, :])
 
     def load_state(self, state: BatchState) -> None:
-        """Bulk-feed a receiver buffer, the fast path at end of phase 1."""
-        b = self.batches[state.batch_id]
-        if state.rank == 0:
-            return
-        if b.fired or b.drained:
-            for i in range(state.rank):
-                self.add_row(state.batch_id, state.coeffs[i], state.payloads[i])
-            return
-        lo, hi = b.rows, b.rows + state.rank
-        coeffs = state.received_coeffs
-        # a unit row e_j (every source packet, so all of phase 1) maps to
-        # row j of gen_t; only the other rows need the product
-        unit = coeffs.sum(axis=1) == 1
-        c_rows = b.c_rows[lo:hi]
-        c_rows[unit] = b.gen_t[coeffs[unit].argmax(axis=1)]
-        if not unit.all():
-            c_rows[~unit] = gf.matmul(coeffs[~unit], b.gen_t)
-        if self.payload_len:
-            b.payloads[lo:hi] = state.received_payloads
-        b.rows = hi
-        self._note_rows(state.batch_id, b, state.rank)
+        """Feed every row of a receiver buffer, in its arrival order."""
+        self._feed(state.batch_id, state.received_coeffs, state.received_payloads)
 
     # -- resolution ---------------------------------------------------------
 
@@ -705,13 +686,12 @@ class IncrementalDecoder:
         row[-1] = 1
         self._assign(pkt, row)
 
-    def _drain(self, b: _DecoderBatch) -> None:
-        """Everything this batch constrains is symbolic; hand its rows over."""
-        b.drained = True
-        self._to_zsys(
-            self._pull(b.c_rows[: b.rows], b.payloads[: b.rows], b.contribs)
-        )
-        b.retire()
+    def _drain(self, b: _DecoderBatch, rows: np.ndarray) -> None:
+        """Everything batch b constrains is known or symbolic: its received
+        rows [coeff | payload] become constraints of the Z system."""
+        m = b.raw.shape[0]
+        c_rows = _expand(rows[:, :m], b.gen_t)
+        self._to_zsys(self._pull(c_rows, rows[:, m:], b.contribs))
 
     def _flush_substitutions(self) -> None:
         """Mark queued resolutions in the pending batches that contain them.
@@ -736,16 +716,10 @@ class IncrementalDecoder:
         for i in dict.fromkeys(hit.tolist()):
             bid, b = self._indexed[i]
             b.u -= hits[i]
-            if b.u == 0:
-                if b.rows:
-                    self._drain(b)
-                else:
-                    b.drained = True
-            elif b.u <= b.rows and not b.queued:
-                b.queued = True
-                self._fire_queue.append(bid)
-            elif b.rows and b.u - b.rows <= 2:
-                self._near.add(bid)
+            if b.u:
+                self._watch(bid, b)
+            elif b.rows:
+                self._drain(b, b.raw[: b.rows])
 
     def _fire(self, bid: int) -> None:
         """Resolve a batch's unresolved contributors from its rows.
@@ -758,26 +732,24 @@ class IncrementalDecoder:
         """
         b = self.batches[bid]
         b.queued = False
-        if b.fired or b.drained or b.u == 0 or b.u > b.rows:
+        if b.u == 0 or b.u > b.rows:
             return
         active = np.flatnonzero(b.unres)
         done = np.flatnonzero(~b.unres)
-        u, rows = active.size, b.rows
-        c_rows = b.c_rows[:rows]
+        u, rows, m = active.size, b.rows, b.raw.shape[0]
+        c_rows = _expand(b.raw[:rows, :m], b.gen_t)
         rref, pivots = gf.row_reduce(
             np.concatenate([c_rows[:, active], np.eye(rows, dtype=np.uint8)], axis=1)
         )
         if pivots[u - 1] >= u:
             return
-        rhs = self._pull(c_rows[:, done], b.payloads[:rows], b.contribs[done])
+        rhs = self._pull(c_rows[:, done], b.raw[:rows, m:], b.contribs[done])
         out = gf.matmul(rref[:, u:], rhs)
         for i in range(u):
             self._assign(int(b.contribs[active[i]]), out[i])
         self._to_zsys(out[u:])
-        b.fired = True
         b.unres[:] = False
         b.u = 0
-        b.retire()
 
     def _cascade(self) -> None:
         while self._subst_queue or self._fire_queue:
@@ -796,7 +768,7 @@ class IncrementalDecoder:
             for bid in self._near:
                 b = self.batches[bid]
                 gap = b.u - b.rows
-                if b.fired or b.drained or not b.rows or gap < 1 or gap > 2:
+                if not b.rows or gap < 1 or gap > 2:
                     stale.append(bid)
                     continue
                 unres = b.contribs[b.unres]

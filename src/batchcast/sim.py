@@ -531,7 +531,6 @@ def run_robustness(
     actual_users: int,
     seed: int,
     payload_len: int = 0,
-    observe: Optional[List[int]] = None,
 ) -> SimReport:
     """Plan for the design group size, then simulate a larger group.
 
@@ -542,9 +541,7 @@ def run_robustness(
         raise ValueError("actual_users must be at least the design size")
     plan = optimize_batches(design_params)
     actual = replace(design_params, num_users=actual_users)
-    return run_session(
-        actual, seed, num_batches=plan.n_opt, payload_len=payload_len, observe=observe
-    )
+    return run_session(actual, seed, num_batches=plan.n_opt, payload_len=payload_len)
 
 
 def trace_to_csv(report: SimReport) -> str:

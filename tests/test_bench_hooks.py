@@ -1,0 +1,79 @@
+"""The benchmark's hooks still take hold of the library.
+
+bench/tracer.py replaces library functions by name, and bench/workloads.py
+wraps sim.make_users to see each session's users. A rename in the library
+stops a traced benchmark run with KeyError, or leaves the workload checks
+without users, while every library test still passes. These tests load both
+modules from bench/ as they are and check that each hook goes on and comes
+off again.
+"""
+
+import importlib.util
+import os
+
+import pytest
+
+from batchcast import sim
+from batchcast.analytics import NetworkParams
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+
+
+def bench_module(name):
+    """bench/<name>.py, loaded under a private module name."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_" + name, os.path.join(BENCH, name + ".py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return bench_module("tracer")
+
+
+def current(owner, attr):
+    return vars(owner)[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+def test_tracer_wraps_every_target_and_restores_it(tracing):
+    for owner, attr, name, _ in tracing.TARGETS:
+        assert attr in vars(owner), "%s is gone from the library" % name
+    originals = [current(owner, attr) for owner, attr, _, _ in tracing.TARGETS]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (owner, attr, name, _), orig in zip(tracing.TARGETS, originals):
+            wrapped = current(owner, attr)
+            assert wrapped is not orig, "%s is not traced" % name
+            assert wrapped.__wrapped__ is orig
+            # every traced module that imported the function by name
+            for mod in tracing._MODULES:
+                assert getattr(mod, attr, None) is not orig
+    finally:
+        tracer.restore()
+    for (owner, attr, _, _), orig in zip(tracing.TARGETS, originals):
+        assert current(owner, attr) is orig
+
+
+def test_capture_hook_sees_each_sessions_users():
+    workloads = bench_module("workloads")
+    params = NetworkParams(
+        num_users=3,
+        loss_common=0.05,
+        loss_source=0.5,
+        loss_peer=0.1,
+        batch_size=8,
+        file_packets=300,
+    )
+    make_users = sim.make_users
+    with workloads.CaptureUsers() as capture:
+        assert sim.make_users is not make_users
+        sim.run_session(params, 3, num_batches=64, payload_len=4)
+        seen = capture.take()
+    assert sim.make_users is make_users
+    assert seen.session is not None and seen.session.payload_len == 4
+    assert [u.user_id for u in seen.users] == [0, 1, 2]
+    assert all(u.decoder is not None and u.decoded for u in seen.users)

@@ -152,8 +152,9 @@ def test_design_distribution_point_mass_for_tiny_files():
 
 
 def test_design_distribution_anchor_tracks_expected_rank():
-    lo_rank = codec.design_distribution(2000, 400, 16, expected_rank=5.0)
-    hi_rank = codec.design_distribution(2000, 400, 16, expected_rank=13.0)
+    # expected ranks 1.01 * F / n of 5.0 and 12.6
+    lo_rank = codec.design_distribution(2000, 404, 16)
+    hi_rank = codec.design_distribution(2000, 160, 16)
     lo_support = np.nonzero(lo_rank.psi)[0][0] + 1
     hi_support = np.nonzero(hi_rank.psi)[0][0] + 1
     assert lo_support == 7
@@ -681,7 +682,7 @@ def test_late_row_for_partly_resolved_batch_matches_oracle():
         dec.attempt()
         for bid, st in items[1::2]:
             b = dec.batches[bid]
-            if st.rank and not (b.fired or b.drained):
+            if st.rank and b.u != 0:
                 exercised += bool(dec.resolved[b.contribs].any())
             for i in range(st.rank):
                 dec.add_row(bid, st.coeffs[i], st.payloads[i])
@@ -755,7 +756,7 @@ def test_rank_deficient_batch_stays_pending_until_more_rows_arrive():
     dec._cascade()
     b = dec.batches[1]
     assert (b.u, b.rows, dec.num_z) == (3, 3, 1)
-    assert not (b.fired or b.drained)
+    assert b.u != 0 and np.array_equal(b.raw[:3, :4], np.array(fed))
     assert list(dec.resolved) == [True, False, False, False]
     assert not dec.expr[1:].any()
     assert dec.zsys.rank == 0
@@ -1008,9 +1009,9 @@ def mixed_states(seed, kind):
 
 @pytest.mark.parametrize("kind", ["unit", "scaled", "recoded", "mixed"])
 def test_load_state_rows_equal_the_general_product(kind):
-    """Unit rows load as generator rows; every kind of row, alone or mixed,
-    loads as the product of its coefficients with the generator, and the
-    decode matches dense elimination."""
+    """Rows load as received; unit rows expand as generator rows, and every
+    kind of row, alone or mixed, expands as the product of its coefficients
+    with the generator. The decode matches dense elimination."""
     outcomes = set()
     for seed in range(12):
         file, descriptors, states = mixed_states(seed + 50, kind)
@@ -1019,11 +1020,11 @@ def test_load_state_rows_equal_the_general_product(kind):
             dec.load_state(st)
             b = dec.batches[bid]
             assert b.rows == st.rank
+            assert np.array_equal(b.raw[: st.rank], st.raw[: st.rank])
             assert np.array_equal(
-                b.c_rows[: st.rank],
+                codec._expand(b.raw[: st.rank, :8], b.gen_t),
                 gf.matmul(st.received_coeffs, descriptors[bid].generator.T),
             )
-            assert np.array_equal(b.payloads[: st.rank], st.received_payloads)
         rank = global_rank(states, descriptors, file.shape[0])
         result = codec.decode(states, descriptors, file.shape[0])
         assert result.unresolved == file.shape[0] - rank, "seed %d" % seed
@@ -1034,13 +1035,137 @@ def test_load_state_rows_equal_the_general_product(kind):
     assert outcomes == {True, False}
 
 
+def split_states(states, rng, parts=3):
+    """Each batch's rows cut at random points into parts consecutive blocks.
+
+    Returns one dict per part, mapping batch ids to a BatchState that holds
+    that part's rows in their order.
+    """
+    blocks = [{} for _ in range(parts)]
+    for bid, st in states.items():
+        m = st.batch_size
+        cuts = np.sort(rng.integers(0, st.rank + 1, parts - 1))
+        for p, rows in enumerate(np.split(st.raw[: st.rank], cuts)):
+            part = codec.BatchState(bid, m, st.payload_len)
+            for row in rows:
+                assert part.absorb(codec.Packet(bid, row[:m], row[m:]))
+            blocks[p][bid] = part
+    return blocks
+
+
+def test_row_and_block_feeds_reach_the_same_decoder():
+    """add_row row by row and load_state in blocks take the same path: with
+    attempt() between parts, so that blocks also reach batches that already
+    fired or drained, both decoders end in the same state."""
+    rng = np.random.default_rng(8)
+    late, decoded = 0, 0
+    for seed in range(40):
+        file, descriptors, states = random_instance(seed + 5000)
+        by_row, by_block = (
+            codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
+            for _ in range(2)
+        )
+        for part in split_states(states, rng):
+            for bid, st in part.items():
+                late += st.rank * (by_block.batches[bid].u == 0)
+                by_block.load_state(st)
+                for row in st.raw[: st.rank]:
+                    by_row.add_row(bid, row[: st.batch_size], row[st.batch_size :])
+            ok = by_row.attempt()
+            assert by_block.attempt() == ok
+        assert np.array_equal(by_row.expr, by_block.expr)
+        assert np.array_equal(by_row.width, by_block.width)
+        assert np.array_equal(by_row.zsys.rows, by_block.zsys.rows)
+        assert by_row.inactivated == by_block.inactivated
+        assert by_row.unresolved == by_block.unresolved
+        if ok:
+            decoded += 1
+            assert np.array_equal(by_row.extract(), by_block.extract())
+            assert np.array_equal(by_block.extract(), file)
+    assert late >= 20 and decoded >= 10
+
+
+def decoder_state(dec):
+    """Everything a feed may change, as comparable values."""
+    return (
+        [(b.raw.tobytes(), b.rows, b.u, b.queued) for b in dec.batches.values()],
+        dec.stall_counts.tobytes(),
+        sorted(dec._near),
+        list(dec._fire_queue),
+        dec.zsys.rows.tobytes(),
+        dec.num_z,
+    )
+
+
+def test_feeds_reject_malformed_rows_before_any_state():
+    """A payload row that is not payload_len wide (a length-1 payload used
+    to broadcast), a coefficient row that is not M wide, or more rows than M
+    for a pending batch raise ValueError from add_row and from load_state,
+    on a pending batch and on a finished one, and change nothing.
+
+    Batch 1 on packets {0, 1} fires from its two unit rows; batch 2 on all
+    four packets then holds one row and is pending.
+    """
+    rng = np.random.default_rng(12)
+    file = make_file(rng, 4, 3)
+    descriptors = {
+        bid: codec.BatchDescriptor(
+            batch_id=bid,
+            degree=len(ids),
+            contributor_ids=np.array(ids),
+            generator=rng.integers(1, 256, (len(ids), 2), dtype=np.uint8),
+        )
+        for bid, ids in {1: [1, 2], 2: [1, 2, 3, 4]}.items()
+    }
+
+    def reception(bid, coeff):
+        coeff = np.array(coeff, dtype=np.uint8)
+        desc = descriptors[bid]
+        mixed = gf.matmul(coeff[None, :], desc.generator.T)
+        return coeff, gf.matmul(mixed, file[desc.contributor_ids - 1])[0]
+
+    def buffer(bid, rows):
+        st = codec.BatchState(bid, rows[0][0].size, rows[0][1].size)
+        for coeff, payload in rows:
+            assert st.absorb(codec.Packet(bid, coeff, payload))
+        return st
+
+    dec = codec.IncrementalDecoder(4, 3, descriptors)
+    dec.load_state(buffer(1, [reception(1, [1, 0]), reception(1, [0, 1])]))
+    assert not dec.attempt()
+    dec.add_row(2, *reception(2, [3, 7]))
+    assert dec.batches[1].u == 0
+    assert (dec.batches[2].u, dec.batches[2].rows) == (2, 1)
+    before = decoder_state(dec)
+    coeff, payload = reception(2, [5, 1])
+    malformed = [
+        (coeff, payload[:1]),
+        (coeff, payload[:2]),
+        (coeff, np.append(payload, 9)),
+        (coeff[:1], payload),
+        (np.append(coeff, 1), payload),
+    ]
+    for bid in (1, 2):
+        for c, p in malformed:
+            with pytest.raises(ValueError):
+                dec.add_row(bid, c, p)
+            with pytest.raises(ValueError):
+                dec.load_state(buffer(bid, [(c, p)]))
+            assert decoder_state(dec) == before
+    with pytest.raises(ValueError):
+        dec.load_state(buffer(2, [(coeff, payload), reception(2, [1, 0])]))
+    assert decoder_state(dec) == before
+    dec.add_row(2, coeff, payload)
+    assert dec.attempt() and np.array_equal(dec.extract(), file)
+
+
 def reference_pick(dec):
     """The inactivation rule as a per-contributor dict, without side effects."""
     counts = {}
     for bid in dec._near:
         b = dec.batches[bid]
         gap = b.u - b.rows
-        if b.fired or b.drained or not b.rows or gap < 1 or gap > 2:
+        if b.u == 0 or not b.rows or gap < 1 or gap > 2:
             continue
         w = 2 if gap == 1 else 1
         for col in np.nonzero(b.unres)[0]:

@@ -2,8 +2,9 @@
 
 Each case hashes an output that a refactor must keep byte for byte: the
 repr of a ``SimReport`` (with the exact bytes of its rank distribution),
-or the CSV files and stdout of one CLI mode, with the output directory
-replaced by ``<out>``. A changed digest means changed outputs. Regenerate
+every decoder's inactivation count and decode slot in a session, or the
+CSV files and stdout of one CLI mode, with the output directory replaced
+by ``<out>``. A changed digest means changed outputs. Regenerate
 the digests only for a change that is meant to alter them, and say so in
 CHANGES.md.
 """
@@ -78,6 +79,32 @@ REPORT_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(REPORTS))
 def test_report_digest(name):
     assert _digest(_report_text(REPORTS[name]())) == REPORT_DIGESTS[name]
+
+
+# every decoder of a session as (user, inactivated, decode slot): the
+# decoder's picks, which no report field shows
+DECODER_DIGESTS = {
+    "payload": "6b5bac7e1af1e247a86e107cdda927cae65f8ba87c90dd37233b3f99e2ebf193",
+    "robustness": "94ca8d46633e89ad8c8a0aa85a50ffc548cbd1c38bc19b9336d79b79899ddf82",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECODER_DIGESTS))
+def test_decoder_digest(name, monkeypatch):
+    groups = []
+    make_users = sim.make_users
+
+    def keep_users(num_users, session):
+        groups.append(make_users(num_users, session))
+        return groups[-1]
+
+    monkeypatch.setattr(sim, "make_users", keep_users)
+    REPORTS[name]()
+    (users,) = groups
+    text = repr(
+        [(u.user_id, u.decoder.inactivated, u.decode_slot) for u in users if u.decoder]
+    )
+    assert _digest(text) == DECODER_DIGESTS[name], text
 
 
 # FAST at n=20 and seed 3: the group holds 138 of 300 packets after phase 1,
