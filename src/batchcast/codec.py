@@ -221,20 +221,6 @@ def _empty_buffers(shape: Tuple[int, ...], batch_size: int, payload_len: int):
     return ops, np.zeros(shape + (batch_size, batch_size + payload_len), np.uint8)
 
 
-def reduce_packet(coeff: np.ndarray, ops: np.ndarray):
-    """Reduce one coefficient vector against a (g, M, M) operator stack.
-
-    Each buffer's residual operator K turns coeff into coeff . K, which is
-    zero exactly when coeff lies in that buffer's span. Returns (pivots,
-    rows): rows[i] is buffer i's reduced row and pivots[i] its first
-    nonzero column, or 0 when the row is zero. One gather serves the whole
-    stack.
-    """
-    prods = gf._MUL_FLAT.take(gf._HIGH.take(coeff)[:, None] | ops)
-    rows = np.bitwise_xor.reduce(prods, axis=1)
-    return (rows != 0).argmax(axis=1).tolist(), rows
-
-
 class BatchState:
     """One receiver's buffer for one batch, with innovation filtering.
 
@@ -246,29 +232,48 @@ class BatchState:
     non-pivot columns are zero. A vector c reduces to c . ops, and a full
     buffer has ops = 0.
 
-    Both arrays are views. A simulated group's buffers share session-wide
-    arrays (see BatchBuffers); BatchState(batch_id, M, L) owns its own.
+    A state is a view: ops, raw and rank are read from its BatchBuffers at
+    index (batch, receiver). A simulated group's buffers share one
+    BatchBuffers; BatchState(batch_id, M, L) owns a one-buffer one.
     """
 
-    __slots__ = ("batch_id", "batch_size", "payload_len", "ops", "raw", "rank")
+    __slots__ = ("batch_id", "buffers", "index")
 
     def __init__(self, batch_id: int, batch_size: int, payload_len: int):
-        self._attach(batch_id, *_empty_buffers((), batch_size, payload_len))
+        self.batch_id = batch_id
+        self.buffers = BatchBuffers(0, 1, batch_size, payload_len)
+        self.index = (0, 0)
 
     @classmethod
-    def view(cls, batch_id: int, ops: np.ndarray, raw: np.ndarray) -> "BatchState":
-        """An empty buffer over a given (M, M) operator and (M, M + L) rows."""
+    def view(
+        cls, batch_id: int, buffers: "BatchBuffers", index: Tuple[int, int]
+    ) -> "BatchState":
+        """The buffer at index (batch, receiver) of buffers."""
         state = cls.__new__(cls)
-        state._attach(batch_id, ops, raw)
+        state.batch_id = batch_id
+        state.buffers = buffers
+        state.index = index
         return state
 
-    def _attach(self, batch_id: int, ops: np.ndarray, raw: np.ndarray) -> None:
-        self.batch_id = batch_id
-        self.batch_size, width = raw.shape
-        self.payload_len = width - self.batch_size
-        self.ops = ops
-        self.raw = raw
-        self.rank = 0
+    @property
+    def batch_size(self) -> int:
+        return self.buffers.ops.shape[-1]
+
+    @property
+    def payload_len(self) -> int:
+        return self.buffers.raw.shape[-1] - self.batch_size
+
+    @property
+    def ops(self) -> np.ndarray:
+        return self.buffers.ops[self.index]
+
+    @property
+    def raw(self) -> np.ndarray:
+        return self.buffers.raw[self.index]
+
+    @property
+    def rank(self) -> int:
+        return int(self.buffers.ranks[self.index])
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -291,23 +296,6 @@ class BatchState:
         """The reduced row echelon basis B = ops ^ I."""
         return self.ops ^ np.eye(self.batch_size, dtype=np.uint8)
 
-    def insert(self, pivot: int, row: np.ndarray, full: np.ndarray) -> bool:
-        """Keep full = [coeff | payload] iff its reduced row, row, is nonzero.
-
-        pivot is the row's first nonzero column (any column when the row is
-        zero). Scaled to 1 there, the row r updates the operator as
-        ops ^= outer(ops[:, pivot], r): the reduced basis gains r as row
-        pivot, and every other basis row loses its pivot-column entry.
-        """
-        lead = row[pivot]
-        if not lead:
-            return False
-        ops = self.ops
-        ops ^= gf.outer(ops[:, pivot], gf.MUL_TABLE[gf._INV[lead]].take(row))
-        self.raw[self.rank] = full
-        self.rank += 1
-        return True
-
     def absorb(self, packet: Packet) -> bool:
         """Keep the packet iff it raises this batch's rank."""
         if packet.batch_id != self.batch_id:
@@ -322,36 +310,40 @@ class BatchState:
                 "payload has shape %s, expected (%d,)"
                 % (np.shape(packet.payload), self.payload_len)
             )
-        pivots, rows = reduce_packet(packet.coeff, self.ops[None])
+        b, i = self.index
+        delivered = np.zeros((1, self.buffers.ranks.shape[1]), dtype=bool)
+        delivered[0, i] = True
         full = np.concatenate((packet.coeff, packet.payload))
-        return self.insert(pivots[0], rows[0], full)
+        return bool(self.buffers.absorb(np.array([b]), full[None], delivered)[0, i])
 
 
 class BatchBuffers:
-    """Every receiver's buffer for every batch, in two batch-major arrays.
+    """Every receiver's buffer for every batch, in batch-major arrays.
 
-    ops[b, i] and raw[b, i] are receiver i's operator and rows for batch b
-    (index 0 is unused, batch ids run from 1), so ops[b] is the stack one
-    reduce_packet call reduces a batch-b packet against for every receiver.
-    states[i] maps batch ids to receiver i's BatchState views.
+    ops[b, i], raw[b, i] and ranks[b, i] are receiver i's operator, rows
+    and rank for batch b (index 0 is unused, batch ids run from 1), so
+    ops[b] is the stack a batch-b packet reduces against for every
+    receiver. views(i) maps batch ids to receiver i's BatchState views.
+
+    A packet changes only its own batch's buffers, so recode and absorb
+    take any number of packets of distinct batches at once, each in one
+    set of array operations.
     """
 
     def __init__(
         self, num_batches: int, receivers: int, batch_size: int, payload_len: int
     ):
-        self.ops, self.raw = _empty_buffers(
-            (num_batches + 1, receivers), batch_size, payload_len
-        )
+        shape = (num_batches + 1, receivers)
+        self.ops, self.raw = _empty_buffers(shape, batch_size, payload_len)
+        self.ranks = np.zeros(shape, dtype=np.int64)
+
+    def views(self, receiver: int) -> Dict[int, BatchState]:
+        """BatchState views of one receiver's buffers, by batch id."""
         view = BatchState.view
-        self.states = [
-            {
-                bid: view(bid, ops, raw)
-                for bid, ops, raw in zip(
-                    range(1, num_batches + 1), self.ops[1:, i], self.raw[1:, i]
-                )
-            }
-            for i in range(receivers)
-        ]
+        return {
+            bid: view(bid, self, (bid, receiver))
+            for bid in range(1, self.ranks.shape[0])
+        }
 
     def load_sources(self, delivered: np.ndarray, payloads: np.ndarray) -> None:
         """Load the source broadcast into the still empty buffers.
@@ -370,16 +362,66 @@ class BatchBuffers:
         if payloads is not None:
             self.raw[b + 1, i, row, m:] = payloads[b * m + j]
         self.ops[b + 1, i, j, j] = 0
-        for states, ranks in zip(self.states, hit.sum(axis=2).T.tolist()):
-            for state, rank in zip(states.values(), ranks):
-                state.rank = rank
+        self.ranks[1:] = hit.sum(axis=2)
+
+    def recode(
+        self, bids: np.ndarray, senders: np.ndarray, mix: np.ndarray
+    ) -> np.ndarray:
+        """Packet t mixes receiver senders[t]'s rows of batch bids[t] by mix[t].
+
+        mix is (T, r), r at most M, and zero past each sender's rank.
+        Returns the (T, M + L) packets [coeff | payload]: one gather of the
+        mixes' products with the buffered rows, XOR-folded.
+        """
+        rows = self.raw[bids, senders, : mix.shape[1]]
+        prods = gf._MUL_FLAT.take(gf._HIGH.take(mix)[:, :, None] | rows)
+        return np.bitwise_xor.reduce(prods, axis=1)
+
+    def absorb(
+        self, bids: np.ndarray, full: np.ndarray, delivered: np.ndarray
+    ) -> np.ndarray:
+        """Receive packet full[t] = [coeff | payload] of batch bids[t] at every
+        receiver i with delivered[t, i]; the batches must be distinct.
+
+        Returns the (T, g) mask of receptions that raised a rank. Each
+        buffer's operator K reduces coeff to coeff . K, which is zero
+        exactly when coeff lies in its span; one gather reduces every
+        packet against each buffer it reached that is short of full rank
+        (a full one has K = 0). A nonzero reduced row r, scaled to 1 at its
+        first nonzero column p, updates K ^= outer(K[:, p], r): the reduced
+        basis gains r as row p, and every other basis row loses its
+        pivot-column entry. The buffer keeps full as its next raw row.
+        """
+        m = self.ops.shape[-1]
+        t, i = (delivered & (self.ranks[bids] < m)).nonzero()
+        b = bids[t]
+        ops = self.ops[b, i]
+        high = gf._HIGH.take(full[t, :m])
+        rows = np.bitwise_xor.reduce(
+            gf._MUL_FLAT.take(high[:, :, None] | ops), axis=1
+        )
+        gain = rows.any(axis=1)
+        t, i, b, ops, rows = t[gain], i[gain], b[gain], ops[gain], rows[gain]
+        n = np.arange(t.size)
+        pivots = (rows != 0).argmax(axis=1)
+        inv = gf._HIGH.take(gf._INV.take(rows[n, pivots]))
+        rows = gf._MUL_FLAT.take(inv[:, None] | rows)
+        col = gf._HIGH.take(ops[n, :, pivots])
+        ops ^= gf._MUL_FLAT.take(col[:, :, None] | rows[:, None, :])
+        self.ops[b, i] = ops
+        self.raw[b, i, self.ranks[b, i]] = full[t]
+        self.ranks[b, i] += 1
+        innovative = np.zeros(delivered.shape, dtype=bool)
+        innovative[t, i] = True
+        return innovative
 
 
 def recode(state: BatchState, rng: np.random.Generator) -> np.ndarray:
     """Random nonzero combination of everything buffered for the batch.
 
-    Returns the (M + L,) row [coeff | payload]: one gather of the mix's
-    products with the buffered rows, XOR-folded.
+    Returns the (M + L,) row [coeff | payload]. The mix is one
+    rng.integers(0, 256, size=rank, dtype=np.uint8) draw, drawn again while
+    it is all zero; the product is BatchBuffers.recode for one packet.
     """
     rank = state.rank
     if rank == 0:
@@ -388,8 +430,8 @@ def recode(state: BatchState, rng: np.random.Generator) -> np.ndarray:
         mix = rng.integers(0, 256, size=rank, dtype=np.uint8)
         if np.count_nonzero(mix):
             break
-    prods = gf._MUL_FLAT.take(gf._HIGH.take(mix)[:, None] | state.raw[:rank])
-    return np.bitwise_xor.reduce(prods, axis=0)
+    b, i = state.index
+    return state.buffers.recode([b], [i], mix[None])[0]
 
 
 def encode_batch(
@@ -531,6 +573,14 @@ _BAND_MIN = 256
 _BANDS = 8
 
 
+def _width_bands(widths: np.ndarray) -> list:
+    """Index groups to multiply at their widest member's width: _BANDS
+    equal-count groups in width order from _BAND_MIN entries up, else one."""
+    if widths.size < _BAND_MIN:
+        return [slice(None)]
+    return np.array_split(np.argsort(widths), _BANDS)
+
+
 class IncrementalDecoder:
     """Joint decoder fed one innovative reception at a time.
 
@@ -612,10 +662,7 @@ class IncrementalDecoder:
         rhs = np.zeros((c_rows.shape[0], lp + self.num_z), dtype=np.uint8)
         rhs[:, :lp] = payloads
         widths = self.width[pkts]
-        bands = [slice(None)]
-        if pkts.size >= _BAND_MIN:
-            bands = np.array_split(np.argsort(widths), _BANDS)
-        for sel in bands:
+        for sel in _width_bands(widths):
             end = lp + int(widths[sel].max(initial=0))
             rhs[:, :end] ^= gf.matmul(c_rows[:, sel], self.expr[pkts[sel], :end])
         return rhs
@@ -806,12 +853,18 @@ class IncrementalDecoder:
         return self.num_z
 
     def extract(self) -> np.ndarray:
-        """Concrete payloads after a successful attempt."""
+        """Concrete payloads after a successful attempt.
+
+        Packet p's payload is base ^ tails . Z with its tails width[p]
+        wide, so packets are multiplied in width bands, as a pull does.
+        """
         z = self.zsys.solve(self.num_z)
         lp = self.payload_len
         out = self.expr[:, :lp].copy()
-        if self.num_z:
-            out ^= gf.matmul(self.expr[:, lp : lp + self.num_z], z)
+        for sel in _width_bands(self.width):
+            width = int(self.width[sel].max(initial=0))
+            if width:
+                out[sel] ^= gf.matmul(self.expr[sel, lp : lp + width], z[:width])
         return out
 
 

@@ -5,16 +5,21 @@ correlated loss draw shared by the group plus an independent per-user draw.
 Phase 2 lets users repair each other: each slot, one user transmits a
 recoded packet from the batch its usefulness queue names next, every other
 user receives it independently, and decoding runs incrementally until the
-whole group has the file.
+whole group has the file. A transmission changes only its own batch's
+buffers, so consecutive transmissions of distinct batches advance together:
+they are recoded, delivered and absorbed as one window of array operations,
+with the outcome of one transmission at a time.
 
 Randomness is split into tagged substreams of the session seed (file bytes,
 phase-1 channel, phase-2 channel, recode mixing, access policy), so a report
 is bit-identical given the same seed and configuration, and the coded
 session (descriptors, payloads) is shared across channel realizations.
+Channel draws and recode mix bytes are read from their streams in blocks;
+they are the same numbers, in the same order, as one draw per packet.
 """
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -141,10 +146,7 @@ class UserState:
     innovative_at_decode: int = -1
 
     def batch_ranks(self, num_batches: int) -> np.ndarray:
-        return np.array(
-            [self.batches[bid].rank for bid in range(1, num_batches + 1)],
-            dtype=np.int64,
-        )
+        return self.buffers.ranks[1 : num_batches + 1, self.user_id].copy()
 
 
 @dataclass
@@ -175,7 +177,7 @@ def make_users(num_users: int, session: CodingSession) -> List[UserState]:
         session.num_batches, num_users, session.batch_size, session.payload_len
     )
     return [
-        UserState(user_id=uid, buffers=buffers, batches=buffers.states[uid])
+        UserState(user_id=uid, buffers=buffers, batches=buffers.views(uid))
         for uid in range(num_users)
     ]
 
@@ -244,15 +246,29 @@ def run_phase1(
 
 
 def _check_group_bound(
-    u: UserState, batch_id: int, group_distinct: np.ndarray
+    ranks: np.ndarray,
+    group_distinct: np.ndarray,
+    bids: np.ndarray,
+    users_first: bool = False,
 ) -> None:
-    rank = u.batches[batch_id].rank
-    bound = int(group_distinct[batch_id - 1])
-    if rank > bound:
-        raise RuntimeError(
-            "user %d holds rank %d for batch %d but the group only ever "
-            "received %d distinct packets" % (u.user_id, rank, batch_id, bound)
-        )
+    """Raise if a user holds more of a batch in bids than the group received.
+
+    ranks is the group's (n + 1, k) rank array. The first offender is named
+    by batch in bids order, then by user, or by user first when users_first.
+    """
+    over = ranks[bids] > group_distinct[bids - 1, None]
+    if not over.any():
+        return
+    if users_first:
+        uid, j = np.argwhere(over.T)[0]
+    else:
+        j, uid = np.argwhere(over)[0]
+    bid = int(bids[j])
+    raise RuntimeError(
+        "user %d holds rank %d for batch %d but the group only ever "
+        "received %d distinct packets"
+        % (uid, ranks[bid, uid], bid, group_distinct[bid - 1])
+    )
 
 
 def _mark_decoded(u: UserState, slot: int) -> None:
@@ -276,10 +292,9 @@ def prepare_phase2(
             % (len(users), sorted(watch - everyone))
         )
     n = session.num_batches
-    # one matrix for the whole group, so each count's row is computed once
-    matrix = build_matrix(
-        np.concatenate([u.batch_ranks(n) for u in users]), params
-    )
+    # one matrix for the whole group, so each count's row is computed once;
+    # its columns are the users' ranks, user by user
+    matrix = build_matrix(users[0].buffers.ranks[1 : n + 1].T.ravel(), params)
     for u in users:
         own = matrix[:, u.user_id * n : (u.user_id + 1) * n]
         u.queue = build_queue(own)
@@ -294,21 +309,86 @@ def prepare_phase2(
                 _mark_decoded(u, 0)
 
 
-def _next_send(u: UserState) -> Optional[int]:
-    """Next batch this user can actually recode from, or None."""
-    queue = u.queue
-    while u.queue_pos < queue.size:
-        bid = int(queue[u.queue_pos])
-        u.queue_pos += 1
-        if u.batches[bid].rank:
+# what _next_send returns for a slot that must open a new window (batch ids
+# run from 1)
+_CUT = 0
+
+
+def _next_send(
+    u: UserState, ranks: np.ndarray, sent: AbstractSet[int]
+) -> Optional[int]:
+    """Next batch this user can actually recode from, or None.
+
+    Advances the user's queue and tail past every batch it examines. When
+    it would examine a batch in sent, it returns _CUT instead and leaves
+    both positions as they were.
+    """
+    held = ranks[:, u.user_id]
+    queue, pos = u.queue, u.queue_pos
+    while pos < queue.size:
+        bid = int(queue[pos])
+        pos += 1
+        if bid in sent:
+            return _CUT
+        if held[bid]:
+            u.queue_pos = pos
             return bid
-    tail = u.tail
+    tail, tail_pos = u.tail, u.tail_pos
     for _ in range(tail.size):
-        bid = int(tail[u.tail_pos % tail.size])
-        u.tail_pos += 1
-        if u.batches[bid].rank:
-            return bid
-    return None
+        bid = int(tail[tail_pos % tail.size])
+        tail_pos += 1
+        if bid in sent:
+            return _CUT
+        if held[bid]:
+            break
+    else:
+        bid = None
+    u.queue_pos, u.tail_pos = pos, tail_pos
+    return bid
+
+
+class _MixDraws:
+    """Recode mixes from the mix substream, read in blocks of uint32 words.
+
+    rng.integers(0, 256, size=r, dtype=np.uint8), the draw codec.recode
+    makes, takes ceil(r / 4) words of the generator's uint32 stream and
+    uses their bytes low byte first. Cutting the same bytes from words read
+    in blocks gives the same mixes, all-zero redraws included; nothing else
+    reads this substream.
+    """
+
+    def __init__(self, rng: np.random.Generator, batch_size: int):
+        self.rng = rng
+        self.cols = np.arange(batch_size)
+        self.words = np.zeros(0, dtype="<u4")
+        self.pos = 0
+
+    def take(self, ranks: np.ndarray) -> np.ndarray:
+        """(T, M) mixes, mix t drawn at rank ranks[t] and zero past it."""
+        cols = self.cols
+        need = (ranks + 3) // 4
+        starts = self.pos + np.cumsum(need) - need
+        while True:
+            # the last mix reads M bytes from its first word on
+            short = int(starts[-1]) + (cols.size + 3) // 4 - self.words.size
+            if short > 0:
+                fresh = self.rng.integers(
+                    0, 1 << 32, size=max(short, _DRAW_BLOCK), dtype=np.uint32
+                )
+                self.words = np.concatenate(
+                    (self.words[self.pos :], fresh.astype("<u4", copy=False))
+                )
+                starts -= self.pos
+                self.pos = 0
+            mix = self.words.view(np.uint8)[4 * starts[:, None] + cols]
+            mix[cols >= ranks[:, None]] = 0
+            zero = ~mix.any(axis=1)
+            if not zero.any():
+                break
+            t = int(zero.argmax())
+            starts[t:] += need[t]
+        self.pos = int(starts[-1] + need[-1])
+        return mix
 
 
 def run_phase2(
@@ -330,13 +410,22 @@ def run_phase2(
     transmission. When until_tx is given the phase instead runs for exactly
     that transmission budget, which evaluates the repair process at a
     planned stopping point.
+
+    A transmission changes only its own batch's buffers, so consecutive
+    transmissions of distinct batches form a window that is recoded,
+    delivered and absorbed in one set of array operations. A window ends
+    before a slot whose sender would examine a batch already sent in it.
+    While an observed user is pending, a window is also short enough that
+    no pending user can reach F innovative packets, or every packet the
+    group received, before its last transmission; decode attempts and
+    stall checks fall there.
     Raises SimulationStallError at the slot cap, or as soon as every pending
     user holds all the packets the group received.
     """
     k = len(users)
     m = session.batch_size
-    ops = users[0].buffers.ops
-    bounds = group_distinct.tolist()
+    buffers = users[0].buffers
+    ranks = buffers.ranks
     cap = 10 * session.num_batches * m
     if until_tx is not None:
         cap = max(cap, 2 * until_tx)
@@ -350,13 +439,18 @@ def run_phase2(
     saturated = sum(
         1 for u in watched if not u.decoded and u.innovative == group_total
     )
+    # a pending user attempts a decode or saturates at this innovative count
+    reach = min(session.file_packets, group_total)
     # k delivery doubles per transmission, read from the stream in blocks of
     # a multiple of k: the same doubles one rng.random(k) per transmission reads
     block = max(1, _DRAW_BLOCK // k) * k
-    hits: List[bool] = []
+    hits = np.zeros(0, dtype=bool)
     drawn = 0
+    mixes = _MixDraws(mix_rng, m)
     transmissions = 0
     slot = 0
+    # the sender of a slot that opened no window keeps it for the next one
+    sender = None
     while pending or (until_tx is not None and transmissions < until_tx):
         if slot >= cap or 0 < pending == saturated:
             stuck = [
@@ -369,49 +463,64 @@ def run_phase2(
                 "unresolved) still pending: %s; the group received %d packets"
                 % (slot, stuck, group_total)
             )
-        if access_rng is None:
-            sender = users[slot % k]
+        if pending:
+            room = min(max(1, reach - u.innovative) for u in watched if not u.decoded)
         else:
-            sender = users[int(access_rng.integers(k))]
-        slot += 1
-        bid = _next_send(sender)
-        if bid is None:
+            room = until_tx - transmissions
+        slots, senders, bids = [], [], []
+        sent: set = set()
+        while len(bids) < room and slot < cap:
+            if sender is None:
+                if access_rng is None:
+                    sender = users[slot % k]
+                else:
+                    sender = users[int(access_rng.integers(k))]
+            bid = _next_send(sender, ranks, sent)
+            if bid == _CUT:
+                break
+            slot += 1
+            if bid is not None:
+                sent.add(bid)
+                slots.append(slot)
+                senders.append(sender.user_id)
+                bids.append(bid)
+            sender = None
+        count = len(bids)
+        if not count:
             continue
-        transmissions += 1
-        full = codec.recode(sender.batches[bid], mix_rng)
-        if drawn == len(hits):
-            hits = (rng.random(block) >= params.loss_peer).tolist()
+        b, s = np.array(bids), np.array(senders)
+        full = buffers.recode(b, s, mixes.take(ranks[b, s]))
+        while hits.size - drawn < count * k:
+            hits = np.concatenate((hits[drawn:], rng.random(block) >= params.loss_peer))
             drawn = 0
-        delivered = hits[drawn : drawn + k]
-        drawn += k
-        delivered[sender.user_id] = False
-        bound = bounds[bid - 1]
-        # one reduction against every user's buffer of the batch
-        pivots, rows = codec.reduce_packet(full[:m], ops[bid])
-        for u, hit, pivot, row in zip(users, delivered, pivots, rows):
-            if not hit:
-                continue
-            u.receptions += 1
-            state = u.batches[bid]
-            if not state.insert(pivot, row, full):
-                u.redundant += 1
-                continue
-            u.innovative += 1
-            if state.rank > bound:
-                _check_group_bound(u, bid, group_distinct)
-            if u.decoder is not None and not u.decoded:
-                u.decoder.add_row(bid, full[:m], full[m:])
-                if u.innovative >= session.file_packets and u.decoder.attempt():
-                    _mark_decoded(u, transmissions)
-                    pending -= 1
-                elif u.innovative == group_total:
-                    saturated += 1
+        delivered = hits[drawn : drawn + count * k].reshape(count, k).copy()
+        drawn += count * k
+        delivered[np.arange(count), s] = False
+        gained = buffers.absorb(b, full, delivered)
+        _check_group_bound(ranks, group_distinct, b)
         if trace is not None:
-            trace.append(
-                (slot, sender.user_id, bid)
-                + tuple(int(d) for d in delivered)
-                + tuple(u.innovative for u in users)
-            )
+            held = np.cumsum(gained, axis=0) + [u.innovative for u in users]
+            rows = np.column_stack((slots, senders, bids, delivered, held))
+            trace.extend(map(tuple, rows.tolist()))
+        got = delivered.sum(axis=0).tolist()
+        for u, heard, new in zip(users, got, gained.sum(axis=0).tolist()):
+            u.receptions += heard
+            u.innovative += new
+            u.redundant += heard - new
+        transmissions += count
+        for u in watched:
+            if u.decoded:
+                continue
+            mine = gained[:, u.user_id]
+            for t in np.flatnonzero(mine).tolist():
+                u.decoder.add_row(bids[t], full[t, :m], full[t, m:])
+            if not mine[-1]:
+                continue
+            if u.innovative >= session.file_packets and u.decoder.attempt():
+                _mark_decoded(u, transmissions)
+                pending -= 1
+            elif u.innovative == group_total:
+                saturated += 1
     return transmissions
 
 
@@ -447,9 +556,12 @@ def run_session(
     group_distinct = np.zeros(num_batches, dtype=np.int64)
     phase1_rng = _substream(seed, _PHASE1_TAG)
     phase1_tx = run_phase1(session, users, params, phase1_rng, group_distinct)
-    for u in users:
-        for bid in range(1, num_batches + 1):
-            _check_group_bound(u, bid, group_distinct)
+    _check_group_bound(
+        users[0].buffers.ranks,
+        group_distinct,
+        np.arange(1, num_batches + 1),
+        users_first=True,
+    )
     prepare_phase2(session, users, params, observe)
     trace: Optional[List[Tuple]] = [] if with_trace else None
     phase2_tx = run_phase2(

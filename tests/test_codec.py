@@ -361,34 +361,55 @@ def test_absorb_checks_the_payload_before_any_state():
 def group_receptions(draw):
     m = draw(hst.integers(1, 8))
     k = draw(hst.integers(1, 6))
+    nb = draw(hst.integers(1, 3))
     steps = draw(
         hst.lists(
             hst.tuples(
                 hst.sampled_from(["zero", "repeat", "one-hot", "dense", "recode"]),
+                hst.integers(1, nb),
                 hst.lists(hst.booleans(), min_size=k, max_size=k),
                 hst.integers(0, 2**32 - 1),
             ),
             max_size=3 * m + 4,
         )
     )
-    return m, k, steps
+    return m, k, nb, steps
 
 
 @settings(max_examples=120, deadline=None)
 @given(group_receptions())
 def test_group_reduction_equals_one_absorb_per_receiver(case):
-    """One stacked reduce_packet per packet, then per-receiver inserts, keeps
-    each buffer exactly as absorbing the packet into it alone would."""
-    m, k, steps = case
-    group = codec.BatchBuffers(1, k, m, 2)
-    shared = [states[1] for states in group.states]
-    alone = [codec.BatchState(1, m, 2) for _ in range(k)]
-    arrived = [[] for _ in range(k)]
+    """BatchBuffers.absorb, fed windows of packets of distinct batches, keeps
+    each buffer exactly as absorbing each packet into it alone would."""
+    m, k, nb, steps = case
+    group = codec.BatchBuffers(nb, k, m, 2)
+    shared = [group.views(i) for i in range(k)]
+    alone = [{b: codec.BatchState(b, m, 2) for b in shared[0]} for _ in range(k)]
+    arrived = {(b, i): [] for b in shared[0] for i in range(k)}
     sent = []
     eye = np.eye(m, dtype=np.uint8)
-    for kind, delivered, seed in steps:
+    window = []
+
+    def flush():
+        if not window:
+            return
+        bids, fulls, delivered, rises = (np.array(col) for col in zip(*window))
+        gained = group.absorb(bids, fulls, delivered)
+        assert np.array_equal(gained, delivered & rises)
+        for bid, full, hits, up in window:
+            for i in np.flatnonzero(hits):
+                packet = codec.Packet(bid, full[:m], full[m:])
+                assert alone[i][bid].absorb(packet) is up[i]
+                if up[i]:
+                    arrived[bid, i].append(full)
+        window.clear()
+
+    for kind, bid, delivered, seed in steps:
+        # a window holds each batch once
+        if any(w[0] == bid for w in window):
+            flush()
         rng = np.random.default_rng(seed)
-        holders = [st for st in shared if st.rank]
+        holders = [states[bid] for states in shared if states[bid].rank]
         if kind == "zero":
             coeff = np.zeros(m, dtype=np.uint8)
         elif kind == "repeat" and sent:
@@ -401,27 +422,24 @@ def test_group_reduction_equals_one_absorb_per_receiver(case):
             coeff = rng.integers(0, 256, m, dtype=np.uint8)
         sent.append(coeff)
         payload = rng.integers(0, 256, 2, dtype=np.uint8)
-        pivots, rows = codec.reduce_packet(coeff, group.ops[1])
-        for i in range(k):
-            st = shared[i]
-            rises = gf.rank(np.vstack([st.received_coeffs, coeff])) > st.rank
-            assert bool(rows[i].any()) is rises
-            if rises:
-                assert not rows[i][: pivots[i]].any() and rows[i][pivots[i]]
-            if not delivered[i]:
-                continue
-            full = np.concatenate([coeff, payload])
-            assert st.insert(pivots[i], rows[i], full) is rises
-            if rises:
-                arrived[i].append(full)
-            assert alone[i].absorb(codec.Packet(1, coeff, payload)) is rises
-    for st, ref, rows in zip(shared, alone, arrived):
-        assert st.rank == ref.rank == len(rows) == gf.rank(st.received_coeffs)
-        assert_reduced_basis(st)
-        assert np.array_equal(st.ops, st.basis ^ eye)
-        assert np.array_equal(st.raw[: st.rank], np.array(rows).reshape(-1, m + 2))
-        assert not st.raw[st.rank :].any()
-        assert np.array_equal(st.raw, ref.raw) and np.array_equal(st.ops, ref.ops)
+        rises = [
+            gf.rank(np.vstack([st[bid].received_coeffs, coeff])) > st[bid].rank
+            for st in shared
+        ]
+        window.append((bid, np.concatenate([coeff, payload]), delivered, rises))
+    flush()
+    for i in range(k):
+        for bid, st in shared[i].items():
+            ref, rows = alone[i][bid], arrived[bid, i]
+            assert st.rank == ref.rank == len(rows) == gf.rank(st.received_coeffs)
+            assert group.ranks[bid, i] == st.rank
+            assert_reduced_basis(st)
+            assert np.array_equal(st.ops, st.basis ^ eye)
+            assert np.array_equal(
+                st.raw[: st.rank], np.array(rows).reshape(-1, m + 2)
+            )
+            assert not st.raw[st.rank :].any()
+            assert np.array_equal(st.raw, ref.raw) and np.array_equal(st.ops, ref.ops)
 
 
 def test_recode_stays_in_row_space():
@@ -490,7 +508,7 @@ def test_recode_row_is_the_product_of_the_same_draws(m, payload_len, seed):
     # recode reads only rank and the raw rows, dependent or not
     st.raw[:] = rng.integers(0, 256, st.raw.shape, dtype=np.uint8)
     for rank in range(1, m + 1):
-        st.rank = rank
+        st.buffers.ranks[st.index] = rank
         clone = copy.deepcopy(rng)
         row = codec.recode(st, rng)
         mix = np.zeros(rank, dtype=np.uint8)
@@ -509,7 +527,7 @@ def test_recode_redraws_an_all_zero_mix():
     )
     st = codec.BatchState(1, 3, 2)
     st.raw[0] = [1, 0, 0, 7, 9]
-    st.rank = 1
+    st.buffers.ranks[st.index] = 1
     rng, clone = np.random.default_rng(seed), np.random.default_rng(seed)
     row = codec.recode(st, rng)
     assert clone.integers(0, 256, size=1, dtype=np.uint8)[0] == 0
@@ -518,7 +536,7 @@ def test_recode_redraws_an_all_zero_mix():
     assert rng.bit_generator.state == clone.bit_generator.state
 
 
-def test_insert_keeps_the_full_row():
+def test_absorb_keeps_the_full_row():
     rng = np.random.default_rng(27)
     st = codec.BatchState(1, 6, 5)
     for _ in range(9):
@@ -526,8 +544,7 @@ def test_insert_keeps_the_full_row():
         if rng.random() < 0.3 and st.rank:
             full = codec.recode(st, rng)
         before = st.rank
-        pivots, rows = codec.reduce_packet(full[:6], st.ops[None])
-        rises = st.insert(pivots[0], rows[0], full)
+        rises = st.absorb(codec.Packet(1, full[:6], full[6:]))
         assert st.rank == before + rises
         if rises:
             assert np.array_equal(st.raw[before], full)
@@ -879,6 +896,26 @@ def pinned_instance():
                 st.absorb(p)
         states[bid] = st
     return file, descriptors, states
+
+
+def test_extract_in_width_bands_equals_the_full_width_product():
+    """extract multiplies each packet's tails only as wide as they are: on
+    decoders with many widths, banded (600 packets) or not (fewer than
+    256), its bytes equal the one product at full num_z width."""
+    instances = [pinned_instance()] + [random_instance(s) for s in range(60)]
+    banded = 0
+    for file, descriptors, states in instances:
+        dec = codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
+        for st in states.values():
+            dec.load_state(st)
+        if not dec.attempt() or len(set(dec.width.tolist())) < 3:
+            continue
+        lp, z = dec.payload_len, dec.zsys.solve(dec.num_z)
+        full = dec.expr[:, :lp] ^ gf.matmul(dec.expr[:, lp : lp + dec.num_z], z)
+        got = dec.extract()
+        assert np.array_equal(got, full) and np.array_equal(got, file)
+        banded += file.shape[0] >= codec._BAND_MIN
+    assert banded == 1
 
 
 def full_width_pull(dec, c_rows, payloads, pkts):
@@ -1244,9 +1281,9 @@ def test_inactivation_pick_breaks_ties_to_the_lowest_packet():
 def test_decode_multiplication_count_is_pinned(monkeypatch):
     """Field multiplications of one decode, summed over gf.matmul calls.
 
-    Pulls at resolution width and unit-row loads must keep the pinned
-    decode well under the count it takes at full width; a change that
-    widens pulls again moves this count.
+    Pulls and extract at resolution width and unit-row loads must keep the
+    pinned decode well under the count it takes at full width; a change
+    that widens pulls or extract again moves this count.
     """
     file, descriptors, states = pinned_instance()
     count = {"mults": 0, "full": 0}
@@ -1265,12 +1302,22 @@ def test_decode_multiplication_count_is_pinned(monkeypatch):
         count["full"] -= count["mults"] - before
         return rhs
 
+    extract = codec.IncrementalDecoder.extract
+
+    def full_width_extract(dec):
+        before = count["mults"]
+        out = extract(dec)
+        count["full"] += dec.file_packets * dec.num_z * dec.payload_len
+        count["full"] -= count["mults"] - before
+        return out
+
     monkeypatch.setattr(gf, "matmul", counted)
     monkeypatch.setattr(codec.IncrementalDecoder, "_pull", full_width_count)
+    monkeypatch.setattr(codec.IncrementalDecoder, "extract", full_width_extract)
     result = codec.decode(states, descriptors, 600)
     assert result.success and np.array_equal(result.payloads, file)
     # the general product every source row took before unit-row loads
     loaded = sum(st.rank * 16 * descriptors[bid].degree for bid, st in states.items())
     full = count["mults"] + count["full"] + loaded
-    assert count["mults"] == 1_581_708
+    assert count["mults"] == 1_549_908
     assert count["mults"] < full == 4_816_323

@@ -28,6 +28,9 @@ FAST = NetworkParams(
 )
 # six users: every phase-2 packet reaches four or five receivers on average
 FAST6 = replace(FAST, num_users=6)
+# five users over 42 batches of 4: consecutive senders often pick the same
+# batch, and uniform access draws the sender of every slot
+FAST5 = replace(FAST, num_users=5, batch_size=4, file_packets=120)
 
 
 def _digest(text: str) -> str:
@@ -64,6 +67,9 @@ REPORTS = {
         with_trace=True,
         phase2_budget=stopping_time(64, FAST6),
     ),
+    "five_users_uniform_payload": lambda: sim.run_session(
+        FAST5, 0, num_batches=42, payload_len=4, access="uniform", with_trace=True
+    ),
 }
 
 REPORT_DIGESTS = {
@@ -73,6 +79,7 @@ REPORT_DIGESTS = {
     "repair_budget": "4547d7fd1d776d15711c33e3e3c6fcee3ea7fab98f3d9ea5fccbce03932e31a6",
     "robustness": "c462f3add78b925695de5a15e5e712692d4f916e2cfa248068c71654fa62330b",
     "six_users_payload_budget": "3f0f787308c617bb075232e98462af71daf0d4307a6412b7d7a6e381d03d47a2",
+    "five_users_uniform_payload": "c0f40f3fcb73d046b4d513cd2bdf25f8c400f12c8293c862feee834c1f249f53",
 }
 
 
@@ -84,6 +91,7 @@ def test_report_digest(name):
 # every decoder of a session as (user, inactivated, decode slot): the
 # decoder's picks, which no report field shows
 DECODER_DIGESTS = {
+    "five_users_uniform_payload": "6e06d4b61250899e76d16c89e709680d937ebfd0cc5047b78ee53c5cddf55cd3",
     "payload": "6b5bac7e1af1e247a86e107cdda927cae65f8ba87c90dd37233b3f99e2ebf193",
     "robustness": "94ca8d46633e89ad8c8a0aa85a50ffc548cbd1c38bc19b9336d79b79899ddf82",
 }

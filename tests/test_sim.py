@@ -1,5 +1,6 @@
 """Tests for the two-phase broadcast simulator."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.stats import binom
 
-from batchcast import sim
+from batchcast import codec, sim
 from batchcast.analytics import (
     NetworkParams,
     optimize_batches,
@@ -95,6 +96,51 @@ def test_phase2_deliveries_match_per_transmission_draws(k):
         want = ref.random(k) >= params.loss_peer
         want[row[1]] = False
         assert list(row[3 : 3 + k]) == want.astype(int).tolist()
+
+
+@pytest.mark.parametrize("rank", range(1, 17))
+def test_block_words_equal_per_call_byte_draws(rank):
+    """A uint8 draw of r bytes takes ceil(r / 4) words of the uint32 stream,
+    low byte first, so words read in one block hold the same bytes, the
+    draws that recode repeats for an all-zero mix included."""
+    per_call = np.random.default_rng(rank)
+    blocks = np.random.default_rng(rank)
+    draws = 3000
+    words = blocks.integers(0, 1 << 32, size=2 * draws * 4, dtype=np.uint32)
+    data = words.astype("<u4").view(np.uint8)
+    pos = redraws = 0
+    for _ in range(draws):
+        want = per_call.integers(0, 256, size=rank, dtype=np.uint8)
+        assert np.array_equal(data[4 * pos : 4 * pos + rank], want)
+        pos += -(-rank // 4)
+        redraws += not want.any()
+    if rank == 1:
+        assert redraws > 0
+    assert per_call.integers(1 << 32, dtype=np.uint32) == words[pos]
+
+
+def test_mix_draws_equal_recode_draws():
+    """sim._MixDraws hands out, window by window and across its block
+    refills, the mixes that one recode draw per transmission makes."""
+    m = 16
+    ours = sim._MixDraws(sim._substream(8, sim._MIX_TAG), m)
+    ref = sim._substream(8, sim._MIX_TAG)
+    picks = np.random.default_rng(1)
+    redraws = words = 0
+    while words < 3 * sim._DRAW_BLOCK:
+        size = int(picks.integers(1, 40))
+        # rank 1 half the time, so all-zero first draws come up
+        ranks = np.where(picks.random(size) < 0.5, 1, picks.integers(1, m + 1, size))
+        mixes = ours.take(ranks)
+        assert mixes.shape == (size, m) and mixes.dtype == np.uint8
+        for mix, rank in zip(mixes, ranks.tolist()):
+            want = ref.integers(0, 256, size=rank, dtype=np.uint8)
+            while not want.any():
+                redraws += 1
+                want = ref.integers(0, 256, size=rank, dtype=np.uint8)
+            assert np.array_equal(mix[:rank], want) and not mix[rank:].any()
+            words += -(-rank // 4)
+    assert redraws > 0
 
 
 def test_phase1_matches_per_packet_absorb():
@@ -441,6 +487,176 @@ def test_small_sessions_are_deterministic_and_within_their_bounds(case):
             assert (u.batch_ranks(n) <= group_distinct).all()
 
 
+def reference_next_send(u):
+    """The batch a sender picks when slots are scheduled one at a time."""
+    while u.queue_pos < u.queue.size:
+        bid = int(u.queue[u.queue_pos])
+        u.queue_pos += 1
+        if u.batches[bid].rank:
+            return bid
+    for _ in range(u.tail.size):
+        bid = int(u.tail[u.tail_pos % u.tail.size])
+        u.tail_pos += 1
+        if u.batches[bid].rank:
+            return bid
+    return None
+
+
+def reference_phase2(session, users, params, seed, uniform, group_distinct, until_tx):
+    """Phase 2 one transmission at a time, from the same substreams: one
+    codec.recode, k delivery doubles, one absorb per receiver. Returns the
+    outcome, ("done", transmissions) or ("stall", slot), and the trace."""
+    rng = sim._substream(seed, sim._PHASE2_TAG)
+    mix_rng = sim._substream(seed, sim._MIX_TAG)
+    access_rng = sim._substream(seed, sim._ACCESS_TAG) if uniform else None
+    k, m, f = len(users), session.batch_size, session.file_packets
+    cap = 10 * session.num_batches * m
+    if until_tx is not None:
+        cap = max(cap, 2 * until_tx)
+    watched = [u for u in users if u.decoder is not None]
+    pending = sum(not u.decoded for u in watched)
+    group_total = int(group_distinct.sum())
+    saturated = sum(not u.decoded and u.innovative == group_total for u in watched)
+    trace = []
+    transmissions = slot = 0
+    while pending or (until_tx is not None and transmissions < until_tx):
+        if slot >= cap or 0 < pending == saturated:
+            return ("stall", slot), trace
+        if access_rng is None:
+            sender = users[slot % k]
+        else:
+            sender = users[int(access_rng.integers(k))]
+        slot += 1
+        bid = reference_next_send(sender)
+        if bid is None:
+            continue
+        transmissions += 1
+        full = codec.recode(sender.batches[bid], mix_rng)
+        delivered = rng.random(k) >= params.loss_peer
+        delivered[sender.user_id] = False
+        for u, hit in zip(users, delivered):
+            if not hit:
+                continue
+            u.receptions += 1
+            if not u.batches[bid].absorb(codec.Packet(bid, full[:m], full[m:])):
+                u.redundant += 1
+                continue
+            u.innovative += 1
+            if u.decoder is not None and not u.decoded:
+                u.decoder.add_row(bid, full[:m], full[m:])
+                if u.innovative >= f and u.decoder.attempt():
+                    u.decoded, u.decode_slot = True, transmissions
+                    u.innovative_at_decode = u.innovative
+                    pending -= 1
+                elif u.innovative == group_total:
+                    saturated += 1
+        trace.append(
+            (slot, sender.user_id, bid)
+            + tuple(int(d) for d in delivered)
+            + tuple(u.innovative for u in users)
+        )
+    return ("done", transmissions), trace
+
+
+def prepared_group(params, n, seed, payload_len, observe, mute):
+    """A session after phase 1 and prepare_phase2; user 0 receives nothing
+    in phase 1 when mute, so its first slots pass empty."""
+    k, m = params.num_users, params.batch_size
+    session = sim.new_session(params, seed, n, payload_len)
+    users = sim.make_users(k, session)
+    mask = sim.phase1_deliveries(
+        n * m, k, params, sim._substream(seed, sim._PHASE1_TAG)
+    )
+    if mute:
+        mask[:, 0] = False
+    payloads = None
+    if payload_len:
+        payloads = np.concatenate(
+            [session.batch_payloads(bid) for bid in range(1, n + 1)]
+        )
+    users[0].buffers.load_sources(mask, payloads)
+    for u, count in zip(users, mask.sum(axis=0).tolist()):
+        u.receptions = u.innovative = count
+    group_distinct = mask.any(axis=1).reshape(n, m).sum(axis=1)
+    sim.prepare_phase2(session, users, params, observe)
+    return session, users, group_distinct
+
+
+@hst.composite
+def phase2_cases(draw):
+    k = draw(hst.integers(2, 6))
+    m = draw(hst.sampled_from([2, 4]))
+    f = draw(hst.integers(1, 24))
+    loss_source = draw(hst.floats(0.0, 0.7))
+    params = NetworkParams(
+        num_users=k,
+        loss_common=draw(hst.floats(0.0, 0.3)),
+        loss_source=loss_source,
+        loss_peer=draw(hst.floats(0.0, loss_source)),
+        batch_size=m,
+        file_packets=f,
+    )
+    fewest = -(-f // m)
+    observe = draw(hst.sampled_from([None, [0], [k - 1], []]))
+    budget = hst.integers(1, 60)
+    return (
+        params,
+        draw(hst.integers(fewest, 2 * fewest + 1)),
+        draw(hst.integers(0, 2**16)),
+        draw(hst.booleans()),
+        draw(hst.sampled_from([0, 2])),
+        observe,
+        draw(budget if observe == [] else hst.none() | budget),
+        draw(hst.booleans()),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(phase2_cases())
+def test_windowed_phase2_equals_one_transmission_at_a_time(case):
+    """run_phase2's windows leave the counters, decode slots, queue
+    positions, buffers and trace, or the stall slot, exactly as a loop of
+    one transmission per step does."""
+    params, n, seed, uniform, payload_len, observe, budget, mute = case
+    session, users, gd = prepared_group(params, n, seed, payload_len, observe, mute)
+    trace = []
+    try:
+        sent = sim.run_phase2(
+            session,
+            users,
+            params,
+            sim._substream(seed, sim._PHASE2_TAG),
+            sim._substream(seed, sim._MIX_TAG),
+            gd,
+            access_rng=sim._substream(seed, sim._ACCESS_TAG) if uniform else None,
+            trace=trace,
+            until_tx=budget,
+        )
+        outcome = ("done", sent)
+    except sim.SimulationStallError as exc:
+        outcome = ("stall", int(re.search(r"passed (\d+) slots", str(exc)).group(1)))
+    session, ref, ref_gd = prepared_group(params, n, seed, payload_len, observe, mute)
+    assert (outcome, trace) == reference_phase2(
+        session, ref, params, seed, uniform, ref_gd, budget
+    )
+    fields = (
+        "receptions",
+        "innovative",
+        "redundant",
+        "decoded",
+        "decode_slot",
+        "innovative_at_decode",
+        "queue_pos",
+        "tail_pos",
+    )
+    for u, r in zip(users, ref):
+        assert [getattr(u, a) for a in fields] == [getattr(r, a) for a in fields]
+    ours, theirs = users[0].buffers, ref[0].buffers
+    assert np.array_equal(ours.ranks, theirs.ranks)
+    assert np.array_equal(ours.raw, theirs.raw)
+    assert np.array_equal(ours.ops, theirs.ops)
+
+
 def test_observe_subset_matches_full_run():
     full = sim.run_session(FAST, 7, num_batches=64)
     one = sim.run_session(FAST, 7, num_batches=64, observe=[0])
@@ -542,12 +758,47 @@ def test_phase2_stalls_once_no_pending_user_can_gain():
 
 def test_group_bound_violation_is_detected():
     session = sim.new_session(FAST, 1, 2)
-    users = sim.make_users(1, session)
+    users = sim.make_users(2, session)
     for p in source_packets(1, session.batch_payloads(1))[:3]:
-        assert users[0].batches[1].absorb(p)
-    gd = np.array([2, 0], dtype=np.int64)
-    with pytest.raises(RuntimeError):
-        sim._check_group_bound(users[0], 1, gd)
+        assert users[1].batches[1].absorb(p)
+    for p in source_packets(2, session.batch_payloads(2))[:2]:
+        assert users[0].batches[2].absorb(p)
+    ranks = users[0].buffers.ranks
+    bids = np.arange(1, 3)
+    sim._check_group_bound(ranks, np.array([3, 2]), bids)
+    gd = np.array([2, 1], dtype=np.int64)
+    # users outer, batches inner, as after phase 1
+    whole = "^user 0 holds rank 2 for batch 2 but the group only ever received 1 "
+    with pytest.raises(RuntimeError, match=whole + "distinct packets$"):
+        sim._check_group_bound(ranks, gd, bids, users_first=True)
+    # batches outer, as a window's receptions happen
+    with pytest.raises(RuntimeError, match="^user 1 holds rank 3 for batch 1 "):
+        sim._check_group_bound(ranks, gd, bids)
+
+
+def test_phase2_raises_when_a_rank_passes_the_group_bound():
+    """Handed group counts equal to the highest rank any user holds after
+    phase 1, phase 2 stops at the first reception that raises one past it."""
+    n = 40
+    session = sim.new_session(FAST, 5, n)
+    users = sim.make_users(3, session)
+    sim.run_phase1(session, users, FAST, sim._substream(5, 1), np.zeros(n, np.int64))
+    sim.prepare_phase2(session, users, FAST, observe=[])
+    ranks = users[0].buffers.ranks
+    low = ranks[1:].max(axis=1)
+    with pytest.raises(RuntimeError, match="group only ever received") as err:
+        sim.run_phase2(
+            session,
+            users,
+            FAST,
+            sim._substream(5, 2),
+            sim._substream(5, 3),
+            low,
+            until_tx=500,
+        )
+    assert not isinstance(err.value, sim.SimulationStallError)
+    uid, rank, bid, bound = map(int, re.findall(r"\d+", str(err.value)))
+    assert rank == ranks[bid, uid] == bound + 1 == low[bid - 1] + 1
 
 
 # ---------------------------------------------------------- baselines
