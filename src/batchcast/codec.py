@@ -23,8 +23,12 @@ resolved, so a pull multiplies its contributors in a few bands of similar
 width, each at the band's widest. Firing row-reduces only the batch's coefficient block on
 its unresolved contributors (at most M x 2M, with an identity block
 recording the row transform) and applies that transform to the pulled rows
-in one product. Symbolic constraints keep the same [payload | symbolic] row
-layout.
+in one product. The batches one round of substitutions finishes while they
+hold rows (the full-mix and high-degree batches, mostly all at once when a
+decoder's last packets resolve) drain together: their expanded rows are
+placed over the union of their contributors and pulled in one product, tall
+enough for gf.matmul's split-table kernel. Symbolic constraints keep the
+same [payload | symbolic] row layout.
 
 Descriptors never travel. Each batch's degree, contributor set, and generator
 are redrawn from a deterministic stream seeded by (session seed, batch id),
@@ -698,7 +702,7 @@ class IncrementalDecoder:
             return
         rows = np.concatenate((coeffs, payloads), axis=1)
         if b.u == 0:
-            self._drain(b, rows)
+            self._drain([(b, rows)])
             return
         lo, b.rows = b.rows, b.rows + k
         b.raw[lo : b.rows] = rows
@@ -733,19 +737,35 @@ class IncrementalDecoder:
         row[-1] = 1
         self._assign(pkt, row)
 
-    def _drain(self, b: _DecoderBatch, rows: np.ndarray) -> None:
-        """Everything batch b constrains is known or symbolic: its received
-        rows [coeff | payload] become constraints of the Z system."""
-        m = b.raw.shape[0]
-        c_rows = _expand(rows[:, :m], b.gen_t)
-        self._to_zsys(self._pull(c_rows, rows[:, m:], b.contribs))
+    def _drain(self, parts: List[Tuple[_DecoderBatch, np.ndarray]]) -> None:
+        """Everything the batches constrain is known or symbolic: the rows
+        [coeff | payload] of each (batch, rows) pair in parts become
+        constraints of the Z system, pair by pair, each in row order.
+
+        The rows are expanded batch by batch, placed over the union of the
+        batches' contributors and pulled in one product.
+        """
+        m = parts[0][0].raw.shape[0]
+        union = np.zeros(self.file_packets, dtype=bool)
+        for b, _ in parts:
+            union[b.contribs] = True
+        pkts = np.flatnonzero(union)
+        c_rows = np.zeros((sum(len(rows) for _, rows in parts), pkts.size), np.uint8)
+        lo = 0
+        for b, rows in parts:
+            hi = lo + len(rows)
+            c_rows[lo:hi, pkts.searchsorted(b.contribs)] = _expand(rows[:, :m], b.gen_t)
+            lo = hi
+        payloads = np.concatenate([rows[:, m:] for _, rows in parts])
+        self._to_zsys(self._pull(c_rows, payloads, pkts))
 
     def _flush_substitutions(self) -> None:
         """Mark queued resolutions in the pending batches that contain them.
 
-        Bookkeeping only: no payload or symbolic data moves here, since a
-        batch pulls its right-hand side when it fires or drains. Batches are
-        visited in the order the queued packets first reach them.
+        Bookkeeping, apart from drains: a batch pulls its right-hand side
+        when it fires, but the batches this flush finishes while they hold
+        rows drain here, together. Batches are visited, and their rows
+        drained, in the order the queued packets first reach them.
         """
         pkts = np.array(self._subst_queue, dtype=np.int64)
         self._subst_queue = []
@@ -759,6 +779,7 @@ class IncrementalDecoder:
         self._unres[slots] = False
         hit = self._slot_batch[slots]
         hits = np.bincount(hit).tolist()
+        finished = []
         # dict keys keep insertion order: the batches in first-hit order
         for i in dict.fromkeys(hit.tolist()):
             bid, b = self._indexed[i]
@@ -766,7 +787,9 @@ class IncrementalDecoder:
             if b.u:
                 self._watch(bid, b)
             elif b.rows:
-                self._drain(b, b.raw[: b.rows])
+                finished.append((b, b.raw[: b.rows]))
+        if finished:
+            self._drain(finished)
 
     def _fire(self, bid: int) -> None:
         """Resolve a batch's unresolved contributors from its rows.

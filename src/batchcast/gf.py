@@ -5,6 +5,14 @@ polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D). Addition is XOR. Multiplication
 goes through a precomputed 256x256 product table so that the matrix kernels
 below reduce to vectorized numpy gathers plus XOR folds, which is what keeps
 the simulator fast on a single core.
+
+A product of many rows goes through 4-bit split tables instead (Plank,
+Greenan and Miller, "Screaming Fast Galois Field Arithmetic Using Intel SIMD
+Instructions", FAST 2013): since a * b_j = lo(a) * b_j ^ x^4 * (hi(a) * b_j)
+for the nibbles lo(a) and hi(a) of a, the 16 multiples v * b_j of each row of
+the right operand, built by doubling on uint64 words, serve every row of the
+left operand. The gathers then move whole rows of eight-byte words, and the
+sum of the high-nibble products is multiplied by x^4 once at the end.
 """
 
 from __future__ import annotations
@@ -60,6 +68,18 @@ _HIGH = np.arange(ORDER, dtype=np.uint16) << 8
 # matmul gathers at most this many products at once (one k-slice more when a
 # single slice is already larger), so its memory stays bounded by the output.
 _CHUNK_ELEMS = 1 << 16
+# a product of at least this many rows goes through split tables. Timed on a
+# 2-core x86_64 at inner dimensions 16 to 1600, from 32 rows on they never
+# took longer than the gather (0.95x its time at 16, at most 0.55x from 40
+# up); at 24 rows they took 1.15x at 16, and at 16 rows, the decoder's fires,
+# up to 1.6x
+_TALL_ROWS = 32
+# the split-table kernel gathers about this many bytes per k-chunk (its
+# tables take at most half as many); twice as many ran 5% to 10% faster on
+# drain-sized products but added 0.5 MB to ex2-payload's peak RSS
+_TALL_CHUNK_BYTES = 1 << 19
+_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
+_LSB = np.uint64(0x0101010101010101)
 
 
 def mul(a, b):
@@ -98,6 +118,50 @@ def _products(high: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def _times_x(w: np.ndarray) -> np.ndarray:
+    """x times each byte of the uint64 words w."""
+    carry = (w >> np.uint64(7)) & _LSB
+    return ((w & _LOW7) << np.uint64(1)) ^ (carry * np.uint64(REDUCTION_POLY & 0xFF))
+
+
+def _split_tables(b: np.ndarray, words: int) -> np.ndarray:
+    """Row 16 j + v is v * b[j], for v < 16, as words uint64 words."""
+    k, c = b.shape
+    t = np.zeros((k, 16, 8 * words), dtype=np.uint8)
+    t[:, 1, :c] = b
+    t = t.view(np.uint64)
+    for v in (2, 4, 8):
+        t[:, v] = _times_x(t[:, v // 2])
+        t[:, v + 1 : 2 * v] = t[:, v : v + 1] ^ t[:, 1:v]
+    return t.reshape(16 * k, words)
+
+
+def _matmul_tall(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b through 4-bit split tables of b, in k-chunks.
+
+    a is transposed so that each gather is (k-chunk, r, words) and its XOR
+    fold over the chunk runs along whole r x words planes.
+    """
+    r, k = a.shape
+    c = b.shape[1]
+    words = -(-c // 8)
+    step = max(1, _TALL_CHUNK_BYTES // (8 * r * words))
+    a_t = np.ascontiguousarray(a.T)
+    # row 16 j of a chunk's tables starts the multiples of its j-th row of b
+    offsets = np.arange(min(step, k), dtype=np.intp)[:, None] << 4
+    low = np.zeros((r, words), dtype=np.uint64)
+    high = np.zeros((r, words), dtype=np.uint64)
+    for s in range(0, k, step):
+        t = _split_tables(b[s : s + step], words)
+        coef = a_t[s : s + step]
+        base = offsets[: coef.shape[0]]
+        low ^= np.bitwise_xor.reduce(t.take((coef & 15) | base, axis=0), axis=0)
+        high ^= np.bitwise_xor.reduce(t.take((coef >> 4) | base, axis=0), axis=0)
+    out = low.view(np.uint8)
+    out ^= MUL_TABLE[16].take(high.view(np.uint8))  # x^4 is 16
+    return np.ascontiguousarray(out[:, :c])
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b over the field; a is (r, k), b is (k, c)."""
     r, k = a.shape
@@ -106,6 +170,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("inner dimensions differ: %d vs %d" % (k, k2))
     if k == 0 or r == 0 or c == 0:
         return np.zeros((r, c), dtype=np.uint8)
+    if r >= _TALL_ROWS:
+        return _matmul_tall(a, b)
     high = a.astype(np.uint16)
     high <<= 8
     # Products are taken from the flat table in k-chunks of about

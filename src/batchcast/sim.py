@@ -19,6 +19,7 @@ they are the same numbers, in the same order, as one draw per packet.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import AbstractSet, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -130,9 +131,8 @@ class UserState:
     """Everything one receiver accumulates across both phases."""
 
     user_id: int
-    # the group's session-wide buffers; batches holds this user's views
+    # the group's session-wide buffers
     buffers: codec.BatchBuffers
-    batches: Dict[int, codec.BatchState]
     queue: Optional[np.ndarray] = None
     tail: Optional[np.ndarray] = None
     queue_pos: int = 0
@@ -144,6 +144,11 @@ class UserState:
     innovative: int = 0
     redundant: int = 0
     innovative_at_decode: int = -1
+
+    @cached_property
+    def batches(self) -> Dict[int, codec.BatchState]:
+        """This user's BatchState views, by batch id, built on first use."""
+        return self.buffers.views(self.user_id)
 
     def batch_ranks(self, num_batches: int) -> np.ndarray:
         return self.buffers.ranks[1 : num_batches + 1, self.user_id].copy()
@@ -176,10 +181,7 @@ def make_users(num_users: int, session: CodingSession) -> List[UserState]:
     buffers = codec.BatchBuffers(
         session.num_batches, num_users, session.batch_size, session.payload_len
     )
-    return [
-        UserState(user_id=uid, buffers=buffers, batches=buffers.views(uid))
-        for uid in range(num_users)
-    ]
+    return [UserState(user_id=uid, buffers=buffers) for uid in range(num_users)]
 
 
 # doubles read from the phase-1 stream at a time
@@ -418,7 +420,9 @@ def run_phase2(
     While an observed user is pending, a window is also short enough that
     no pending user can reach F innovative packets, or every packet the
     group received, before its last transmission; decode attempts and
-    stall checks fall there.
+    stall checks fall there. A pending user that holds every packet the
+    group received (saturated) can gain nothing, so it does not shorten
+    windows.
     Raises SimulationStallError at the slot cap, or as soon as every pending
     user holds all the packets the group received.
     """
@@ -464,7 +468,11 @@ def run_phase2(
                 % (slot, stuck, group_total)
             )
         if pending:
-            room = min(max(1, reach - u.innovative) for u in watched if not u.decoded)
+            room = min(
+                max(1, reach - u.innovative)
+                for u in watched
+                if not u.decoded and u.innovative < group_total
+            )
         else:
             room = until_tx - transmissions
         slots, senders, bids = [], [], []

@@ -11,9 +11,10 @@ off again.
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
-from batchcast import sim
+from batchcast import codec, gf, sim
 from batchcast.analytics import NetworkParams
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
@@ -56,6 +57,33 @@ def test_tracer_wraps_every_target_and_restores_it(tracing):
         tracer.restore()
     for (owner, attr, _, _), orig in zip(tracing.TARGETS, originals):
         assert current(owner, attr) is orig
+
+
+def test_tracer_counts_products_on_both_kernels(tracing):
+    """A product of gf._TALL_ROWS rows or more takes the split-table kernel
+    inside gf.matmul; the traced gf.matmul still counts it, in calls and in
+    multiplications, as it counts a short one."""
+    rng = np.random.default_rng(4)
+    shapes = [(gf._TALL_ROWS - 1, 40, 11), (gf._TALL_ROWS, 40, 11), (150, 300, 67)]
+    pairs = [
+        (
+            rng.integers(0, 256, (r, k), dtype=np.uint8),
+            rng.integers(0, 256, (k, c), dtype=np.uint8),
+        )
+        for r, k, c in shapes
+    ]
+    want = [gf.matmul(a, b) for a, b in pairs]
+    tracer = tracing.Tracer()
+    with tracer:
+        with tracer.root(0):
+            # the decoder reaches the kernel as gf.matmul through codec's gf
+            got = [codec.gf.matmul(a, b) for a, b in pairs]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    summary = tracer.summary()
+    assert summary["gf.matmul"]["calls"] == len(shapes)
+    assert summary["gf.matmul.in." + tracing.ROOT]["calls"] == len(shapes)
+    mults = sum(r * k * c for r, k, c in shapes)
+    assert tracer.counters["gf.matmul.mults"] == mults
 
 
 def test_capture_hook_sees_each_sessions_users():

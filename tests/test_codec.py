@@ -1008,6 +1008,68 @@ def test_large_pulls_take_the_banded_path():
     )
 
 
+def coverage_instance(seed, p):
+    """120 packets in 24 batches of 8 under the designed degree law, so with
+    full-mix and high-degree batches; each source packet kept with p."""
+    rng = np.random.default_rng(seed)
+    file = make_file(rng, 120, 3)
+    dist = codec.design_distribution(120, 24, 8)
+    descriptors, batch_packets = build_session(file, dist, 24, 8, seed)
+    states = {}
+    for bid, pkts in batch_packets.items():
+        st = codec.BatchState(bid, 8, 3)
+        for pkt in pkts:
+            if rng.random() < p:
+                st.absorb(pkt)
+        states[bid] = st
+    return file, descriptors, states
+
+
+def test_batches_a_flush_finishes_drain_as_one_pull():
+    """A flush that finishes several batches holding rows (full-mix and
+    high-degree batches with other contributor sets) drains them in one
+    pull over the union of their contributors. The Z system, unresolved,
+    inactivated and the decoded bytes equal draining them one at a time,
+    and the dense-elimination oracle."""
+    together = []
+    for seed in range(16):
+        file, descriptors, states = coverage_instance(seed, 0.6 + 0.2 * (seed % 4 > 0))
+        joint, alone = (codec.IncrementalDecoder(120, 3, descriptors) for _ in range(2))
+        drain, drain_alone = joint._drain, alone._drain
+
+        def logged(parts, drain=drain):
+            rows = sum(len(r) for _, r in parts)
+            together.append(([b.contribs for b, _ in parts], rows))
+            drain(parts)
+
+        def one_at_a_time(parts, drain=drain_alone):
+            for part in parts:
+                drain([part])
+
+        joint._drain, alone._drain = logged, one_at_a_time
+        for dec in (joint, alone):
+            for st in states.values():
+                dec.load_state(st)
+        ok = joint.attempt()
+        assert alone.attempt() == ok
+        assert joint.zsys.rank == alone.zsys.rank
+        assert np.array_equal(joint.zsys.rows, alone.zsys.rows)
+        assert joint.unresolved == alone.unresolved
+        assert joint.inactivated == alone.inactivated
+        assert joint.unresolved == 120 - global_rank(states, descriptors, 120)
+        if ok:
+            assert np.array_equal(joint.extract(), alone.extract())
+            assert np.array_equal(joint.extract(), file)
+    mixed = [
+        rows
+        for sets, rows in together
+        if any(s.size == 120 for s in sets)
+        and len({tuple(np.sort(s)) for s in sets if 16 < s.size < 120}) >= 2
+    ]
+    # some of them through the split-table product
+    assert len(mixed) >= 2 and max(mixed) >= gf._TALL_ROWS
+
+
 def mixed_states(seed, kind):
     """A session whose buffers hold rows of one kind, or of every kind.
 

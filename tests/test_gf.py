@@ -205,6 +205,9 @@ def test_reference_matmul_matches_scalar_products():
 
 
 CHUNK = gf._CHUNK_ELEMS
+TALL = gf._TALL_ROWS
+# rows of b per split-table chunk of a TALL x k by k x 64 product
+TALL_STEP = gf._TALL_CHUNK_BYTES // (8 * TALL * 8)
 
 
 @pytest.mark.parametrize(
@@ -218,6 +221,15 @@ CHUNK = gf._CHUNK_ELEMS
         (CHUNK // 128 + 1, 3, 128),  # r * c > CHUNK: one inner index per chunk
         (16, 1600, 214),
         (1600, 150, 64),
+        # split tables from TALL rows on: c not a multiple of 8, k = 1, empty
+        # dimensions, and k-chunks of TALL_STEP rows of b, the last short
+        (TALL - 1, 300, 67),
+        (TALL, 300, 67),
+        (TALL, 1, 9),
+        (TALL, 0, 9),
+        (TALL, 9, 0),
+        (TALL, 2 * TALL_STEP + 7, 64),
+        (90, 1600, 61),
     ],
 )
 def test_matmul_matches_reference(r, k, c):
@@ -242,3 +254,39 @@ def test_matmul_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_matmul_matches_reference_on_random_shapes():
+    """Shapes drawn on both sides of the split-table row threshold, most
+    with c not a multiple of 8."""
+    rng = np.random.default_rng(31)
+    tall = 0
+    for _ in range(60):
+        r = int(rng.integers(1, 3 * TALL))
+        k = int(rng.integers(1, 300))
+        c = int(rng.integers(1, 90))
+        a = rng.integers(0, 256, (r, k), dtype=np.uint8)
+        b = rng.integers(0, 256, (k, c), dtype=np.uint8)
+        got = gf.matmul(a, b)
+        assert got.shape == (r, c) and got.flags.c_contiguous
+        assert np.array_equal(got, reference_matmul(a, b)), (r, k, c)
+        tall += r >= TALL
+    assert 20 <= tall <= 40
+
+
+@pytest.mark.parametrize("r", [TALL - 1, TALL, 3 * TALL + 5])
+@pytest.mark.parametrize(
+    "fill_a, fill_b", [(0, None), (None, 0), (255, 255), (255, None), (None, 255)]
+)
+def test_matmul_constant_operands(r, fill_a, fill_b):
+    """All-zero and all-255 operands (every nibble 0, or 15 with the top
+    bit set) on both sides of the row threshold."""
+    rng = np.random.default_rng(r)
+    k, c = 70, 21
+    a = rng.integers(0, 256, (r, k), dtype=np.uint8)
+    b = rng.integers(0, 256, (k, c), dtype=np.uint8)
+    if fill_a is not None:
+        a[:] = fill_a
+    if fill_b is not None:
+        b[:] = fill_b
+    assert np.array_equal(gf.matmul(a, b), reference_matmul(a, b))

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from batchcast import cli, sim
+from batchcast import cli, codec, sim
 from batchcast.analytics import NetworkParams, stopping_time
 
 FAST = NetworkParams(
@@ -118,21 +118,47 @@ def test_decoder_digest(name, monkeypatch):
 # FAST at n=20 and seed 3: the group holds 138 of 300 packets after phase 1,
 # so phase 2 stalls once every user holds all of them (slot 232)
 STALL_DIGEST = "4c698757c8a01b1eed78568c2323491334c4124e148504c62ba6a981dcbf0c10"
+# seed 4: the group holds 137 packets (stall at slot 148), and users that
+# saturate early wait on peers still short of them
+SATURATED_STALL_DIGEST = (
+    "3d5cb83db01d136989bf2819fb2a5dc7a10e74f22df5c31c183ef5b25ee00754"
+)
 
 
-def test_stall_digest(monkeypatch):
-    """The stall message and the trace up to the stall slot stay pinned."""
-    seen = {}
+def _stall(seed, monkeypatch):
+    """Stall message and trace of FAST at n=20, and the phase-2 windows
+    (BatchBuffers.absorb calls) it took."""
+    seen = {"windows": 0}
     run_phase2 = sim.run_phase2
+    absorb = codec.BatchBuffers.absorb
 
     def keep_trace(*args, **kwargs):
         seen["trace"] = kwargs["trace"]
         return run_phase2(*args, **kwargs)
 
+    def counted(*args):
+        seen["windows"] += 1
+        return absorb(*args)
+
     monkeypatch.setattr(sim, "run_phase2", keep_trace)
+    monkeypatch.setattr(codec.BatchBuffers, "absorb", counted)
     with pytest.raises(sim.SimulationStallError) as err:
-        sim.run_session(FAST, 3, num_batches=20, with_trace=True)
-    assert _digest(str(err.value) + "\n" + repr(seen["trace"])) == STALL_DIGEST
+        sim.run_session(FAST, seed, num_batches=20, with_trace=True)
+    return _digest(str(err.value) + "\n" + repr(seen["trace"])), seen["windows"]
+
+
+def test_stall_digest(monkeypatch):
+    """The stall message and the trace up to the stall slot stay pinned."""
+    assert _stall(3, monkeypatch)[0] == STALL_DIGEST
+
+
+def test_saturated_users_do_not_shorten_windows(monkeypatch):
+    """A saturated user can gain nothing more, so it no longer cuts every
+    window to one transmission while its peers catch up: the same stall in
+    fewer windows (73 when it did)."""
+    digest, windows = _stall(4, monkeypatch)
+    assert digest == SATURATED_STALL_DIGEST
+    assert windows < 73
 
 
 NETWORK = [

@@ -666,6 +666,27 @@ def test_observe_subset_matches_full_run():
     assert one.innovative_at_decode[0] == full.innovative_at_decode[0]
 
 
+def test_batch_views_are_built_only_when_read(monkeypatch):
+    """Phase 2 reads no BatchState view: only the observed user's decoder
+    load builds that user's views, and they read the shared buffers."""
+    groups = []
+    make_users = sim.make_users
+
+    def keep_users(num_users, session):
+        groups.append(make_users(num_users, session))
+        return groups[-1]
+
+    monkeypatch.setattr(sim, "make_users", keep_users)
+    sim.run_session(FAST, 7, num_batches=64, observe=[1])
+    (users,) = groups
+    assert ["batches" in vars(u) for u in users] == [False, True, False]
+    ranks = users[0].buffers.ranks
+    for u in users:
+        views = u.batches
+        assert list(views) == list(range(1, 65))
+        assert [st.rank for st in views.values()] == ranks[1:, u.user_id].tolist()
+
+
 @pytest.mark.parametrize(
     "params, n, payload_len",
     [(FAST, 64, 12), (EX2, 152, 64)],
