@@ -20,15 +20,19 @@ once: the product of its rows' coefficients on its resolved contributors
 with those contributors' [payload | symbolic] expressions. A packet's
 expression is only as wide as the symbolic unknowns that existed when it
 resolved, so a pull multiplies its contributors in a few bands of similar
-width, each at the band's widest. Firing row-reduces only the batch's coefficient block on
-its unresolved contributors (at most M x 2M, with an identity block
-recording the row transform) and applies that transform to the pulled rows
-in one product. The batches one round of substitutions finishes while they
-hold rows (the full-mix and high-degree batches, mostly all at once when a
-decoder's last packets resolve) drain together: their expanded rows are
-placed over the union of their contributors and pulled in one product, tall
-enough for gf.matmul's split-table kernel. Symbolic constraints keep the
-same [payload | symbolic] row layout.
+width, each at the band's widest. Firing row-reduces only the batch's
+coefficient block on its unresolved contributors (at most M x 2M, with an
+identity block recording the row transform) and applies that transform to
+the pulled rows in one product. The batches one round of substitutions
+finishes while they hold rows (the full-mix and high-degree batches, mostly
+all at once when a decoder's last packets resolve) drain together: their
+expanded rows are placed over the union of their contributors and pulled in
+one product, tall enough for gf.matmul's split-table kernel. Symbolic
+constraints keep the same [payload | symbolic] row layout. A fire's surplus
+rows, or a drain's rows, enter the symbolic system as one block: reduced
+against its pivots in one product, eliminated among themselves in arrival
+order, so that each takes the pivot column it would take alone, and
+back-substituted into the stored rows in one more product.
 
 Descriptors never travel. Each batch's degree, contributor set, and generator
 are redrawn from a deterministic stream seeded by (session seed, batch id),
@@ -439,16 +443,19 @@ def recode(state: BatchState, rng: np.random.Generator) -> np.ndarray:
 
 
 def encode_batch(
-    file: np.ndarray,
+    file: gf.SplitTables,
     dist: DegreeDistribution,
     batch_id: int,
     rng: np.random.Generator,
     batch_size: int,
 ) -> Tuple[BatchDescriptor, np.ndarray]:
-    """One batch's (M, L) source payloads; packet j has coefficients e_j."""
-    file = np.asarray(file, dtype=np.uint8)
+    """One batch's (M, L) source payloads; packet j has coefficients e_j.
+
+    file holds the split tables of the (F, L) file, which every batch of a
+    session multiplies, so they are built once for all of them.
+    """
     desc = make_descriptor(file.shape[0], dist, batch_id, rng, batch_size)
-    return desc, gf.matmul(desc.generator.T, file[desc.contributor_ids - 1])
+    return desc, file.matmul(desc.generator.T, desc.contributor_ids - 1)
 
 
 # ------------------------------------------------------------------ decoding
@@ -475,9 +482,9 @@ class _ZSystem:
     Rows are constraints [b | z] from surplus receptions, meaning z . Z = b,
     in the decoder's [payload | Z] layout, so one product reduces payload
     and symbolic columns together. Kept fully reduced so rank queries are
-    free and the final solve is a read-off. Storage is preallocated and
-    doubles on demand, in rows and in symbolic columns, so accepting a row
-    does not copy the system.
+    free and the final solve is a read-off. Rows arrive in blocks; storage is
+    preallocated and doubles on demand, in rows and in symbolic columns, so
+    accepting rows does not copy the system.
     """
 
     def __init__(self, payload_len: int):
@@ -494,11 +501,11 @@ class _ZSystem:
     def rows(self) -> np.ndarray:
         return self._rows[: self.rank, : self.payload_len + self.width]
 
-    def _reserve(self, width: int) -> None:
-        """Room for one more row, and for width symbolic columns."""
+    def _reserve(self, count: int, width: int) -> None:
+        """Room for count more rows, and for width symbolic columns."""
         self.width = max(self.width, width)
         rows, cols = self._rows.shape
-        if self.rank == rows:
+        while self.rank + count > rows:
             rows *= 2
         zcap = cols - self.payload_len
         if self.width > zcap:
@@ -506,29 +513,53 @@ class _ZSystem:
         if (rows, cols) != self._rows.shape:
             self._rows = _grown(self._rows, rows, cols)
 
-    def add(self, row: np.ndarray) -> bool:
+    def add(self, block: np.ndarray) -> int:
+        """Take the (k, w) rows of block, in order; returns how many of them
+        raised the rank.
+
+        The block is reduced against the stored pivots in one product, then
+        eliminated within itself in row order, so that each row takes the
+        pivot column it would take added alone; the stored rows are then
+        reduced against the new ones in one product. An inconsistent row
+        raises before anything changes.
+        """
         lp = self.payload_len
-        self._reserve(row.size - lp)
-        rows = self.rows
-        w = np.zeros(lp + self.width, dtype=np.uint8)
-        w[: row.size] = row
-        if self.pivot_cols:
-            factors = w[lp:][self.pivot_cols]
+        k, size = block.shape
+        if k == 0:
+            return 0
+        width = max(self.width, size - lp)
+        w = np.zeros((k, lp + width), dtype=np.uint8)
+        w[:, :size] = block
+        old = self.rows
+        factors = w[:, lp:][:, self.pivot_cols]
+        if factors.any():
+            w[:, : old.shape[1]] ^= gf.matmul(factors, old)
+        pivots, kept = [], []
+        for i in range(k):
+            nz = np.flatnonzero(w[i, lp:])
+            if nz.size == 0:
+                if w[i].any():
+                    raise gf.InconsistentSystemError(
+                        "received data is internally inconsistent"
+                    )
+                continue
+            p = lp + int(nz[0])
+            w[i] = gf.MUL_TABLE[gf._INV[w[i, p]]].take(w[i])
+            hit = np.flatnonzero(w[:, p])
+            hit = hit[hit != i]
+            w[hit] ^= gf.outer(w[hit, p], w[i])
+            pivots.append(p - lp)
+            kept.append(i)
+        self._reserve(len(kept), width)
+        if kept:
+            new = w[kept]
+            old = self.rows
+            factors = old[:, lp + np.array(pivots)]
             if factors.any():
-                w ^= gf.matmul(factors[None, :], rows)[0]
-        nz = np.flatnonzero(w[lp:])
-        if nz.size == 0:
-            if w.any():
-                raise gf.InconsistentSystemError(
-                    "received data is internally inconsistent"
-                )
-            return False
-        pivot = int(nz[0])
-        w = gf.MUL_TABLE[gf._INV[w[lp + pivot]]].take(w)
-        rows ^= gf.outer(rows[:, lp + pivot], w)
-        self._rows[self.rank, : w.size] = w
-        self.pivot_cols.append(pivot)
-        return True
+                old ^= gf.matmul(factors, new)
+            self._rows[self.rank : self.rank + len(kept), : new.shape[1]] = new
+            self.pivot_cols.extend(pivots)
+        return len(kept)
 
     def solve(self, num_z: int) -> np.ndarray:
         if self.rank != num_z:
@@ -671,10 +702,6 @@ class IncrementalDecoder:
             rhs[:, :end] ^= gf.matmul(c_rows[:, sel], self.expr[pkts[sel], :end])
         return rhs
 
-    def _to_zsys(self, rhs: np.ndarray) -> None:
-        for row in rhs:
-            self.zsys.add(row)
-
     def _watch(self, bid: int, b: _DecoderBatch) -> None:
         """Queue pending batch b if it may fire, or keep it as near."""
         if b.u <= b.rows and not b.queued:
@@ -757,7 +784,7 @@ class IncrementalDecoder:
             c_rows[lo:hi, pkts.searchsorted(b.contribs)] = _expand(rows[:, :m], b.gen_t)
             lo = hi
         payloads = np.concatenate([rows[:, m:] for _, rows in parts])
-        self._to_zsys(self._pull(c_rows, payloads, pkts))
+        self.zsys.add(self._pull(c_rows, payloads, pkts))
 
     def _flush_substitutions(self) -> None:
         """Mark queued resolutions in the pending batches that contain them.
@@ -817,7 +844,7 @@ class IncrementalDecoder:
         out = gf.matmul(rref[:, u:], rhs)
         for i in range(u):
             self._assign(int(b.contribs[active[i]]), out[i])
-        self._to_zsys(out[u:])
+        self.zsys.add(out[u:])
         b.unres[:] = False
         b.u = 0
 

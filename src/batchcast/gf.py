@@ -6,13 +6,17 @@ goes through a precomputed 256x256 product table so that the matrix kernels
 below reduce to vectorized numpy gathers plus XOR folds, which is what keeps
 the simulator fast on a single core.
 
-A product of many rows goes through 4-bit split tables instead (Plank,
+A product of at least 8 rows over a long enough inner dimension (their
+product at least 1200) goes through 4-bit split tables instead (Plank,
 Greenan and Miller, "Screaming Fast Galois Field Arithmetic Using Intel SIMD
 Instructions", FAST 2013): since a * b_j = lo(a) * b_j ^ x^4 * (hi(a) * b_j)
 for the nibbles lo(a) and hi(a) of a, the 16 multiples v * b_j of each row of
 the right operand, built by doubling on uint64 words, serve every row of the
 left operand. The gathers then move whole rows of eight-byte words, and the
 sum of the high-nibble products is multiplied by x^4 once at the end.
+SplitTables keeps the tables of a whole matrix, so that many products with
+selections of its rows (the source's batches, all over one file) pay for
+them once.
 """
 
 from __future__ import annotations
@@ -68,15 +72,20 @@ _HIGH = np.arange(ORDER, dtype=np.uint16) << 8
 # matmul gathers at most this many products at once (one k-slice more when a
 # single slice is already larger), so its memory stays bounded by the output.
 _CHUNK_ELEMS = 1 << 16
-# a product of at least this many rows goes through split tables. Timed on a
-# 2-core x86_64 at inner dimensions 16 to 1600, from 32 rows on they never
-# took longer than the gather (0.95x its time at 16, at most 0.55x from 40
-# up); at 24 rows they took 1.15x at 16, and at 16 rows, the decoder's fires,
-# up to 1.6x
-_TALL_ROWS = 32
-# the split-table kernel gathers about this many bytes per k-chunk (its
-# tables take at most half as many); twice as many ran 5% to 10% faster on
-# drain-sized products but added 0.5 MB to ex2-payload's peak RSS
+# an (r, k) by (k, c) product goes through split tables when r >= _SPLIT_ROWS,
+# k >= 2 and r * k >= _SPLIT_WORK. Split-table time over gather time on a
+# 2-core x86_64 at c = 80 (c is 64 payload bytes plus symbolic columns in
+# the decoder): r = 8: 1.01 at k = 100, 0.84 at 150; r = 12: 0.90 at 64,
+# 0.79 at 100; r = 16: 1.03 at 32, 0.68 at 64; r = 24: 1.16 at 16, 0.76 at
+# 32; fewer than 8 rows: 1.27 or more up to k = 400. At c = 24 the ratio is
+# 1.0 to 1.2 at r * k = 1200, so a lower threshold would slow payload-free
+# decoders. At k = 1 the final x^4 fold alone costs as much as the gather.
+_SPLIT_ROWS = 8
+_SPLIT_WORK = 1200
+# the split-table kernel gathers about this many bytes per k-chunk, and its
+# tables take at most half as many (they hold 16 multiples per row of b, and
+# a chunk is cut as if a had at least 32 rows); twice as many ran 5% to 10%
+# faster on drain-sized products but added 0.5 MB to ex2-payload's peak RSS
 _TALL_CHUNK_BYTES = 1 << 19
 _LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
 _LSB = np.uint64(0x0101010101010101)
@@ -136,30 +145,69 @@ def _split_tables(b: np.ndarray, words: int) -> np.ndarray:
     return t.reshape(16 * k, words)
 
 
-def _matmul_tall(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b through 4-bit split tables of b, in k-chunks.
+def _split_step(r: int, words: int) -> int:
+    """Rows of b per k-chunk of a split-table product with r rows."""
+    return max(1, _TALL_CHUNK_BYTES // (8 * max(r, 32) * words))
 
-    a is transposed so that each gather is (k-chunk, r, words) and its XOR
-    fold over the chunk runs along whole r x words planes.
+
+def _split_matmul(a: np.ndarray, c: int, words: int, chunk) -> np.ndarray:
+    """a @ b, b being (k, c), through 4-bit split tables, in k-chunks.
+
+    chunk(s, e) returns (t, first) for rows s:e of b: row first[j] + v of
+    the tables t is v * b[s + j], as words uint64 words. a is transposed so
+    that each gather is (k-chunk, r, words) and its XOR fold over the chunk
+    runs along whole r x words planes.
     """
     r, k = a.shape
-    c = b.shape[1]
-    words = -(-c // 8)
-    step = max(1, _TALL_CHUNK_BYTES // (8 * r * words))
+    step = _split_step(r, words)
     a_t = np.ascontiguousarray(a.T)
-    # row 16 j of a chunk's tables starts the multiples of its j-th row of b
-    offsets = np.arange(min(step, k), dtype=np.intp)[:, None] << 4
     low = np.zeros((r, words), dtype=np.uint64)
     high = np.zeros((r, words), dtype=np.uint64)
     for s in range(0, k, step):
-        t = _split_tables(b[s : s + step], words)
+        t, first = chunk(s, s + step)
         coef = a_t[s : s + step]
-        base = offsets[: coef.shape[0]]
+        base = first[:, None]
         low ^= np.bitwise_xor.reduce(t.take((coef & 15) | base, axis=0), axis=0)
         high ^= np.bitwise_xor.reduce(t.take((coef >> 4) | base, axis=0), axis=0)
     out = low.view(np.uint8)
     out ^= MUL_TABLE[16].take(high.view(np.uint8))  # x^4 is 16
     return np.ascontiguousarray(out[:, :c])
+
+
+def _matmul_tall(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b through split tables of b, built chunk by chunk."""
+    k, c = b.shape
+    words = -(-c // 8)
+    # row 16 j of a chunk's tables starts the multiples of its j-th row of b
+    offsets = np.arange(k, dtype=np.intp) << 4
+
+    def chunk(s, e):
+        t = _split_tables(b[s:e], words)
+        return t, offsets[: t.shape[0] >> 4]
+
+    return _split_matmul(a, c, words, chunk)
+
+
+class SplitTables:
+    """The split tables of every row of a (k, c) matrix b, built once.
+
+    matmul(a, rows) is a @ b[rows]: two gathers over the rows' tables per
+    k-chunk. A matrix without columns keeps no tables.
+    """
+
+    def __init__(self, b: np.ndarray):
+        self.shape = b.shape
+        self._words = -(-b.shape[1] // 8)
+        self._t = _split_tables(b, self._words) if self._words else None
+
+    def matmul(self, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """a @ b[rows]; a is (r, len(rows))."""
+        if self._t is None:
+            return np.zeros((a.shape[0], self.shape[1]), dtype=np.uint8)
+        first = np.asarray(rows, dtype=np.intp) << 4
+        return _split_matmul(
+            a, self.shape[1], self._words, lambda s, e: (self._t, first[s:e])
+        )
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -170,7 +218,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("inner dimensions differ: %d vs %d" % (k, k2))
     if k == 0 or r == 0 or c == 0:
         return np.zeros((r, c), dtype=np.uint8)
-    if r >= _TALL_ROWS:
+    if r >= _SPLIT_ROWS and k > 1 and r * k >= _SPLIT_WORK:
         return _matmul_tall(a, b)
     high = a.astype(np.uint16)
     high <<= 8

@@ -24,7 +24,7 @@ from typing import AbstractSet, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import codec
+from . import codec, gf
 from .analytics import NetworkParams, optimize_batches
 from .sched import build_matrix, build_queue, exhaustion_order
 
@@ -59,17 +59,22 @@ class CodingSession:
         default_factory=dict, init=False, repr=False
     )
 
-    def batch_payloads(self, batch_id: int) -> np.ndarray:
-        """Regenerate one batch's (M, L) source payloads; records its descriptor."""
-        desc, payloads = codec.encode_batch(
-            self.file,
-            self.dist,
-            batch_id,
-            codec.descriptor_rng(self.seed, batch_id),
-            self.batch_size,
-        )
-        self._drawn[batch_id] = desc
-        return payloads
+    def source_payloads(self, bids) -> np.ndarray:
+        """Regenerate the (M, L) source payloads of batches bids, stacked in
+        that order; records their descriptors.
+
+        The file's split tables are built once for the call, and freed when
+        it returns.
+        """
+        file = gf.SplitTables(self.file)
+        m = self.batch_size
+        out = np.empty((len(bids) * m, self.payload_len), dtype=np.uint8)
+        for i, bid in enumerate(bids):
+            desc, out[i * m : (i + 1) * m] = codec.encode_batch(
+                file, self.dist, bid, codec.descriptor_rng(self.seed, bid), m
+            )
+            self._drawn[bid] = desc
+        return out
 
     @property
     def descriptors(self) -> Dict[int, codec.BatchDescriptor]:
@@ -236,9 +241,7 @@ def run_phase1(
     mask = phase1_deliveries(n * m, len(users), params, rng)
     payloads = None
     if session.payload_len and n:
-        payloads = np.concatenate(
-            [session.batch_payloads(bid) for bid in range(1, n + 1)]
-        )
+        payloads = session.source_payloads(range(1, n + 1))
     users[0].buffers.load_sources(mask, payloads)
     for u, count in zip(users, mask.sum(axis=0).tolist()):
         u.receptions += count

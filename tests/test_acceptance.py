@@ -326,9 +326,10 @@ def _decode_instance(seed: int):
     file = rng.integers(0, 256, (file_packets, payload_len), dtype=np.uint8)
     dist = codec.design_distribution(file_packets, num_batches, batch_size)
     descriptors, states = {}, {}
+    tables = gf.SplitTables(file)
     for bid in range(1, num_batches + 1):
         desc, payloads = codec.encode_batch(
-            file, dist, bid, codec.descriptor_rng(seed, bid), batch_size
+            tables, dist, bid, codec.descriptor_rng(seed, bid), batch_size
         )
         descriptors[bid] = desc
         pkts = source_packets(bid, payloads)

@@ -59,12 +59,21 @@ def test_tracer_wraps_every_target_and_restores_it(tracing):
         assert current(owner, attr) is orig
 
 
-def test_tracer_counts_products_on_both_kernels(tracing):
-    """A product of gf._TALL_ROWS rows or more takes the split-table kernel
+def test_tracer_counts_products_on_both_kernels(tracing, monkeypatch):
+    """A product of at least gf._SPLIT_ROWS rows, over an inner dimension
+    that makes r * k at least gf._SPLIT_WORK, takes the split-table kernel
     inside gf.matmul; the traced gf.matmul still counts it, in calls and in
     multiplications, as it counts a short one."""
+    rows, work = gf._SPLIT_ROWS, gf._SPLIT_WORK
+    edge = -(-work // rows)
+    shapes = [
+        (rows - 1, 300, 11),
+        (rows, edge - 1, 11),
+        (rows, edge, 11),
+        (16, 300, 67),
+        (150, 300, 67),
+    ]
     rng = np.random.default_rng(4)
-    shapes = [(gf._TALL_ROWS - 1, 40, 11), (gf._TALL_ROWS, 40, 11), (150, 300, 67)]
     pairs = [
         (
             rng.integers(0, 256, (r, k), dtype=np.uint8),
@@ -73,17 +82,45 @@ def test_tracer_counts_products_on_both_kernels(tracing):
         for r, k, c in shapes
     ]
     want = [gf.matmul(a, b) for a, b in pairs]
+    split = []
+    matmul_tall = gf._matmul_tall
+    monkeypatch.setattr(
+        gf, "_matmul_tall", lambda a, b: split.append(a.shape) or matmul_tall(a, b)
+    )
     tracer = tracing.Tracer()
     with tracer:
         with tracer.root(0):
             # the decoder reaches the kernel as gf.matmul through codec's gf
             got = [codec.gf.matmul(a, b) for a, b in pairs]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert split == [(r, k) for r, k, _ in shapes[2:]]
     summary = tracer.summary()
     assert summary["gf.matmul"]["calls"] == len(shapes)
     assert summary["gf.matmul.in." + tracing.ROOT]["calls"] == len(shapes)
     mults = sum(r * k * c for r, k, c in shapes)
     assert tracer.counters["gf.matmul.mults"] == mults
+
+
+def test_tracer_counts_one_encode_per_batch(tracing):
+    """Phase 1 encodes every batch through codec.encode_batch, once per
+    batch, from the file's split tables: the traced span counts batches,
+    and no encode reaches gf.matmul."""
+    params = NetworkParams(
+        num_users=3,
+        loss_common=0.05,
+        loss_source=0.5,
+        loss_peer=0.1,
+        batch_size=8,
+        file_packets=300,
+    )
+    tracer = tracing.Tracer()
+    with tracer:
+        with tracer.root(0):
+            report = sim.run_session(params, 3, num_batches=64, payload_len=4)
+    assert all(slot >= 0 for slot in report.decode_slots)
+    summary = tracer.summary()
+    assert summary["codec.encode_batch"]["calls"] == 64
+    assert summary["gf.matmul.in.codec.encode_batch"]["calls"] == 0
 
 
 def test_capture_hook_sees_each_sessions_users():

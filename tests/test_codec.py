@@ -26,9 +26,10 @@ def make_file(rng, file_packets: int, payload_len: int) -> np.ndarray:
 def build_session(file, dist, num_batches, batch_size, seed):
     """Source-side descriptors and the full packet list per batch."""
     descriptors, batch_packets = {}, {}
+    tables = gf.SplitTables(file)
     for bid in range(1, num_batches + 1):
         desc, payloads = codec.encode_batch(
-            file, dist, bid, codec.descriptor_rng(seed, bid), batch_size
+            tables, dist, bid, codec.descriptor_rng(seed, bid), batch_size
         )
         descriptors[bid] = desc
         batch_packets[bid] = source_packets(bid, payloads)
@@ -206,7 +207,9 @@ def test_encode_batch_payload_algebra():
     rng = np.random.default_rng(11)
     file = make_file(rng, 50, 5)
     dist = codec.DegreeDistribution([0.0, 0.0, 1.0])  # degree 3
-    desc, payloads = codec.encode_batch(file, dist, 1, codec.descriptor_rng(4, 1), 4)
+    desc, payloads = codec.encode_batch(
+        gf.SplitTables(file), dist, 1, codec.descriptor_rng(4, 1), 4
+    )
     assert desc.degree == 3 and payloads.shape == (4, 5)
     for j, payload in enumerate(payloads):
         expect = np.zeros(5, dtype=np.uint8)
@@ -219,10 +222,49 @@ def test_encode_degree_one_is_scalar_multiple():
     rng = np.random.default_rng(12)
     file = make_file(rng, 20, 8)
     dist = codec.DegreeDistribution([1.0])
-    desc, payloads = codec.encode_batch(file, dist, 3, codec.descriptor_rng(8, 3), 4)
+    desc, payloads = codec.encode_batch(
+        gf.SplitTables(file), dist, 3, codec.descriptor_rng(8, 3), 4
+    )
     src = file[desc.contributor_ids[0] - 1]
     for j, payload in enumerate(payloads):
         assert np.array_equal(payload, gf.mul(int(desc.generator[0, j]), src))
+
+
+@pytest.mark.parametrize("payload_len", [1, 7, 64])
+def test_encode_from_file_tables_matches_matmul(payload_len):
+    """encode_batch multiplies through the split tables of the whole file;
+    its payloads equal gf.matmul(generator.T, file[contributors]) from
+    degree 1 to degree F. At L = 64 a degree-F batch's contributors span
+    several k-chunks of the table product."""
+    rng = np.random.default_rng(payload_len)
+    f, m = 1100, 16
+    file = make_file(rng, f, payload_len)
+    tables = gf.SplitTables(file)
+    for degree in (1, 2, 37, f):
+        psi = np.zeros(degree)
+        psi[-1] = 1.0
+        desc, payloads = codec.encode_batch(
+            tables, codec.DegreeDistribution(psi), 1, codec.descriptor_rng(degree, 1), m
+        )
+        assert desc.degree == degree
+        want = gf.matmul(desc.generator.T, file[desc.contributor_ids - 1])
+        assert payloads.shape == (m, payload_len) and payloads.flags.c_contiguous
+        assert np.array_equal(payloads, want)
+    assert payload_len < 64 or gf._split_step(m, 8) < f
+
+
+def test_encode_without_payload_builds_no_tables():
+    """A file of L = 0 has no multiples to tabulate; its batches still draw
+    their descriptors and get (M, 0) payloads."""
+    file = np.zeros((50, 0), dtype=np.uint8)
+    tables = gf.SplitTables(file)
+    assert tables._t is None
+    dist = codec.design_distribution(50, 10, 4)
+    desc, payloads = codec.encode_batch(tables, dist, 2, codec.descriptor_rng(6, 2), 4)
+    same = codec.make_descriptor(50, dist, 2, codec.descriptor_rng(6, 2), 4)
+    assert payloads.shape == (4, 0)
+    assert np.array_equal(desc.contributor_ids, same.contributor_ids)
+    assert np.array_equal(desc.generator, same.generator)
 
 
 # ---------------------------------------------------------------- batch state
@@ -232,7 +274,9 @@ def test_absorb_filters_duplicates_and_caps_rank():
     rng = np.random.default_rng(21)
     file = make_file(rng, 100, 6)
     dist = codec.design_distribution(100, 10, 4)
-    desc, payloads = codec.encode_batch(file, dist, 1, codec.descriptor_rng(2, 1), 4)
+    desc, payloads = codec.encode_batch(
+        gf.SplitTables(file), dist, 1, codec.descriptor_rng(2, 1), 4
+    )
     pkts = source_packets(1, payloads)
     st = codec.BatchState(1, 4, 6)
     assert st.absorb(pkts[0]) is True
@@ -446,7 +490,9 @@ def test_recode_stays_in_row_space():
     rng = np.random.default_rng(23)
     file = make_file(rng, 80, 4)
     dist = codec.design_distribution(80, 8, 8)
-    desc, payloads = codec.encode_batch(file, dist, 1, codec.descriptor_rng(3, 1), 8)
+    desc, payloads = codec.encode_batch(
+        gf.SplitTables(file), dist, 1, codec.descriptor_rng(3, 1), 8
+    )
     pkts = source_packets(1, payloads)
     st = codec.BatchState(1, 8, 4)
     for p in pkts[:5]:
@@ -480,7 +526,9 @@ def test_recode_single_row_is_scalar_multiple():
     rng = np.random.default_rng(24)
     file = make_file(rng, 30, 4)
     dist = codec.DegreeDistribution([0.0, 1.0])
-    desc, payloads = codec.encode_batch(file, dist, 1, codec.descriptor_rng(9, 1), 4)
+    desc, payloads = codec.encode_batch(
+        gf.SplitTables(file), dist, 1, codec.descriptor_rng(9, 1), 4
+    )
     pkts = source_packets(1, payloads)
     st = codec.BatchState(1, 4, 4)
     st.absorb(pkts[2])
@@ -573,7 +621,7 @@ def test_symbolic_system_consistency_property():
             w = int(rng.integers(1, k + 1))
             zrow = rng.integers(0, 256, w, dtype=np.uint8)
             brow = gf.matmul(zrow[None, :], hidden[:w])[0]
-            sys_.add(np.concatenate([brow, zrow]))
+            sys_.add(np.concatenate([brow, zrow])[None])
         assert sys_.rank <= k
         if sys_.rank == k:
             assert np.array_equal(sys_.solve(k), hidden)
@@ -592,7 +640,8 @@ def test_symbolic_system_grows_past_its_initial_capacity():
     for t in range(120):
         w = min(k, 1 + t)  # widths grow the way inactivations do
         zrow = rng.integers(0, 256, w, dtype=np.uint8)
-        sys_.add(np.concatenate([gf.matmul(zrow[None, :], hidden[:w])[0], zrow]))
+        row = np.concatenate([gf.matmul(zrow[None, :], hidden[:w])[0], zrow])
+        sys_.add(row[None])
         wide.append(np.pad(zrow, (0, k - w)))
     # a reduced basis has the same pivot columns as the rref of its span
     assert sorted(sys_.pivot_cols) == list(gf.row_reduce(np.array(wide))[1])
@@ -602,9 +651,91 @@ def test_symbolic_system_grows_past_its_initial_capacity():
 
 def test_symbolic_system_detects_true_inconsistency():
     sys_ = codec._ZSystem(2)
-    sys_.add(np.array([5, 5, 1], np.uint8))
+    sys_.add(np.array([[5, 5, 1]], np.uint8))
     with pytest.raises(gf.InconsistentSystemError):
-        sys_.add(np.array([5, 6, 1], np.uint8))
+        sys_.add(np.array([[5, 6, 1]], np.uint8))
+
+
+def test_symbolic_system_blocks_equal_rows_one_at_a_time():
+    """A block reaches the same reduced system as its rows added one at a
+    time: the same rows, in the same order, with the same pivot columns.
+    Blocks mix zero rows, rows dependent on the block and on the stored
+    rows, and widths that grow the storage in rows and in columns."""
+    seen = {"zero": 0, "dependent": 0, "grew_rows": 0, "grew_cols": 0}
+    for trial in range(60):
+        rng = np.random.default_rng(trial)
+        lp = int(rng.integers(0, 5))
+        num_z = int(rng.integers(1, 48))
+        hidden = rng.integers(0, 256, (num_z, lp), dtype=np.uint8)
+        by_block, by_row = codec._ZSystem(lp), codec._ZSystem(lp)
+        for _ in range(int(rng.integers(1, 6))):
+            k = int(rng.integers(1, 30))
+            w = int(rng.integers(max(1, by_row.width), num_z + 1))
+            z = rng.integers(0, 256, (k, w), dtype=np.uint8)
+            z[rng.random((k, w)) < 0.3] = 0
+            z[rng.random(k) < 0.1] = 0
+            block = np.concatenate([gf.matmul(z, hidden[:w]), z], axis=1)
+            if k >= 3:
+                # a combination of two rows before it in the block
+                block[-1] = gf.mul(block[0], 7) ^ block[1]
+            if by_row.rank and k >= 2:
+                # a stored row, widened to the block, mixed into a new one
+                stored = np.zeros(lp + w, dtype=np.uint8)
+                stored[: lp + by_row.width] = by_row.rows[0]
+                block[-2] = stored ^ gf.mul(block[0], 3)
+            seen["zero"] += int((~block.any(axis=1)).sum())
+            shape = by_block._rows.shape
+            added = by_block.add(block)
+            assert added == sum(by_row.add(row[None]) for row in block)
+            seen["dependent"] += k - added
+            seen["grew_rows"] += by_block._rows.shape[0] > shape[0]
+            seen["grew_cols"] += by_block._rows.shape[1] > shape[1]
+            assert by_block.pivot_cols == by_row.pivot_cols
+            assert by_block.rank == by_row.rank
+            assert np.array_equal(by_block.rows, by_row.rows)
+        # zero rows still widen the system to their width
+        zero = np.zeros((2, lp + by_row.width + 3), dtype=np.uint8)
+        assert by_block.add(zero) == sum(by_row.add(row[None]) for row in zero) == 0
+        assert by_block.width == by_row.width == zero.shape[1] - lp
+        assert np.array_equal(by_block.rows, by_row.rows)
+        if by_block.rank == num_z:
+            assert np.array_equal(by_block.solve(num_z), hidden)
+    assert seen["zero"] >= 20 and seen["dependent"] >= 100
+    assert seen["grew_rows"] >= 5 and seen["grew_cols"] >= 5
+
+
+def test_symbolic_system_inconsistent_block_changes_nothing():
+    """A block with one inconsistent row raises before it changes anything,
+    also when the block would have grown the storage in rows and columns;
+    the consistent rows before it are not kept either."""
+    rng = np.random.default_rng(9)
+    lp, num_z = 3, 40
+    hidden = rng.integers(0, 256, (num_z, lp), dtype=np.uint8)
+
+    def consistent(k, w):
+        z = rng.integers(0, 256, (k, w), dtype=np.uint8)
+        return np.concatenate([gf.matmul(z, hidden[:w]), z], axis=1)
+
+    sys_ = codec._ZSystem(lp)
+    assert sys_.add(consistent(10, 12)) == 10
+    stored = sys_.rows.copy()
+    for bad in (25, 0):
+        block = consistent(30, 36)
+        if bad:
+            # dependent on two rows before it, with one payload byte off
+            block[bad] = block[3] ^ block[4]
+        else:
+            # a stored row, with one payload byte off
+            block[bad] = 0
+            block[bad, : stored.shape[1]] = stored[5]
+        block[bad, 1] ^= 1
+        before = (sys_.rows.copy(), list(sys_.pivot_cols), sys_.width, sys_._rows.shape)
+        with pytest.raises(gf.InconsistentSystemError):
+            sys_.add(block)
+        assert np.array_equal(sys_.rows, before[0])
+        assert sys_.pivot_cols == before[1]
+        assert (sys_.width, sys_._rows.shape) == before[2:]
+    assert sys_.rank == 10 and np.array_equal(sys_.rows, stored)
 
 
 # ------------------------------------------------------------------- decoding
@@ -1025,13 +1156,18 @@ def coverage_instance(seed, p):
     return file, descriptors, states
 
 
-def test_batches_a_flush_finishes_drain_as_one_pull():
+def test_batches_a_flush_finishes_drain_as_one_pull(monkeypatch):
     """A flush that finishes several batches holding rows (full-mix and
     high-degree batches with other contributor sets) drains them in one
     pull over the union of their contributors. The Z system, unresolved,
     inactivated and the decoded bytes equal draining them one at a time,
     and the dense-elimination oracle."""
     together = []
+    tall = []
+    matmul_tall = gf._matmul_tall
+    monkeypatch.setattr(
+        gf, "_matmul_tall", lambda a, b: tall.append(1) or matmul_tall(a, b)
+    )
     for seed in range(16):
         file, descriptors, states = coverage_instance(seed, 0.6 + 0.2 * (seed % 4 > 0))
         joint, alone = (codec.IncrementalDecoder(120, 3, descriptors) for _ in range(2))
@@ -1039,8 +1175,9 @@ def test_batches_a_flush_finishes_drain_as_one_pull():
 
         def logged(parts, drain=drain):
             rows = sum(len(r) for _, r in parts)
-            together.append(([b.contribs for b, _ in parts], rows))
+            before = len(tall)
             drain(parts)
+            together.append(([b.contribs for b, _ in parts], rows, len(tall) > before))
 
         def one_at_a_time(parts, drain=drain_alone):
             for part in parts:
@@ -1061,13 +1198,14 @@ def test_batches_a_flush_finishes_drain_as_one_pull():
             assert np.array_equal(joint.extract(), alone.extract())
             assert np.array_equal(joint.extract(), file)
     mixed = [
-        rows
-        for sets, rows in together
+        (rows, split)
+        for sets, rows, split in together
         if any(s.size == 120 for s in sets)
         and len({tuple(np.sort(s)) for s in sets if 16 < s.size < 120}) >= 2
     ]
-    # some of them through the split-table product
-    assert len(mixed) >= 2 and max(mixed) >= gf._TALL_ROWS
+    # some of them 32 rows or more, and through the split-table product
+    assert len(mixed) >= 2 and max(rows for rows, _ in mixed) >= 32
+    assert any(split for _, split in mixed)
 
 
 def mixed_states(seed, kind):
@@ -1381,5 +1519,5 @@ def test_decode_multiplication_count_is_pinned(monkeypatch):
     # the general product every source row took before unit-row loads
     loaded = sum(st.rank * 16 * descriptors[bid].degree for bid, st in states.items())
     full = count["mults"] + count["full"] + loaded
-    assert count["mults"] == 1_549_908
-    assert count["mults"] < full == 4_816_323
+    assert count["mults"] == 1_506_256
+    assert count["mults"] < full == 4_772_671

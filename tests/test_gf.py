@@ -205,9 +205,19 @@ def test_reference_matmul_matches_scalar_products():
 
 
 CHUNK = gf._CHUNK_ELEMS
-TALL = gf._TALL_ROWS
-# rows of b per split-table chunk of a TALL x k by k x 64 product
-TALL_STEP = gf._TALL_CHUNK_BYTES // (8 * TALL * 8)
+ROWS, WORK = gf._SPLIT_ROWS, gf._SPLIT_WORK
+# rows of b per split-table chunk of a 32 x k by k x 64 product
+TALL_STEP = gf._split_step(32, 8)
+
+
+def edge(r):
+    """The least inner dimension that sends a product of r rows (at least
+    ROWS of them) through split tables."""
+    return max(2, -(-WORK // r))
+
+
+def splits(r, k):
+    return r >= ROWS and k >= edge(r)
 
 
 @pytest.mark.parametrize(
@@ -218,17 +228,29 @@ TALL_STEP = gf._TALL_CHUNK_BYTES // (8 * TALL * 8)
         (3, 5, 0),
         (7, 1, 9),  # k = 1
         (4, 3 * (CHUNK // 32) + 5, 8),  # k-chunks of CHUNK // 32, the last short
-        (CHUNK // 128 + 1, 3, 128),  # r * c > CHUNK: one inner index per chunk
+        (CHUNK // 128 + 1, 3, 128),
+        (CHUNK // 128 + 1, 2, 128),  # r * c > CHUNK: one inner index per chunk
         (16, 1600, 214),
         (1600, 150, 64),
-        # split tables from TALL rows on: c not a multiple of 8, k = 1, empty
-        # dimensions, and k-chunks of TALL_STEP rows of b, the last short
-        (TALL - 1, 300, 67),
-        (TALL, 300, 67),
-        (TALL, 1, 9),
-        (TALL, 0, 9),
-        (TALL, 9, 0),
-        (TALL, 2 * TALL_STEP + 7, 64),
+        # split tables from ROWS rows and r * k >= WORK on: both sides of
+        # the rule, c not a multiple of 8, k = 1, empty dimensions, and
+        # k-chunks of TALL_STEP rows of b, the last short
+        (ROWS - 1, 300, 67),
+        (ROWS, edge(ROWS) - 1, 67),
+        (ROWS, edge(ROWS), 67),
+        (16, edge(16) - 1, 61),
+        (16, edge(16), 61),
+        (16, 100, 3),
+        (31, edge(31) - 1, 67),
+        (31, edge(31), 67),
+        (31, 300, 67),
+        (32, 300, 67),
+        (32, 1, 9),
+        (WORK, 1, 9),
+        (WORK // 2, 2, 9),
+        (32, 0, 9),
+        (32, 9, 0),
+        (32, 2 * TALL_STEP + 7, 64),
         (90, 1600, 61),
     ],
 )
@@ -257,36 +279,37 @@ def test_matmul_memory_is_bounded():
 
 
 def test_matmul_matches_reference_on_random_shapes():
-    """Shapes drawn on both sides of the split-table row threshold, most
-    with c not a multiple of 8."""
+    """Shapes drawn on both sides of the split-table rule, most with c not a
+    multiple of 8."""
     rng = np.random.default_rng(31)
     tall = 0
     for _ in range(60):
-        r = int(rng.integers(1, 3 * TALL))
-        k = int(rng.integers(1, 300))
+        r = int(rng.integers(1, 5 * ROWS))
+        k = int(rng.integers(1, 150))
         c = int(rng.integers(1, 90))
         a = rng.integers(0, 256, (r, k), dtype=np.uint8)
         b = rng.integers(0, 256, (k, c), dtype=np.uint8)
         got = gf.matmul(a, b)
         assert got.shape == (r, c) and got.flags.c_contiguous
         assert np.array_equal(got, reference_matmul(a, b)), (r, k, c)
-        tall += r >= TALL
+        tall += splits(r, k)
     assert 20 <= tall <= 40
 
 
-@pytest.mark.parametrize("r", [TALL - 1, TALL, 3 * TALL + 5])
+@pytest.mark.parametrize("r", [ROWS - 1, ROWS, 31, 32, 101])
 @pytest.mark.parametrize(
     "fill_a, fill_b", [(0, None), (None, 0), (255, 255), (255, None), (None, 255)]
 )
 def test_matmul_constant_operands(r, fill_a, fill_b):
     """All-zero and all-255 operands (every nibble 0, or 15 with the top
-    bit set) on both sides of the row threshold."""
+    bit set), at inner dimensions on both sides of the split-table rule."""
     rng = np.random.default_rng(r)
-    k, c = 70, 21
-    a = rng.integers(0, 256, (r, k), dtype=np.uint8)
-    b = rng.integers(0, 256, (k, c), dtype=np.uint8)
-    if fill_a is not None:
-        a[:] = fill_a
-    if fill_b is not None:
-        b[:] = fill_b
-    assert np.array_equal(gf.matmul(a, b), reference_matmul(a, b))
+    c = 21
+    for k in (edge(r) - 1, edge(r)):
+        a = rng.integers(0, 256, (r, k), dtype=np.uint8)
+        b = rng.integers(0, 256, (k, c), dtype=np.uint8)
+        if fill_a is not None:
+            a[:] = fill_a
+        if fill_b is not None:
+            b[:] = fill_b
+        assert np.array_equal(gf.matmul(a, b), reference_matmul(a, b))

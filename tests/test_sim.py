@@ -1,6 +1,8 @@
 """Tests for the two-phase broadcast simulator."""
 
+import ast
 import re
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from scipy.stats import binom
 
-from batchcast import codec, sim
+from batchcast import codec, gf, sim
 from batchcast.analytics import (
     NetworkParams,
     optimize_batches,
@@ -154,7 +156,7 @@ def test_phase1_matches_per_packet_absorb():
     ref = sim.make_users(3, session)
     ref_gd = np.zeros(n, dtype=np.int64)
     for bid in range(1, n + 1):
-        for p in source_packets(bid, session.batch_payloads(bid)):
+        for p in source_packets(bid, session.source_payloads([bid])):
             flags = _per_packet_mask(1, 3, FAST, rng)[0]
             for u, hit in zip(ref, flags):
                 if not hit:
@@ -205,6 +207,25 @@ def test_phase1_counts_and_profiles():
     assert len(session.descriptors) == n
 
 
+def test_phase1_encodes_from_file_tables_freed_on_return(monkeypatch):
+    """Phase 1 builds the file's split tables once, encodes every batch from
+    them, and keeps nothing of them once it returns."""
+    built = []
+
+    class Tables(gf.SplitTables):
+        def __init__(self, b):
+            super().__init__(b)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(gf, "SplitTables", Tables)
+    n = 12
+    session = sim.new_session(FAST, 5, n, payload_len=4)
+    users = sim.make_users(3, session)
+    sim.run_phase1(session, users, FAST, sim._substream(5, 1), np.zeros(n, np.int64))
+    assert len(built) == 1 and built[0]() is None
+    assert list(session.descriptors) == list(range(1, n + 1))
+
+
 def test_descriptors_without_payloads_are_drawn_on_first_read():
     """Phase 1 at payload 0 encodes nothing; a later read of the descriptors
     draws each from its batch's stream, equal to what encoding records."""
@@ -215,7 +236,7 @@ def test_descriptors_without_payloads_are_drawn_on_first_read():
     )
     assert bare._drawn == {}
     coded = sim.new_session(FAST, 5, n, payload_len=4)
-    coded.batch_payloads(7)
+    coded.source_payloads([7])
     # one batch recorded out of order still leaves the dict in batch id order
     assert list(coded.descriptors) == list(range(1, n + 1))
     sim.run_phase1(
@@ -571,9 +592,7 @@ def prepared_group(params, n, seed, payload_len, observe, mute):
         mask[:, 0] = False
     payloads = None
     if payload_len:
-        payloads = np.concatenate(
-            [session.batch_payloads(bid) for bid in range(1, n + 1)]
-        )
+        payloads = session.source_payloads(range(1, n + 1))
     users[0].buffers.load_sources(mask, payloads)
     for u, count in zip(users, mask.sum(axis=0).tolist()):
         u.receptions = u.innovative = count
@@ -655,6 +674,124 @@ def test_windowed_phase2_equals_one_transmission_at_a_time(case):
     assert np.array_equal(ours.ranks, theirs.ranks)
     assert np.array_equal(ours.raw, theirs.raw)
     assert np.array_equal(ours.ops, theirs.ops)
+
+
+class DenseRank:
+    """Rank of rows over GF(256), one row at a time: an echelon basis with
+    row p scaled to 1 at its leading column p."""
+
+    def __init__(self):
+        self.basis = {}
+
+    def add(self, row: np.ndarray) -> None:
+        row = row.copy()
+        for p in sorted(self.basis):
+            if row[p]:
+                row ^= gf.MUL_TABLE[row[p]].take(self.basis[p])
+        nz = np.flatnonzero(row)
+        if nz.size:
+            self.basis[int(nz[0])] = gf.MUL_TABLE[gf.inv(int(row[nz[0]]))].take(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+
+def expanded(session, bid, coeff):
+    """A buffered row's coefficients over the whole file."""
+    desc = session.descriptors[bid]
+    wide = np.zeros(session.file_packets, dtype=np.uint8)
+    prods = gf.MUL_TABLE[coeff[:, None], desc.generator.T]
+    wide[desc.contributor_ids - 1] = np.bitwise_xor.reduce(prods, axis=0)
+    return wide
+
+
+def oracle_sessions():
+    """Small sessions: F <= 64, M in {2, 4}, both access modes, observed
+    users only, some sized too small to decode."""
+    rng = np.random.default_rng(2024)
+    for seed in range(64):
+        m = int(rng.choice([2, 4]))
+        f = int(rng.integers(8, 65))
+        loss_source = float(rng.uniform(0.1, 0.6))
+        params = NetworkParams(
+            num_users=int(rng.integers(2, 5)),
+            loss_common=float(rng.uniform(0.0, 0.2)),
+            loss_source=loss_source,
+            loss_peer=float(rng.uniform(0.0, loss_source)),
+            batch_size=m,
+            file_packets=f,
+        )
+        fewest = -(-f // m)
+        n = int(rng.integers(fewest, 3 * fewest // 2 + 2))
+        access = ("round_robin", "uniform")[seed % 2]
+        yield params, n, seed, access, 2 * (seed % 3 == 0)
+
+
+def test_decode_slots_and_stalls_match_the_dense_rank():
+    """Each decoder is exact over a whole session. A user's receptions are
+    rebuilt in order from the trace and the buffers' raw rows (kept in
+    arrival order), expanded over the file, and their stacked rank tracked
+    by dense elimination: each decode slot is the first transmission at
+    which that rank reaches F (0 for phase 1), and on a stall each pending
+    user whose decoder has attempted (at least F innovative packets)
+    reports F minus that rank as unresolved."""
+    seen = []
+    run_phase2 = sim.run_phase2
+
+    def keep(session, users, *args, **kwargs):
+        seen.append((session, users, [u.innovative for u in users], kwargs["trace"]))
+        return run_phase2(session, users, *args, **kwargs)
+
+    decoded = {"phase1": 0, "phase2": 0}
+    stalled = 0
+    with mock.patch.object(sim, "run_phase2", keep):
+        for params, n, seed, access, payload_len in oracle_sessions():
+            f, k = params.file_packets, params.num_users
+            try:
+                rep = sim.run_session(
+                    params, seed, n, payload_len, access=access, with_trace=True
+                )
+            except sim.SimulationStallError as exc:
+                rep = None
+                pending = re.search(r"pending: (\[.*\]); the group", str(exc))
+                stuck = ast.literal_eval(pending.group(1))
+            session, users, start, trace = seen[-1]
+            buffers = users[0].buffers
+            # phase-2 gains per user, in transmission order
+            held = np.array([start] + [row[3 + k :] for row in trace])
+            gains = np.diff(held, axis=0) > 0
+            later = np.zeros(buffers.ranks.shape, dtype=np.int64)
+            for row, gain in zip(trace, gains):
+                later[row[2]] += gain
+            for u in range(k):
+                dense = DenseRank()
+                nxt = buffers.ranks[:, u] - later[:, u]
+                for bid in range(1, n + 1):
+                    for coeff in buffers.raw[bid, u, : nxt[bid], : params.batch_size]:
+                        dense.add(expanded(session, bid, coeff))
+                first = 0 if dense.rank == f else -1
+                for t, (row, gain) in enumerate(zip(trace, gains[:, u]), start=1):
+                    if gain:
+                        bid = row[2]
+                        coeff = buffers.raw[bid, u, nxt[bid], : params.batch_size]
+                        nxt[bid] += 1
+                        dense.add(expanded(session, bid, coeff))
+                        if first < 0 and dense.rank == f:
+                            first = t
+                assert (nxt == buffers.ranks[:, u]).all()
+                if rep is not None:
+                    assert rep.decode_slots[u] == first, (seed, u)
+                    decoded["phase1" if first == 0 else "phase2"] += 1
+                    continue
+                assert first < 0
+                for uid, innovative, unresolved in stuck:
+                    # a decoder attempts once its user holds F innovative
+                    # packets, and after every gain from then on
+                    if uid == u and innovative >= f:
+                        assert unresolved == f - dense.rank, (seed, u)
+                        stalled += 1
+    assert decoded["phase1"] >= 20 and decoded["phase2"] >= 60 and stalled >= 10
 
 
 def test_observe_subset_matches_full_run():
@@ -780,9 +917,9 @@ def test_phase2_stalls_once_no_pending_user_can_gain():
 def test_group_bound_violation_is_detected():
     session = sim.new_session(FAST, 1, 2)
     users = sim.make_users(2, session)
-    for p in source_packets(1, session.batch_payloads(1))[:3]:
+    for p in source_packets(1, session.source_payloads([1]))[:3]:
         assert users[1].batches[1].absorb(p)
-    for p in source_packets(2, session.batch_payloads(2))[:2]:
+    for p in source_packets(2, session.source_payloads([2]))[:2]:
         assert users[0].batches[2].absorb(p)
     ranks = users[0].buffers.ranks
     bids = np.arange(1, 3)
