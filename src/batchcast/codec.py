@@ -57,15 +57,6 @@ from . import gf
 MAX_BATCHES = 0xFFFF
 
 
-@dataclass
-class Packet:
-    """One coded packet: batch id, M-wide coefficient vector, payload."""
-
-    batch_id: int
-    coeff: np.ndarray
-    payload: np.ndarray
-
-
 # ------------------------------------------------------- degree distribution
 
 
@@ -230,99 +221,32 @@ def _empty_buffers(shape: Tuple[int, ...], batch_size: int, payload_len: int):
 
 
 class BatchState:
-    """One receiver's buffer for one batch, with innovation filtering.
-
-    Keeps every innovative row raw, in arrival order, for recoding and
-    decoding: row i of the M x (M + L) array raw is [coeff | payload]. The
-    span of those rows is kept as its M x M residual operator ops = I ^ B,
-    where B is their reduced row echelon form: row p of B is the basis row
-    with pivot column p (zero in every other pivot column), and rows of
-    non-pivot columns are zero. A vector c reduces to c . ops, and a full
-    buffer has ops = 0.
-
-    A state is a view: ops, raw and rank are read from its BatchBuffers at
-    index (batch, receiver). A simulated group's buffers share one
-    BatchBuffers; BatchState(batch_id, M, L) owns a one-buffer one.
+    """One receiver's buffer for one batch, on its own: the one-packet case
+    of BatchBuffers, kept as a group of one batch and one receiver at
+    index (0, 0). absorb takes a packet as BatchBuffers.absorb does, one
+    [coeff | payload] row.
     """
 
-    __slots__ = ("batch_id", "buffers", "index")
+    __slots__ = ("batch_id", "buffers")
 
     def __init__(self, batch_id: int, batch_size: int, payload_len: int):
         self.batch_id = batch_id
         self.buffers = BatchBuffers(0, 1, batch_size, payload_len)
-        self.index = (0, 0)
-
-    @classmethod
-    def view(
-        cls, batch_id: int, buffers: "BatchBuffers", index: Tuple[int, int]
-    ) -> "BatchState":
-        """The buffer at index (batch, receiver) of buffers."""
-        state = cls.__new__(cls)
-        state.batch_id = batch_id
-        state.buffers = buffers
-        state.index = index
-        return state
-
-    @property
-    def batch_size(self) -> int:
-        return self.buffers.ops.shape[-1]
-
-    @property
-    def payload_len(self) -> int:
-        return self.buffers.raw.shape[-1] - self.batch_size
-
-    @property
-    def ops(self) -> np.ndarray:
-        return self.buffers.ops[self.index]
-
-    @property
-    def raw(self) -> np.ndarray:
-        return self.buffers.raw[self.index]
 
     @property
     def rank(self) -> int:
-        return int(self.buffers.ranks[self.index])
+        return int(self.buffers.ranks[0, 0])
 
-    @property
-    def coeffs(self) -> np.ndarray:
-        return self.raw[:, : self.batch_size]
-
-    @property
-    def payloads(self) -> np.ndarray:
-        return self.raw[:, self.batch_size :]
-
-    @property
-    def received_coeffs(self) -> np.ndarray:
-        return self.coeffs[: self.rank]
-
-    @property
-    def received_payloads(self) -> np.ndarray:
-        return self.payloads[: self.rank]
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The reduced row echelon basis B = ops ^ I."""
-        return self.ops ^ np.eye(self.batch_size, dtype=np.uint8)
-
-    def absorb(self, packet: Packet) -> bool:
-        """Keep the packet iff it raises this batch's rank."""
-        if packet.batch_id != self.batch_id:
+    def absorb(self, row: np.ndarray) -> bool:
+        """Keep the row [coeff | payload] iff it raises this batch's rank."""
+        width = self.buffers.raw.shape[-1]
+        if np.shape(row) != (width,):
             raise ValueError(
-                "packet for batch %d absorbed into batch %d"
-                % (packet.batch_id, self.batch_id)
+                "row has shape %s, expected (%d,) [coeff | payload]"
+                % (np.shape(row), width)
             )
-        if packet.coeff.shape != (self.batch_size,):
-            raise ValueError("coefficient vector has wrong length")
-        if np.shape(packet.payload) != (self.payload_len,):
-            raise ValueError(
-                "payload has shape %s, expected (%d,)"
-                % (np.shape(packet.payload), self.payload_len)
-            )
-        b, i = self.index
-        delivered = np.zeros((1, self.buffers.ranks.shape[1]), dtype=bool)
-        delivered[0, i] = True
-        full = np.concatenate((packet.coeff, packet.payload))
-        return bool(self.buffers.absorb(np.array([b]), full[None], delivered)[0, i])
+        one = np.ones((1, 1), dtype=bool)
+        return bool(self.buffers.absorb(np.zeros(1, np.intp), row[None], one)[0, 0])
 
 
 class BatchBuffers:
@@ -331,7 +255,14 @@ class BatchBuffers:
     ops[b, i], raw[b, i] and ranks[b, i] are receiver i's operator, rows
     and rank for batch b (index 0 is unused, batch ids run from 1), so
     ops[b] is the stack a batch-b packet reduces against for every
-    receiver. views(i) maps batch ids to receiver i's BatchState views.
+    receiver. A buffer keeps every innovative row raw, in arrival order,
+    for recoding and decoding: the first ranks[b, i] rows of the
+    M x (M + L) array raw[b, i] are the rows [coeff | payload] that raised
+    its rank, and the rest are zero. Their span is kept as the M x M
+    residual operator ops = I ^ B, where B is their reduced row echelon
+    form: row p of B is the basis row with pivot column p (zero in every
+    other pivot column), and rows of non-pivot columns are zero. A vector c
+    reduces to c . ops, and a full buffer has ops = 0.
 
     A packet changes only its own batch's buffers, so recode and absorb
     take any number of packets of distinct batches at once, each in one
@@ -344,14 +275,6 @@ class BatchBuffers:
         shape = (num_batches + 1, receivers)
         self.ops, self.raw = _empty_buffers(shape, batch_size, payload_len)
         self.ranks = np.zeros(shape, dtype=np.int64)
-
-    def views(self, receiver: int) -> Dict[int, BatchState]:
-        """BatchState views of one receiver's buffers, by batch id."""
-        view = BatchState.view
-        return {
-            bid: view(bid, self, (bid, receiver))
-            for bid in range(1, self.ranks.shape[0])
-        }
 
     def load_sources(self, delivered: np.ndarray, payloads: np.ndarray) -> None:
         """Load the source broadcast into the still empty buffers.
@@ -438,8 +361,7 @@ def recode(state: BatchState, rng: np.random.Generator) -> np.ndarray:
         mix = rng.integers(0, 256, size=rank, dtype=np.uint8)
         if np.count_nonzero(mix):
             break
-    b, i = state.index
-    return state.buffers.recode([b], [i], mix[None])[0]
+    return state.buffers.recode([0], [0], mix[None])[0]
 
 
 def encode_batch(
@@ -581,7 +503,7 @@ class _DecoderBatch:
         self.gen_t = np.ascontiguousarray(desc.generator.T)
         m = self.gen_t.shape[0]
         # raw[:rows] holds the receptions, [coeff | payload], in arrival
-        # order (the layout of BatchState.raw)
+        # order (the layout of BatchBuffers.raw)
         self.raw = np.zeros((m, m + payload_len), dtype=np.uint8)
         self.rows = 0
         self.unres = unres  # view of the decoder's per-slot mask
@@ -617,13 +539,17 @@ def _width_bands(widths: np.ndarray) -> list:
 
 
 class IncrementalDecoder:
-    """Joint decoder fed one innovative reception at a time.
+    """Joint decoder fed innovative receptions as [coeff | payload] rows: a
+    receiver's buffers at once (load_state), then one row at a time
+    (add_row).
 
     attempt() advances peeling as far as possible, marking packets symbolic
     when nothing can peel, and reports whether the file is fully determined.
     State persists between attempts, so feeding more receptions and retrying
-    is cheap. unresolved always equals file_packets minus the rank of every
-    constraint received so far.
+    is cheap. Right after an attempt, unresolved equals file_packets minus
+    the rank of every constraint received so far; rows fed since then count
+    only from the next attempt, and before the first one it is
+    file_packets.
     """
 
     def __init__(
@@ -710,42 +636,48 @@ class IncrementalDecoder:
         elif b.rows and b.u - b.rows <= 2:
             self._near.add(bid)
 
-    def _feed(self, bid: int, coeffs: np.ndarray, payloads: np.ndarray) -> None:
-        """Take received rows [coeffs | payloads] of batch bid, in order.
+    def _feed(self, parts: List[Tuple[int, np.ndarray]]) -> None:
+        """Take received rows [coeff | payload]: for each (batch id, rows)
+        pair in parts, the (k, M + L) rows of that batch, in order.
 
-        A pending batch stores them as they are; a finished one expands
-        them and hands them to the Z system. Shapes are checked first, so a
-        malformed reception changes nothing.
+        A pending batch stores its rows as they are; the finished ones
+        expand theirs and hand them to the Z system in one drain. Every
+        shape is checked first, so a malformed reception changes nothing.
         """
-        b = self.batches[bid]
-        m, k = b.raw.shape[0], len(coeffs)
-        if coeffs.shape[1:] != (m,):
-            raise ValueError("coefficient rows must be %d wide" % m)
-        if payloads.shape != (k, self.payload_len):
-            raise ValueError("payload rows must be %d wide" % self.payload_len)
-        if b.u and b.rows + k > m:
-            raise ValueError("batch %d holds at most %d rows" % (bid, m))
-        if k == 0:
-            return
-        rows = np.concatenate((coeffs, payloads), axis=1)
-        if b.u == 0:
-            self._drain([(b, rows)])
-            return
-        lo, b.rows = b.rows, b.rows + k
-        b.raw[lo : b.rows] = rows
-        if lo == 0:
-            np.add.at(self.stall_counts, b.contribs[b.unres], 1)
-        self._watch(bid, b)
+        for bid, rows in parts:
+            b = self.batches[bid]
+            m, width = b.raw.shape
+            if rows.shape[1:] != (width,):
+                raise ValueError(
+                    "rows of batch %d must be [coeff | payload], %d + %d wide"
+                    % (bid, m, self.payload_len)
+                )
+            if b.u and b.rows + len(rows) > m:
+                raise ValueError("batch %d holds at most %d rows" % (bid, m))
+        finished = []
+        for bid, rows in parts:
+            b = self.batches[bid]
+            if b.u == 0:
+                finished.append((b, rows))
+                continue
+            lo, b.rows = b.rows, b.rows + len(rows)
+            b.raw[lo : b.rows] = rows
+            if lo == 0:
+                np.add.at(self.stall_counts, b.contribs[b.unres], 1)
+            self._watch(bid, b)
+        if finished:
+            self._drain(finished)
 
-    def add_row(self, batch_id: int, coeff: np.ndarray, payload=None) -> None:
-        """Feed one innovative reception (M-wide coefficient vector)."""
-        if payload is None:
-            payload = np.zeros(self.payload_len, dtype=np.uint8)
-        self._feed(batch_id, coeff[None, :], np.asarray(payload)[None, :])
+    def add_row(self, batch_id: int, row: np.ndarray) -> None:
+        """Feed one innovative reception, the row [coeff | payload]."""
+        self._feed([(batch_id, row[None])])
 
-    def load_state(self, state: BatchState) -> None:
-        """Feed every row of a receiver buffer, in its arrival order."""
-        self._feed(state.batch_id, state.received_coeffs, state.received_payloads)
+    def load_state(self, buffers: BatchBuffers, receiver: int) -> None:
+        """Feed every row receiver holds in buffers: batches in id order,
+        each batch's rows in arrival order."""
+        ranks = buffers.ranks[:, receiver].tolist()
+        raw = buffers.raw[:, receiver]
+        self._feed([(bid, raw[bid, :r]) for bid, r in enumerate(ranks) if r])
 
     # -- resolution ---------------------------------------------------------
 
@@ -919,18 +851,15 @@ class IncrementalDecoder:
 
 
 def decode(
-    states: Dict[int, BatchState],
+    buffers: BatchBuffers,
+    receiver: int,
     descriptors: Dict[int, BatchDescriptor],
     file_packets: int,
 ) -> DecodeResult:
-    """One-shot joint decode of everything received."""
-    payload_len = 0
-    for st in states.values():
-        payload_len = st.payload_len
-        break
+    """One-shot joint decode of every row receiver holds in buffers."""
+    payload_len = buffers.raw.shape[-1] - buffers.ops.shape[-1]
     dec = IncrementalDecoder(file_packets, payload_len, descriptors)
-    for st in states.values():
-        dec.load_state(st)
+    dec.load_state(buffers, receiver)
     ok = dec.attempt()
     payloads = dec.extract() if ok else None
     return DecodeResult(

@@ -19,7 +19,6 @@ they are the same numbers, in the same order, as one draw per packet.
 """
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import AbstractSet, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -149,11 +148,6 @@ class UserState:
     innovative: int = 0
     redundant: int = 0
     innovative_at_decode: int = -1
-
-    @cached_property
-    def batches(self) -> Dict[int, codec.BatchState]:
-        """This user's BatchState views, by batch id, built on first use."""
-        return self.buffers.views(self.user_id)
 
     def batch_ranks(self, num_batches: int) -> np.ndarray:
         return self.buffers.ranks[1 : num_batches + 1, self.user_id].copy()
@@ -308,8 +302,7 @@ def prepare_phase2(
             u.decoder = codec.IncrementalDecoder(
                 session.file_packets, session.payload_len, session.descriptors
             )
-            for st in u.batches.values():
-                u.decoder.load_state(st)
+            u.decoder.load_state(u.buffers, u.user_id)
             if u.innovative >= session.file_packets and u.decoder.attempt():
                 _mark_decoded(u, 0)
 
@@ -427,7 +420,8 @@ def run_phase2(
     group received (saturated) can gain nothing, so it does not shorten
     windows.
     Raises SimulationStallError at the slot cap, or as soon as every pending
-    user holds all the packets the group received.
+    user holds all the packets the group received; its message gives each
+    pending user's unresolved count, F minus the rank of what it holds.
     """
     k = len(users)
     m = session.batch_size
@@ -460,11 +454,15 @@ def run_phase2(
     sender = None
     while pending or (until_tx is not None and transmissions < until_tx):
         if slot >= cap or 0 < pending == saturated:
-            stuck = [
-                (u.user_id, u.innovative, u.decoder.unresolved)
-                for u in watched
-                if not u.decoded
-            ]
+            stuck = []
+            for u in watched:
+                if u.decoded:
+                    continue
+                if u.innovative < session.file_packets:
+                    # a user below F has never attempted; one attempt makes
+                    # its unresolved F minus the rank of what it holds
+                    u.decoder.attempt()
+                stuck.append((u.user_id, u.innovative, u.decoder.unresolved))
             raise SimulationStallError(
                 "phase 2 passed %d slots with users (id, innovative, "
                 "unresolved) still pending: %s; the group received %d packets"
@@ -524,7 +522,7 @@ def run_phase2(
                 continue
             mine = gained[:, u.user_id]
             for t in np.flatnonzero(mine).tolist():
-                u.decoder.add_row(bids[t], full[t, :m], full[t, m:])
+                u.decoder.add_row(bids[t], full[t])
             if not mine[-1]:
                 continue
             if u.innovative >= session.file_packets and u.decoder.attempt():

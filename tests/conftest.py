@@ -23,17 +23,37 @@ from batchcast.analytics import (
 ACCEPTANCE_LINES: List[str] = []
 
 
-def source_packets(batch_id: int, payloads: np.ndarray) -> List[codec.Packet]:
-    """A batch's source packets: coefficient e_j with payload row j."""
+def source_rows(payloads: np.ndarray) -> np.ndarray:
+    """A batch's source packets as rows [coeff | payload]: [e_j | payloads[j]]."""
     eye = np.eye(len(payloads), dtype=np.uint8)
-    return [codec.Packet(batch_id, eye[j], p) for j, p in enumerate(payloads)]
+    return np.concatenate([eye, payloads], axis=1)
 
 
-def recoded_packet(state: codec.BatchState, rng) -> codec.Packet:
-    """codec.recode's [coeff | payload] row as a Packet of the state's batch."""
-    row = codec.recode(state, rng)
-    m = state.batch_size
-    return codec.Packet(state.batch_id, row[:m], row[m:])
+def deliver(buffers: codec.BatchBuffers, bid: int, row, receiver: int = 0) -> bool:
+    """Receive one row [coeff | payload] of batch bid at one receiver of
+    buffers; True iff it raised that receiver's rank."""
+    delivered = np.zeros((1, buffers.ranks.shape[1]), dtype=bool)
+    delivered[0, receiver] = True
+    gained = buffers.absorb(np.array([bid]), np.asarray(row)[None], delivered)
+    return bool(gained[0, receiver])
+
+
+def recoded(buffers: codec.BatchBuffers, bid: int, sender: int, rng) -> np.ndarray:
+    """The row codec.recode sends from sender's rows of batch bid, with its
+    draws: a mix as long as the rank, drawn again while it is all zero."""
+    rank = int(buffers.ranks[bid, sender])
+    if not rank:
+        raise ValueError("cannot recode from an empty batch buffer")
+    mix = np.zeros(rank, dtype=np.uint8)
+    while not mix.any():
+        mix = rng.integers(0, 256, size=rank, dtype=np.uint8)
+    return buffers.recode([bid], [sender], mix[None])[0]
+
+
+def held(buffers: codec.BatchBuffers, bid: int, receiver: int = 0) -> np.ndarray:
+    """The rows [coeff | payload] receiver holds of batch bid, in arrival
+    order; a BatchState's are held(state.buffers, 0)."""
+    return buffers.raw[bid, receiver, : buffers.ranks[bid, receiver]]
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -23,7 +23,7 @@ from batchcast.analytics import (
     stopping_time,
     tv_distance,
 )
-from conftest import COLLAPSE, EX2, EX3, EXP, recoded_packet, source_packets
+from conftest import COLLAPSE, EX2, EX3, EXP, deliver, held, recoded, source_rows
 
 
 def report(number: int, checks, wall: float, budget: float = None):
@@ -299,14 +299,14 @@ def test_criterion_7_robustness(robustness_battery):
 # -------------------------------------------------------- 8: oracle suites
 
 
-def _dense_rank(states, descriptors, file_packets: int) -> int:
+def _dense_rank(got, descriptors, file_packets: int) -> int:
     """Rank of every buffered row expanded over the whole file."""
     rows = []
-    for bid, st in states.items():
-        desc = descriptors[bid]
-        if st.rank == 0:
+    for bid, desc in descriptors.items():
+        if got.ranks[bid, 0] == 0:
             continue
-        expanded = gf.matmul(st.received_coeffs, desc.generator.T)
+        coeffs = held(got, bid)[:, : desc.generator.shape[1]]
+        expanded = gf.matmul(coeffs, desc.generator.T)
         for r in expanded:
             wide = np.zeros(file_packets, dtype=np.uint8)
             wide[desc.contributor_ids - 1] = r
@@ -317,7 +317,8 @@ def _dense_rank(states, descriptors, file_packets: int) -> int:
 
 
 def _decode_instance(seed: int):
-    """Small session with lossy, partially recoded receptions."""
+    """Small session with lossy, partially recoded receptions: the file,
+    descriptors and the one-receiver buffers of what was received."""
     rng = np.random.default_rng(seed)
     file_packets = int(rng.integers(8, 65))
     batch_size = int(rng.choice([4, 8]))
@@ -325,26 +326,26 @@ def _decode_instance(seed: int):
     payload_len = int(rng.integers(1, 9))
     file = rng.integers(0, 256, (file_packets, payload_len), dtype=np.uint8)
     dist = codec.design_distribution(file_packets, num_batches, batch_size)
-    descriptors, states = {}, {}
+    descriptors = {}
+    sender, got = (
+        codec.BatchBuffers(num_batches, 1, batch_size, payload_len) for _ in range(2)
+    )
     tables = gf.SplitTables(file)
     for bid in range(1, num_batches + 1):
         desc, payloads = codec.encode_batch(
             tables, dist, bid, codec.descriptor_rng(seed, bid), batch_size
         )
         descriptors[bid] = desc
-        pkts = source_packets(bid, payloads)
-        sender = codec.BatchState(bid, batch_size, payload_len)
+        pkts = source_rows(payloads)
         for p in pkts:
             if rng.random() < 0.8:
-                sender.absorb(p)
-        st = codec.BatchState(bid, batch_size, payload_len)
+                deliver(sender, bid, p)
         for _ in range(int(rng.integers(0, batch_size + 3))):
-            if sender.rank and rng.random() < 0.7:
-                st.absorb(recoded_packet(sender, rng))
+            if sender.ranks[bid, 0] and rng.random() < 0.7:
+                deliver(got, bid, recoded(sender, bid, 0, rng))
             else:
-                st.absorb(pkts[int(rng.integers(batch_size))])
-        states[bid] = st
-    return file, descriptors, states
+                deliver(got, bid, pkts[int(rng.integers(batch_size))])
+    return file, descriptors, got
 
 
 def _gf_axioms(trials: int, seed: int) -> bool:
@@ -394,10 +395,10 @@ def test_criterion_8_oracle_suites():
     oracle_ok = True
     full = partial = 0
     for seed in range(200):
-        file, descriptors, states = _decode_instance(seed)
+        file, descriptors, got = _decode_instance(seed)
         file_packets = file.shape[0]
-        rank = _dense_rank(states, descriptors, file_packets)
-        result = codec.decode(states, descriptors, file_packets)
+        rank = _dense_rank(got, descriptors, file_packets)
+        result = codec.decode(got, 0, descriptors, file_packets)
         if result.unresolved != file_packets - rank:
             oracle_ok = False
             break

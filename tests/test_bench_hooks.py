@@ -18,6 +18,14 @@ from batchcast import codec, gf, sim
 from batchcast.analytics import NetworkParams
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+FAST = NetworkParams(
+    num_users=3,
+    loss_common=0.05,
+    loss_source=0.5,
+    loss_peer=0.1,
+    batch_size=8,
+    file_packets=300,
+)
 
 
 def bench_module(name):
@@ -105,38 +113,39 @@ def test_tracer_counts_one_encode_per_batch(tracing):
     """Phase 1 encodes every batch through codec.encode_batch, once per
     batch, from the file's split tables: the traced span counts batches,
     and no encode reaches gf.matmul."""
-    params = NetworkParams(
-        num_users=3,
-        loss_common=0.05,
-        loss_source=0.5,
-        loss_peer=0.1,
-        batch_size=8,
-        file_packets=300,
-    )
     tracer = tracing.Tracer()
     with tracer:
         with tracer.root(0):
-            report = sim.run_session(params, 3, num_batches=64, payload_len=4)
+            report = sim.run_session(FAST, 3, num_batches=64, payload_len=4)
     assert all(slot >= 0 for slot in report.decode_slots)
     summary = tracer.summary()
     assert summary["codec.encode_batch"]["calls"] == 64
     assert summary["gf.matmul.in.codec.encode_batch"]["calls"] == 0
 
 
+def test_tracer_counts_one_load_per_decoder(tracing):
+    """prepare_phase2 loads each observed user's decoder from the group's
+    buffers in one load_state call, so the traced span counts decoders, not
+    batches; phase 2 feeds each innovative row through add_row."""
+    tracer = tracing.Tracer()
+    with tracer:
+        with tracer.root(0):
+            report = sim.run_session(
+                FAST, 3, num_batches=64, payload_len=4, observe=[0, 2]
+            )
+    summary = tracer.summary()
+    assert summary["codec.IncrementalDecoder.load_state"]["calls"] == 2
+    decoded = [report.decode_slots[u] for u in (0, 2)]
+    assert all(slot > 0 for slot in decoded)
+    assert summary["codec.IncrementalDecoder.add_row"]["calls"] > 0
+
+
 def test_capture_hook_sees_each_sessions_users():
     workloads = bench_module("workloads")
-    params = NetworkParams(
-        num_users=3,
-        loss_common=0.05,
-        loss_source=0.5,
-        loss_peer=0.1,
-        batch_size=8,
-        file_packets=300,
-    )
     make_users = sim.make_users
     with workloads.CaptureUsers() as capture:
         assert sim.make_users is not make_users
-        sim.run_session(params, 3, num_batches=64, payload_len=4)
+        sim.run_session(FAST, 3, num_batches=64, payload_len=4)
         seen = capture.take()
     assert sim.make_users is make_users
     assert seen.session is not None and seen.session.payload_len == 4

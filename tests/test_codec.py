@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from batchcast import codec, gf
-from conftest import recoded_packet, source_packets
+from conftest import deliver, held, recoded, source_rows
 
 
 def make_file(rng, file_packets: int, payload_len: int) -> np.ndarray:
@@ -24,7 +24,7 @@ def make_file(rng, file_packets: int, payload_len: int) -> np.ndarray:
 
 
 def build_session(file, dist, num_batches, batch_size, seed):
-    """Source-side descriptors and the full packet list per batch."""
+    """Source-side descriptors and each batch's source rows [e_j | payload]."""
     descriptors, batch_packets = {}, {}
     tables = gf.SplitTables(file)
     for bid in range(1, num_batches + 1):
@@ -32,18 +32,52 @@ def build_session(file, dist, num_batches, batch_size, seed):
             tables, dist, bid, codec.descriptor_rng(seed, bid), batch_size
         )
         descriptors[bid] = desc
-        batch_packets[bid] = source_packets(bid, payloads)
+        batch_packets[bid] = source_rows(payloads)
     return descriptors, batch_packets
 
 
-def global_rank(states, descriptors, file_packets):
-    """Rank of every buffered row expanded over the whole file."""
+def coeffs(buffers, bid=0, receiver=0):
+    """The coefficients of the rows receiver holds of batch bid; a
+    BatchState's are coeffs(state.buffers)."""
+    return held(buffers, bid, receiver)[:, : buffers.ops.shape[-1]]
+
+
+def basis(buffers, bid=0, receiver=0):
+    """The reduced row echelon basis B = ops ^ I of one buffer."""
+    ops = buffers.ops[bid, receiver]
+    return ops ^ np.eye(len(ops), dtype=np.uint8)
+
+
+def received_sources(batch_packets, rng=None, p=1.0):
+    """One-receiver buffers that got each source row of batch_packets with
+    probability p, one rng.random() per row; every row without rng."""
+    m, width = next(iter(batch_packets.values())).shape
+    got = codec.BatchBuffers(len(batch_packets), 1, m, width - m)
+    for bid, rows in batch_packets.items():
+        for row in rows:
+            if rng is None or rng.random() < p:
+                deliver(got, bid, row)
+    return got
+
+
+def holding(like, rows):
+    """One-receiver buffers shaped like like that hold rows[bid], in order,
+    for each batch bid in rows; every row must raise the rank."""
+    m = like.ops.shape[-1]
+    part = codec.BatchBuffers(like.ranks.shape[0] - 1, 1, m, like.raw.shape[-1] - m)
+    for bid, block in rows.items():
+        for row in block:
+            assert deliver(part, bid, row)
+    return part
+
+
+def global_rank(buffers, descriptors, file_packets, receiver=0):
+    """Rank of every row receiver holds, expanded over the whole file."""
     rows = []
-    for bid, st in states.items():
-        desc = descriptors[bid]
-        if st.rank == 0:
+    for bid, desc in descriptors.items():
+        if buffers.ranks[bid, receiver] == 0:
             continue
-        expanded = gf.matmul(st.received_coeffs, desc.generator.T)
+        expanded = gf.matmul(coeffs(buffers, bid, receiver), desc.generator.T)
         for r in expanded:
             wide = np.zeros(file_packets, dtype=np.uint8)
             wide[desc.contributor_ids - 1] = r
@@ -277,7 +311,7 @@ def test_absorb_filters_duplicates_and_caps_rank():
     desc, payloads = codec.encode_batch(
         gf.SplitTables(file), dist, 1, codec.descriptor_rng(2, 1), 4
     )
-    pkts = source_packets(1, payloads)
+    pkts = source_rows(payloads)
     st = codec.BatchState(1, 4, 6)
     assert st.absorb(pkts[0]) is True
     assert st.absorb(pkts[0]) is False
@@ -285,22 +319,19 @@ def test_absorb_filters_duplicates_and_caps_rank():
         st.absorb(p)
     assert st.rank == 4
     # rank is full; nothing further can be innovative
-    mixed = recoded_packet(st, rng)
+    mixed = codec.recode(st, rng)
     assert st.absorb(mixed) is False
     assert st.rank == 4
 
 
-def test_absorb_rejects_foreign_and_malformed():
+def test_absorb_rejects_malformed_rows():
+    """A row is [coeff | payload], M + L wide; it carries no batch id."""
     st = codec.BatchState(2, 4, 3)
-    with pytest.raises(ValueError):
-        st.absorb(
-            codec.Packet(batch_id=1, coeff=np.ones(4, np.uint8), payload=np.zeros(3, np.uint8))
-        )
-    with pytest.raises(ValueError):
-        st.absorb(
-            codec.Packet(batch_id=2, coeff=np.ones(5, np.uint8), payload=np.zeros(3, np.uint8))
-        )
-    zero = codec.Packet(batch_id=2, coeff=np.zeros(4, np.uint8), payload=np.zeros(3, np.uint8))
+    for bad in (np.ones(8, np.uint8), np.ones(6, np.uint8), np.ones((1, 7), np.uint8)):
+        with pytest.raises(ValueError):
+            st.absorb(bad)
+    assert st.rank == 0 and not st.buffers.raw.any()
+    zero = np.zeros(7, np.uint8)
     assert st.absorb(zero) is False
 
 
@@ -316,20 +347,20 @@ def test_absorb_rank_matches_dense_elimination():
                 coeff[rng.integers(m)] = rng.integers(1, 256)
             else:
                 coeff = rng.integers(0, 256, m, dtype=np.uint8)
-            pkt = codec.Packet(
-                batch_id=1, coeff=coeff, payload=rng.integers(0, 256, 2, dtype=np.uint8)
-            )
-            st.absorb(pkt)
-        assert st.rank == gf.rank(st.received_coeffs)
+            st.absorb(np.concatenate([coeff, rng.integers(0, 256, 2, dtype=np.uint8)]))
+        assert st.rank == gf.rank(coeffs(st.buffers))
 
 
-def assert_reduced_basis(state):
-    """state.basis is the RREF of its received rows, row p holding pivot p."""
-    red, pivots = gf.row_reduce(state.received_coeffs)
-    assert len(pivots) == state.rank
-    assert np.array_equal(state.basis[list(pivots)], red[: state.rank])
-    others = np.setdiff1d(np.arange(state.batch_size), pivots)
-    assert not state.basis[others].any()
+def assert_reduced_basis(buffers, bid=0, receiver=0):
+    """A buffer's basis is the RREF of its received rows, row p holding
+    pivot p."""
+    red, pivots = gf.row_reduce(coeffs(buffers, bid, receiver))
+    rank = buffers.ranks[bid, receiver]
+    got = basis(buffers, bid, receiver)
+    assert len(pivots) == rank
+    assert np.array_equal(got[list(pivots)], red[:rank])
+    others = np.setdiff1d(np.arange(len(got)), pivots)
+    assert not got[others].any()
 
 
 @hst.composite
@@ -356,49 +387,58 @@ def test_absorb_is_exact_rank_growth(case):
     m, loaded, steps = case
     state = codec.BatchState(1, m, 2)
     # distinct source packets e_s: each is innovative and its own basis row
-    sources = source_packets(1, np.full((m, 2), 9, dtype=np.uint8))
+    sources = source_rows(np.full((m, 2), 9, dtype=np.uint8))
     for s in loaded:
         assert state.absorb(sources[s]) is True
-    assert state.rank == len(loaded) == gf.rank(state.received_coeffs)
-    assert np.array_equal(state.basis[loaded], np.eye(m, dtype=np.uint8)[loaded])
-    assert_reduced_basis(state)
+    assert state.rank == len(loaded) == gf.rank(coeffs(state.buffers))
+    assert np.array_equal(
+        basis(state.buffers)[loaded], np.eye(m, dtype=np.uint8)[loaded]
+    )
+    assert_reduced_basis(state.buffers)
     for kind, slot, factor, seed in steps:
         rng = np.random.default_rng(seed)
         if kind == "one-hot" or (kind in ("multiple", "recode") and not state.rank):
             coeff = np.zeros(m, dtype=np.uint8)
             coeff[slot] = factor
         elif kind == "multiple":
-            coeff = gf.mul(factor, state.received_coeffs[slot % state.rank])
+            coeff = gf.mul(factor, coeffs(state.buffers)[slot % state.rank])
         elif kind == "recode":
             coeff = codec.recode(state, rng)[:m]
         else:
             coeff = rng.integers(0, 256, m, dtype=np.uint8)
         payload = rng.integers(0, 256, 2, dtype=np.uint8)
         before = state.rank
-        rises = gf.rank(np.vstack([state.received_coeffs, coeff])) > before
-        assert state.absorb(codec.Packet(1, coeff, payload)) is rises
-        assert state.rank == before + rises == gf.rank(state.received_coeffs)
+        rises = gf.rank(np.vstack([coeffs(state.buffers), coeff])) > before
+        assert state.absorb(np.concatenate([coeff, payload])) is rises
+        assert state.rank == before + rises == gf.rank(coeffs(state.buffers))
         if rises:
-            assert np.array_equal(state.received_coeffs[-1], coeff)
-            assert np.array_equal(state.received_payloads[-1], payload)
-        assert_reduced_basis(state)
+            assert np.array_equal(held(state.buffers, 0)[-1, :m], coeff)
+            assert np.array_equal(held(state.buffers, 0)[-1, m:], payload)
+        assert_reduced_basis(state.buffers)
 
 
 def test_absorb_checks_the_payload_before_any_state():
     # a 1-byte payload must not be broadcast into a 6-byte row
     state = codec.BatchState(1, 4, 6)
     e = np.eye(4, dtype=np.uint8)
+
+    def row(coeff, payload_len):
+        return np.concatenate([coeff, np.ones(payload_len, np.uint8)])
+
     with pytest.raises(ValueError, match="payload"):
-        state.absorb(codec.Packet(1, e[0], np.ones(1, np.uint8)))
-    assert state.rank == 0 and not state.raw.any()
-    assert np.array_equal(state.ops, e)
-    assert state.absorb(codec.Packet(1, e[0], np.ones(6, np.uint8)))
-    # a 5-byte payload leaves rank and basis as they were, so e1 still fits
-    with pytest.raises(ValueError, match="payload"):
-        state.absorb(codec.Packet(1, e[1], np.ones(5, np.uint8)))
-    assert state.rank == 1 and np.array_equal(state.basis, np.diag([1, 0, 0, 0]))
-    assert state.absorb(codec.Packet(1, e[1], np.ones(6, np.uint8)))
-    assert state.rank == 2 == gf.rank(state.received_coeffs)
+        state.absorb(row(e[0], 1))
+    assert state.rank == 0 and not state.buffers.raw.any()
+    assert np.array_equal(state.buffers.ops[0, 0], e)
+    assert state.absorb(row(e[0], 6))
+    # a 5- or 7-byte payload leaves rank and basis as they were, so e1
+    # still fits
+    for payload_len in (5, 7):
+        with pytest.raises(ValueError, match="payload"):
+            state.absorb(row(e[1], payload_len))
+        assert state.rank == 1
+        assert np.array_equal(basis(state.buffers), np.diag([1, 0, 0, 0]))
+    assert state.absorb(row(e[1], 6))
+    assert state.rank == 2 == gf.rank(coeffs(state.buffers))
 
 
 @hst.composite
@@ -427,9 +467,9 @@ def test_group_reduction_equals_one_absorb_per_receiver(case):
     each buffer exactly as absorbing each packet into it alone would."""
     m, k, nb, steps = case
     group = codec.BatchBuffers(nb, k, m, 2)
-    shared = [group.views(i) for i in range(k)]
-    alone = [{b: codec.BatchState(b, m, 2) for b in shared[0]} for _ in range(k)]
-    arrived = {(b, i): [] for b in shared[0] for i in range(k)}
+    bids = range(1, nb + 1)
+    alone = [{b: codec.BatchState(b, m, 2) for b in bids} for _ in range(k)]
+    arrived = {(b, i): [] for b in bids for i in range(k)}
     sent = []
     eye = np.eye(m, dtype=np.uint8)
     window = []
@@ -442,8 +482,7 @@ def test_group_reduction_equals_one_absorb_per_receiver(case):
         assert np.array_equal(gained, delivered & rises)
         for bid, full, hits, up in window:
             for i in np.flatnonzero(hits):
-                packet = codec.Packet(bid, full[:m], full[m:])
-                assert alone[i][bid].absorb(packet) is up[i]
+                assert alone[i][bid].absorb(full) is up[i]
                 if up[i]:
                     arrived[bid, i].append(full)
         window.clear()
@@ -453,13 +492,14 @@ def test_group_reduction_equals_one_absorb_per_receiver(case):
         if any(w[0] == bid for w in window):
             flush()
         rng = np.random.default_rng(seed)
-        holders = [states[bid] for states in shared if states[bid].rank]
+        holders = [i for i in range(k) if group.ranks[bid, i]]
         if kind == "zero":
             coeff = np.zeros(m, dtype=np.uint8)
         elif kind == "repeat" and sent:
             coeff = sent[int(rng.integers(len(sent)))]
         elif kind == "recode" and holders:
-            coeff = codec.recode(holders[int(rng.integers(len(holders)))], rng)[:m]
+            sender = holders[int(rng.integers(len(holders)))]
+            coeff = recoded(group, bid, sender, rng)[:m]
         elif kind == "one-hot":
             coeff = eye[int(rng.integers(m))] * np.uint8(rng.integers(1, 256))
         else:
@@ -467,23 +507,23 @@ def test_group_reduction_equals_one_absorb_per_receiver(case):
         sent.append(coeff)
         payload = rng.integers(0, 256, 2, dtype=np.uint8)
         rises = [
-            gf.rank(np.vstack([st[bid].received_coeffs, coeff])) > st[bid].rank
-            for st in shared
+            gf.rank(np.vstack([coeffs(group, bid, i), coeff]))
+            > int(group.ranks[bid, i])
+            for i in range(k)
         ]
         window.append((bid, np.concatenate([coeff, payload]), delivered, rises))
     flush()
     for i in range(k):
-        for bid, st in shared[i].items():
+        for bid in bids:
             ref, rows = alone[i][bid], arrived[bid, i]
-            assert st.rank == ref.rank == len(rows) == gf.rank(st.received_coeffs)
-            assert group.ranks[bid, i] == st.rank
-            assert_reduced_basis(st)
-            assert np.array_equal(st.ops, st.basis ^ eye)
-            assert np.array_equal(
-                st.raw[: st.rank], np.array(rows).reshape(-1, m + 2)
-            )
-            assert not st.raw[st.rank :].any()
-            assert np.array_equal(st.raw, ref.raw) and np.array_equal(st.ops, ref.ops)
+            rank, raw, ops = group.ranks[bid, i], group.raw[bid, i], group.ops[bid, i]
+            assert rank == ref.rank == len(rows) == gf.rank(coeffs(group, bid, i))
+            assert_reduced_basis(group, bid, i)
+            assert np.array_equal(ops, basis(group, bid, i) ^ eye)
+            assert np.array_equal(raw[:rank], np.array(rows).reshape(-1, m + 2))
+            assert not raw[rank:].any()
+            assert np.array_equal(raw, ref.buffers.raw[0, 0])
+            assert np.array_equal(ops, ref.buffers.ops[0, 0])
 
 
 def test_recode_stays_in_row_space():
@@ -493,14 +533,14 @@ def test_recode_stays_in_row_space():
     desc, payloads = codec.encode_batch(
         gf.SplitTables(file), dist, 1, codec.descriptor_rng(3, 1), 8
     )
-    pkts = source_packets(1, payloads)
+    pkts = source_rows(payloads)
     st = codec.BatchState(1, 8, 4)
     for p in pkts[:5]:
         st.absorb(p)
-    base_rank = gf.rank(st.received_coeffs)
+    base_rank = gf.rank(coeffs(st.buffers))
     for _ in range(50):
         mixed = codec.recode(st, rng)
-        stacked = np.vstack([st.received_coeffs, mixed[None, :8]])
+        stacked = np.vstack([coeffs(st.buffers), mixed[None, :8]])
         assert gf.rank(stacked) == base_rank
 
 
@@ -509,17 +549,16 @@ def test_recode_applies_one_mix_to_coefficients_and_payloads():
     st = codec.BatchState(1, 8, 6)
     for _ in range(5):
         coeff = rng.integers(0, 256, 8, dtype=np.uint8)
-        st.absorb(codec.Packet(1, coeff, rng.integers(0, 256, 6, dtype=np.uint8)))
+        st.absorb(np.concatenate([coeff, rng.integers(0, 256, 6, dtype=np.uint8)]))
+    rows = held(st.buffers, 0)
     ours, ref = np.random.default_rng(4), np.random.default_rng(4)
     for _ in range(20):
         mixed = codec.recode(st, ours)
         mix = np.zeros(st.rank, dtype=np.uint8)
         while not mix.any():
             mix = ref.integers(0, 256, size=st.rank, dtype=np.uint8)
-        assert np.array_equal(mixed[:8], gf.matmul(mix[None, :], st.received_coeffs)[0])
-        assert np.array_equal(
-            mixed[8:], gf.matmul(mix[None, :], st.received_payloads)[0]
-        )
+        assert np.array_equal(mixed[:8], gf.matmul(mix[None, :], rows[:, :8])[0])
+        assert np.array_equal(mixed[8:], gf.matmul(mix[None, :], rows[:, 8:])[0])
 
 
 def test_recode_single_row_is_scalar_multiple():
@@ -529,15 +568,15 @@ def test_recode_single_row_is_scalar_multiple():
     desc, payloads = codec.encode_batch(
         gf.SplitTables(file), dist, 1, codec.descriptor_rng(9, 1), 4
     )
-    pkts = source_packets(1, payloads)
+    pkts = source_rows(payloads)
     st = codec.BatchState(1, 4, 4)
     st.absorb(pkts[2])
-    mixed = recoded_packet(st, rng)
-    nz = np.nonzero(pkts[2].coeff)[0][0]
-    factor = int(mixed.coeff[nz])
+    mixed = codec.recode(st, rng)
+    nz = np.nonzero(pkts[2][:4])[0][0]
+    factor = int(mixed[nz])
     assert factor != 0
-    assert np.array_equal(mixed.coeff, gf.mul(factor, pkts[2].coeff))
-    assert np.array_equal(mixed.payload, gf.mul(factor, pkts[2].payload))
+    assert np.array_equal(mixed[:4], gf.mul(factor, pkts[2][:4]))
+    assert np.array_equal(mixed[4:], gf.mul(factor, pkts[2][4:]))
 
 
 def test_recode_empty_buffer_raises():
@@ -553,17 +592,18 @@ def test_recode_row_is_the_product_of_the_same_draws(m, payload_len, seed):
     generator draws, and it leaves the generator where the clone ends."""
     rng = np.random.default_rng(seed)
     st = codec.BatchState(1, m, payload_len)
+    raw = st.buffers.raw[0, 0]
     # recode reads only rank and the raw rows, dependent or not
-    st.raw[:] = rng.integers(0, 256, st.raw.shape, dtype=np.uint8)
+    raw[:] = rng.integers(0, 256, raw.shape, dtype=np.uint8)
     for rank in range(1, m + 1):
-        st.buffers.ranks[st.index] = rank
+        st.buffers.ranks[0, 0] = rank
         clone = copy.deepcopy(rng)
         row = codec.recode(st, rng)
         mix = np.zeros(rank, dtype=np.uint8)
         while not mix.any():
             mix = clone.integers(0, 256, size=rank, dtype=np.uint8)
         assert row.shape == (m + payload_len,) and row.dtype == np.uint8
-        assert np.array_equal(row, gf.matmul(mix[None, :], st.raw[:rank])[0])
+        assert np.array_equal(row, gf.matmul(mix[None, :], raw[:rank])[0])
         assert rng.bit_generator.state == clone.bit_generator.state
 
 
@@ -574,13 +614,13 @@ def test_recode_redraws_an_all_zero_mix():
         if not np.random.default_rng(s).integers(0, 256, size=1, dtype=np.uint8)[0]
     )
     st = codec.BatchState(1, 3, 2)
-    st.raw[0] = [1, 0, 0, 7, 9]
-    st.buffers.ranks[st.index] = 1
+    st.buffers.raw[0, 0, 0] = [1, 0, 0, 7, 9]
+    st.buffers.ranks[0, 0] = 1
     rng, clone = np.random.default_rng(seed), np.random.default_rng(seed)
     row = codec.recode(st, rng)
     assert clone.integers(0, 256, size=1, dtype=np.uint8)[0] == 0
     factor = clone.integers(0, 256, size=1, dtype=np.uint8)[0]
-    assert factor and np.array_equal(row, gf.mul(factor, st.raw[0]))
+    assert factor and np.array_equal(row, gf.mul(factor, st.buffers.raw[0, 0, 0]))
     assert rng.bit_generator.state == clone.bit_generator.state
 
 
@@ -592,13 +632,14 @@ def test_absorb_keeps_the_full_row():
         if rng.random() < 0.3 and st.rank:
             full = codec.recode(st, rng)
         before = st.rank
-        rises = st.absorb(codec.Packet(1, full[:6], full[6:]))
+        rises = st.absorb(full)
+        raw = st.buffers.raw[0, 0]
         assert st.rank == before + rises
         if rises:
-            assert np.array_equal(st.raw[before], full)
-            assert np.array_equal(st.received_coeffs[-1], full[:6])
-            assert np.array_equal(st.received_payloads[-1], full[6:])
-        assert not st.raw[st.rank :].any()
+            assert np.array_equal(raw[before], full)
+            assert np.array_equal(held(st.buffers, 0)[-1, :6], full[:6])
+            assert np.array_equal(held(st.buffers, 0)[-1, 6:], full[6:])
+        assert not raw[st.rank :].any()
     assert st.rank == 6
 
 
@@ -742,7 +783,8 @@ def test_symbolic_system_inconsistent_block_changes_nothing():
 
 
 def random_instance(seed):
-    """Small session with lossy, partially recoded receptions."""
+    """Small session with lossy, partially recoded receptions: the file,
+    descriptors and the one-receiver buffers of what was received."""
     rng = np.random.default_rng(seed)
     file_packets = int(rng.integers(8, 65))
     batch_size = int(rng.choice([4, 8]))
@@ -753,31 +795,30 @@ def random_instance(seed):
     descriptors, batch_packets = build_session(
         file, dist, num_batches, batch_size, seed
     )
-    states = {}
+    sender, got = (
+        codec.BatchBuffers(num_batches, 1, batch_size, payload_len) for _ in range(2)
+    )
     for bid in range(1, num_batches + 1):
-        sender = codec.BatchState(bid, batch_size, payload_len)
         for p in batch_packets[bid]:
             if rng.random() < 0.8:
-                sender.absorb(p)
-        st = codec.BatchState(bid, batch_size, payload_len)
+                deliver(sender, bid, p)
         deliveries = int(rng.integers(0, batch_size + 3))
         for _ in range(deliveries):
-            if sender.rank and rng.random() < 0.7:
-                st.absorb(recoded_packet(sender, rng))
+            if sender.ranks[bid, 0] and rng.random() < 0.7:
+                deliver(got, bid, recoded(sender, bid, 0, rng))
             else:
-                st.absorb(batch_packets[bid][int(rng.integers(batch_size))])
-        states[bid] = st
-    return file, descriptors, states
+                deliver(got, bid, batch_packets[bid][int(rng.integers(batch_size))])
+    return file, descriptors, got
 
 
 def test_decoder_matches_dense_elimination_oracle():
     """unresolved must equal the global rank deficit on every instance."""
     full, partial = 0, 0
     for seed in range(200):
-        file, descriptors, states = random_instance(seed)
+        file, descriptors, got = random_instance(seed)
         file_packets = file.shape[0]
-        rank = global_rank(states, descriptors, file_packets)
-        result = codec.decode(states, descriptors, file_packets)
+        rank = global_rank(got, descriptors, file_packets)
+        result = codec.decode(got, 0, descriptors, file_packets)
         assert result.unresolved == file_packets - rank, "seed %d" % seed
         assert result.success == (rank == file_packets)
         if result.success:
@@ -793,20 +834,19 @@ def test_decoder_matches_dense_elimination_oracle():
 def test_incremental_feed_matches_oracle():
     """attempt() between deliveries must not disturb final exactness."""
     for seed in range(40):
-        file, descriptors, states = random_instance(seed + 1000)
+        file, descriptors, got = random_instance(seed + 1000)
         file_packets = file.shape[0]
         dec = codec.IncrementalDecoder(file_packets, file.shape[1], descriptors)
-        items = list(states.items())
-        half = len(items) // 2
-        for bid, st in items[:half]:
-            dec.load_state(st)
+        bids = list(descriptors)
+        half = len(bids) // 2
+        dec.load_state(holding(got, {bid: held(got, bid) for bid in bids[:half]}), 0)
         dec.attempt()
-        for bid, st in items[half:]:
-            for i in range(st.rank):
-                dec.add_row(bid, st.coeffs[i], st.payloads[i])
+        for bid in bids[half:]:
+            for row in held(got, bid):
+                dec.add_row(bid, row)
             dec.attempt()
         ok = dec.attempt()
-        rank = global_rank(states, descriptors, file_packets)
+        rank = global_rank(got, descriptors, file_packets)
         assert dec.unresolved == file_packets - rank, "seed %d" % seed
         if ok:
             assert np.array_equal(dec.extract(), file)
@@ -821,21 +861,20 @@ def test_late_row_for_partly_resolved_batch_matches_oracle():
     """
     exercised = 0
     for seed in range(60):
-        file, descriptors, states = random_instance(seed + 2000)
+        file, descriptors, got = random_instance(seed + 2000)
         file_packets = file.shape[0]
         dec = codec.IncrementalDecoder(file_packets, file.shape[1], descriptors)
-        items = list(states.items())
-        for bid, st in items[::2]:
-            dec.load_state(st)
+        bids = list(descriptors)
+        dec.load_state(holding(got, {bid: held(got, bid) for bid in bids[::2]}), 0)
         dec.attempt()
-        for bid, st in items[1::2]:
+        for bid in bids[1::2]:
             b = dec.batches[bid]
-            if st.rank and b.u != 0:
+            if got.ranks[bid, 0] and b.u != 0:
                 exercised += bool(dec.resolved[b.contribs].any())
-            for i in range(st.rank):
-                dec.add_row(bid, st.coeffs[i], st.payloads[i])
+            for row in held(got, bid):
+                dec.add_row(bid, row)
             dec.attempt()
-        rank = global_rank(states, descriptors, file_packets)
+        rank = global_rank(got, descriptors, file_packets)
         assert dec.unresolved == file_packets - rank, "seed %d" % seed
         if dec.unresolved == 0:
             assert np.array_equal(dec.extract(), file)
@@ -895,7 +934,7 @@ def test_rank_deficient_batch_stays_pending_until_more_rows_arrive():
     def feed(coeff):
         coeff = np.array(coeff, dtype=np.uint8)
         fed.append(coeff)
-        dec.add_row(1, coeff, gf.matmul(coeff[None, :], file)[0])
+        dec.add_row(1, np.concatenate([coeff, gf.matmul(coeff[None, :], file)[0]]))
 
     feed([3, 5, 2, 0])
     feed([9, 1, 7, 0])
@@ -922,14 +961,8 @@ def test_decode_inactivation_count_is_pinned():
     file = make_file(rng, 600, 4)
     dist = codec.design_distribution(600, 60, 16)
     descriptors, batch_packets = build_session(file, dist, 60, 16, 41)
-    states = {}
-    for bid, pkts in batch_packets.items():
-        st = codec.BatchState(bid, 16, 4)
-        for p in pkts:
-            if rng.random() < 0.8:
-                st.absorb(p)
-        states[bid] = st
-    result = codec.decode(states, descriptors, 600)
+    got = received_sources(batch_packets, rng, 0.8)
+    result = codec.decode(got, 0, descriptors, 600)
     assert result.success
     assert np.array_equal(result.payloads, file)
     assert result.inactivated == 21
@@ -948,13 +981,8 @@ def test_decode_loopback_byte_identity():
         descriptors, batch_packets = build_session(
             file, dist, num_batches, batch_size, 10_000 + seed
         )
-        states = {}
-        for bid, pkts in batch_packets.items():
-            st = codec.BatchState(bid, batch_size, payload_len)
-            for p in pkts:
-                st.absorb(p)
-            states[bid] = st
-        result = codec.decode(states, descriptors, file_packets)
+        got = received_sources(batch_packets)
+        result = codec.decode(got, 0, descriptors, file_packets)
         assert result.success, "seed %d failed to reach full rank" % seed
         assert np.array_equal(result.payloads, file)
 
@@ -964,17 +992,17 @@ def test_decode_no_receptions():
     file = make_file(rng, 40, 4)
     dist = codec.design_distribution(40, 8, 8)
     descriptors, _ = build_session(file, dist, 8, 8, 31)
-    empty = {bid: codec.BatchState(bid, 8, 4) for bid in descriptors}
-    result = codec.decode(empty, descriptors, 40)
+    empty = codec.BatchBuffers(len(descriptors), 1, 8, 4)
+    result = codec.decode(empty, 0, descriptors, 40)
     assert not result.success
     assert result.unresolved == 40
     assert result.payloads is None
 
 
 def test_decode_is_deterministic():
-    file, descriptors, states = random_instance(77)
-    a = codec.decode(states, descriptors, file.shape[0])
-    b = codec.decode(states, descriptors, file.shape[0])
+    file, descriptors, got = random_instance(77)
+    a = codec.decode(got, 0, descriptors, file.shape[0])
+    b = codec.decode(got, 0, descriptors, file.shape[0])
     assert a.success == b.success
     assert a.unresolved == b.unresolved
     assert a.inactivated == b.inactivated
@@ -992,15 +1020,9 @@ def test_decode_runtime_scales_gently():
         descriptors, batch_packets = build_session(
             file, dist, num_batches, 16, seed
         )
-        states = {}
-        for bid, pkts in batch_packets.items():
-            st = codec.BatchState(bid, 16, 4)
-            for p in pkts:
-                if rng.random() < 0.8:
-                    st.absorb(p)
-            states[bid] = st
+        got = received_sources(batch_packets, rng, 0.8)
         start = time.perf_counter()
-        result = codec.decode(states, descriptors, file_packets)
+        result = codec.decode(got, 0, descriptors, file_packets)
         elapsed = time.perf_counter() - start
         assert result.success
         return elapsed
@@ -1019,14 +1041,7 @@ def pinned_instance():
     file = make_file(rng, 600, 4)
     dist = codec.design_distribution(600, 60, 16)
     descriptors, batch_packets = build_session(file, dist, 60, 16, 41)
-    states = {}
-    for bid, pkts in batch_packets.items():
-        st = codec.BatchState(bid, 16, 4)
-        for p in pkts:
-            if rng.random() < 0.8:
-                st.absorb(p)
-        states[bid] = st
-    return file, descriptors, states
+    return file, descriptors, received_sources(batch_packets, rng, 0.8)
 
 
 def test_extract_in_width_bands_equals_the_full_width_product():
@@ -1035,10 +1050,9 @@ def test_extract_in_width_bands_equals_the_full_width_product():
     256), its bytes equal the one product at full num_z width."""
     instances = [pinned_instance()] + [random_instance(s) for s in range(60)]
     banded = 0
-    for file, descriptors, states in instances:
+    for file, descriptors, got in instances:
         dec = codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
-        for st in states.values():
-            dec.load_state(st)
+        dec.load_state(got, 0)
         if not dec.attempt() or len(set(dec.width.tolist())) < 3:
             continue
         lp, z = dec.payload_len, dec.zsys.solve(dec.num_z)
@@ -1102,13 +1116,12 @@ def test_pulls_equal_the_full_width_product_mid_decode():
     rng = np.random.default_rng(5)
     symbolic = 0
     for seed in range(40):
-        file, descriptors, states = random_instance(seed + 3000)
+        file, descriptors, got = random_instance(seed + 3000)
         dec = codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
         checked_pulls(dec)
-        items = list(states.items())
-        for part in (items[::2], items[1::2]):
-            for bid, st in part:
-                dec.load_state(st)
+        bids = list(descriptors)
+        for part in (bids[::2], bids[1::2]):
+            dec.load_state(holding(got, {bid: held(got, bid) for bid in part}), 0)
             dec.attempt()
             symbolic += dec.num_z > 0
             assert_expr_within_widths(dec)
@@ -1119,11 +1132,10 @@ def test_pulls_equal_the_full_width_product_mid_decode():
 def test_large_pulls_take_the_banded_path():
     """The pinned instance drains full-mix batches of degree 600 through
     width bands; the decode and pulls over every packet stay exact."""
-    file, descriptors, states = pinned_instance()
+    file, descriptors, got = pinned_instance()
     dec = codec.IncrementalDecoder(600, 4, descriptors)
     calls = checked_pulls(dec)
-    for st in states.values():
-        dec.load_state(st)
+    dec.load_state(got, 0)
     assert dec.attempt()
     assert np.array_equal(dec.extract(), file)
     assert max(calls) >= codec._BAND_MIN
@@ -1146,14 +1158,7 @@ def coverage_instance(seed, p):
     file = make_file(rng, 120, 3)
     dist = codec.design_distribution(120, 24, 8)
     descriptors, batch_packets = build_session(file, dist, 24, 8, seed)
-    states = {}
-    for bid, pkts in batch_packets.items():
-        st = codec.BatchState(bid, 8, 3)
-        for pkt in pkts:
-            if rng.random() < p:
-                st.absorb(pkt)
-        states[bid] = st
-    return file, descriptors, states
+    return file, descriptors, received_sources(batch_packets, rng, p)
 
 
 def test_batches_a_flush_finishes_drain_as_one_pull(monkeypatch):
@@ -1169,7 +1174,7 @@ def test_batches_a_flush_finishes_drain_as_one_pull(monkeypatch):
         gf, "_matmul_tall", lambda a, b: tall.append(1) or matmul_tall(a, b)
     )
     for seed in range(16):
-        file, descriptors, states = coverage_instance(seed, 0.6 + 0.2 * (seed % 4 > 0))
+        file, descriptors, got = coverage_instance(seed, 0.6 + 0.2 * (seed % 4 > 0))
         joint, alone = (codec.IncrementalDecoder(120, 3, descriptors) for _ in range(2))
         drain, drain_alone = joint._drain, alone._drain
 
@@ -1185,15 +1190,14 @@ def test_batches_a_flush_finishes_drain_as_one_pull(monkeypatch):
 
         joint._drain, alone._drain = logged, one_at_a_time
         for dec in (joint, alone):
-            for st in states.values():
-                dec.load_state(st)
+            dec.load_state(got, 0)
         ok = joint.attempt()
         assert alone.attempt() == ok
         assert joint.zsys.rank == alone.zsys.rank
         assert np.array_equal(joint.zsys.rows, alone.zsys.rows)
         assert joint.unresolved == alone.unresolved
         assert joint.inactivated == alone.inactivated
-        assert joint.unresolved == 120 - global_rank(states, descriptors, 120)
+        assert joint.unresolved == 120 - global_rank(got, descriptors, 120)
         if ok:
             assert np.array_equal(joint.extract(), alone.extract())
             assert np.array_equal(joint.extract(), file)
@@ -1208,7 +1212,7 @@ def test_batches_a_flush_finishes_drain_as_one_pull(monkeypatch):
     assert any(split for _, split in mixed)
 
 
-def mixed_states(seed, kind):
+def mixed_buffers(seed, kind):
     """A session whose buffers hold rows of one kind, or of every kind.
 
     kind is "unit" (source packets e_j), "scaled" (c . e_j with c != 1),
@@ -1224,24 +1228,22 @@ def mixed_states(seed, kind):
         file, dist, num_batches, batch_size, seed
     )
     kinds = ("unit", "scaled", "recoded") if kind == "mixed" else (kind,)
-    states = {}
+    sender, got = (
+        codec.BatchBuffers(num_batches, 1, batch_size, payload_len) for _ in range(2)
+    )
     for bid, packets in batch_packets.items():
-        sender = codec.BatchState(bid, batch_size, payload_len)
         for p in packets:
-            sender.absorb(p)
-        st = codec.BatchState(bid, batch_size, payload_len)
+            deliver(sender, bid, p)
         for p in packets:
             if rng.random() >= 0.75:
                 continue
             pick = kinds[int(rng.integers(len(kinds)))]
             if pick == "recoded":
-                p = recoded_packet(sender, rng)
+                p = recoded(sender, bid, 0, rng)
             elif pick == "scaled":
-                c = int(rng.integers(2, 256))
-                p = codec.Packet(bid, gf.mul(c, p.coeff), gf.mul(c, p.payload))
-            st.absorb(p)
-        states[bid] = st
-    return file, descriptors, states
+                p = gf.mul(int(rng.integers(2, 256)), p)
+            deliver(got, bid, p)
+    return file, descriptors, got
 
 
 @pytest.mark.parametrize("kind", ["unit", "scaled", "recoded", "mixed"])
@@ -1251,19 +1253,19 @@ def test_load_state_rows_equal_the_general_product(kind):
     with the generator. The decode matches dense elimination."""
     outcomes = set()
     for seed in range(12):
-        file, descriptors, states = mixed_states(seed + 50, kind)
+        file, descriptors, got = mixed_buffers(seed + 50, kind)
         dec = codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
-        for bid, st in states.items():
-            dec.load_state(st)
-            b = dec.batches[bid]
-            assert b.rows == st.rank
-            assert np.array_equal(b.raw[: st.rank], st.raw[: st.rank])
+        dec.load_state(got, 0)
+        for bid, desc in descriptors.items():
+            b, rows = dec.batches[bid], held(got, bid)
+            assert b.rows == len(rows)
+            assert np.array_equal(b.raw[: len(rows)], rows)
             assert np.array_equal(
-                codec._expand(b.raw[: st.rank, :8], b.gen_t),
-                gf.matmul(st.received_coeffs, descriptors[bid].generator.T),
+                codec._expand(b.raw[: len(rows), :8], b.gen_t),
+                gf.matmul(rows[:, :8], desc.generator.T),
             )
-        rank = global_rank(states, descriptors, file.shape[0])
-        result = codec.decode(states, descriptors, file.shape[0])
+        rank = global_rank(got, descriptors, file.shape[0])
+        result = codec.decode(got, 0, descriptors, file.shape[0])
         assert result.unresolved == file.shape[0] - rank, "seed %d" % seed
         assert result.success == (rank == file.shape[0])
         if result.success:
@@ -1272,42 +1274,76 @@ def test_load_state_rows_equal_the_general_product(kind):
     assert outcomes == {True, False}
 
 
-def split_states(states, rng, parts=3):
+def split_buffers(got, rng, parts=3):
     """Each batch's rows cut at random points into parts consecutive blocks.
 
-    Returns one dict per part, mapping batch ids to a BatchState that holds
-    that part's rows in their order.
+    Returns one set of buffers per part, holding that part's rows of every
+    batch in their order.
     """
     blocks = [{} for _ in range(parts)]
-    for bid, st in states.items():
-        m = st.batch_size
-        cuts = np.sort(rng.integers(0, st.rank + 1, parts - 1))
-        for p, rows in enumerate(np.split(st.raw[: st.rank], cuts)):
-            part = codec.BatchState(bid, m, st.payload_len)
-            for row in rows:
-                assert part.absorb(codec.Packet(bid, row[:m], row[m:]))
-            blocks[p][bid] = part
-    return blocks
+    for bid in range(1, got.ranks.shape[0]):
+        rows = held(got, bid)
+        cuts = np.sort(rng.integers(0, len(rows) + 1, parts - 1))
+        for p, block in enumerate(np.split(rows, cuts)):
+            blocks[p][bid] = block
+    return [holding(got, block) for block in blocks]
+
+
+def group_instance(seed):
+    """A group of four receivers on a random_instance-sized code: each gets
+    each source row with probability 0.5, then peers send recoded rows of
+    random batches, each heard by every other receiver with probability
+    0.7. Returns the file, descriptors and the group's buffers."""
+    rng = np.random.default_rng(seed)
+    file_packets = int(rng.integers(8, 65))
+    batch_size = int(rng.choice([4, 8]))
+    num_batches = int(rng.integers(2, 17))
+    payload_len = int(rng.integers(1, 9))
+    file = make_file(rng, file_packets, payload_len)
+    dist = codec.design_distribution(file_packets, num_batches, batch_size)
+    descriptors, batch_packets = build_session(
+        file, dist, num_batches, batch_size, seed
+    )
+    k = 4
+    group = codec.BatchBuffers(num_batches, k, batch_size, payload_len)
+    for bid, rows in batch_packets.items():
+        for row in rows:
+            for i in np.flatnonzero(rng.random(k) < 0.5):
+                deliver(group, bid, row, i)
+    for _ in range(num_batches * batch_size):
+        bid = int(rng.integers(1, num_batches + 1))
+        holders = np.flatnonzero(group.ranks[bid])
+        if not holders.size:
+            continue
+        sender = int(holders[rng.integers(holders.size)])
+        delivered = rng.random(k) < 0.7
+        delivered[sender] = False
+        row = recoded(group, bid, sender, rng)
+        group.absorb(np.array([bid]), row[None], delivered[None])
+    return file, descriptors, group
 
 
 def test_row_and_block_feeds_reach_the_same_decoder():
     """add_row row by row and load_state in blocks take the same path: with
     attempt() between parts, so that blocks also reach batches that already
-    fired or drained, both decoders end in the same state."""
+    fired or drained, both decoders end in the same state. Loading one
+    receiver of a group's buffers, which holds recoded rows after phase-2
+    style exchanges, reaches what feeding its rows one at a time in
+    batch-id order reaches."""
     rng = np.random.default_rng(8)
     late, decoded = 0, 0
     for seed in range(40):
-        file, descriptors, states = random_instance(seed + 5000)
+        file, descriptors, got = random_instance(seed + 5000)
         by_row, by_block = (
             codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
             for _ in range(2)
         )
-        for part in split_states(states, rng):
-            for bid, st in part.items():
-                late += st.rank * (by_block.batches[bid].u == 0)
-                by_block.load_state(st)
-                for row in st.raw[: st.rank]:
-                    by_row.add_row(bid, row[: st.batch_size], row[st.batch_size :])
+        for part in split_buffers(got, rng):
+            for bid in descriptors:
+                late += part.ranks[bid, 0] * (by_block.batches[bid].u == 0)
+                for row in held(part, bid):
+                    by_row.add_row(bid, row)
+            by_block.load_state(part, 0)
             ok = by_row.attempt()
             assert by_block.attempt() == ok
         assert np.array_equal(by_row.expr, by_block.expr)
@@ -1320,6 +1356,32 @@ def test_row_and_block_feeds_reach_the_same_decoder():
             assert np.array_equal(by_row.extract(), by_block.extract())
             assert np.array_equal(by_block.extract(), file)
     assert late >= 20 and decoded >= 10
+    outcomes, recoded_rows = set(), 0
+    for seed in range(12):
+        file, descriptors, group = group_instance(seed + 6000)
+        m = group.ops.shape[-1]
+        for i in range(group.ranks.shape[1]):
+            by_row, by_load = (
+                codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
+                for _ in range(2)
+            )
+            by_load.load_state(group, i)
+            for bid in descriptors:
+                rows = held(group, bid, i)
+                recoded_rows += int((np.count_nonzero(rows[:, :m], axis=1) > 1).sum())
+                for row in rows:
+                    by_row.add_row(bid, row)
+            ok = by_row.attempt()
+            assert by_load.attempt() == ok
+            assert by_row.inactivated == by_load.inactivated
+            assert by_row.unresolved == by_load.unresolved
+            rank = global_rank(group, descriptors, file.shape[0], i)
+            assert by_row.unresolved == file.shape[0] - rank
+            if ok:
+                assert by_row.extract().tobytes() == by_load.extract().tobytes()
+                assert np.array_equal(by_load.extract(), file)
+            outcomes.add(ok)
+    assert outcomes == {True, False} and recoded_rows >= 100
 
 
 def decoder_state(dec):
@@ -1335,13 +1397,17 @@ def decoder_state(dec):
 
 
 def test_feeds_reject_malformed_rows_before_any_state():
-    """A payload row that is not payload_len wide (a length-1 payload used
-    to broadcast), a coefficient row that is not M wide, or more rows than M
-    for a pending batch raise ValueError from add_row and from load_state,
-    on a pending batch and on a finished one, and change nothing.
+    """A row [coeff | payload] whose payload is not payload_len wide (a
+    length-1 payload used to broadcast) or whose coefficients are not M
+    wide, a row that is not one row, or more rows than M for a pending
+    batch raise ValueError from add_row and from load_state, on a pending
+    batch and on a finished one, and change nothing; a load_state whose
+    last batch overflows does not store the rows of the batches before it
+    either.
 
-    Batch 1 on packets {0, 1} fires from its two unit rows; batch 2 on all
-    four packets then holds one row and is pending.
+    Batch 2 on packets {0, 1} fires from its two unit rows; batch 3 on all
+    four packets then holds one row and is pending, and batch 1 on packets
+    {2, 3} holds none.
     """
     rng = np.random.default_rng(12)
     file = make_file(rng, 4, 3)
@@ -1352,7 +1418,7 @@ def test_feeds_reject_malformed_rows_before_any_state():
             contributor_ids=np.array(ids),
             generator=rng.integers(1, 256, (len(ids), 2), dtype=np.uint8),
         )
-        for bid, ids in {1: [1, 2], 2: [1, 2, 3, 4]}.items()
+        for bid, ids in {1: [3, 4], 2: [1, 2], 3: [1, 2, 3, 4]}.items()
     }
 
     def reception(bid, coeff):
@@ -1361,20 +1427,25 @@ def test_feeds_reject_malformed_rows_before_any_state():
         mixed = gf.matmul(coeff[None, :], desc.generator.T)
         return coeff, gf.matmul(mixed, file[desc.contributor_ids - 1])[0]
 
-    def buffer(bid, rows):
-        st = codec.BatchState(bid, rows[0][0].size, rows[0][1].size)
-        for coeff, payload in rows:
-            assert st.absorb(codec.Packet(bid, coeff, payload))
-        return st
+    def buffer(rows):
+        """Buffers holding rows[bid], (coeff, payload) pairs, of batch bid;
+        M and L are the first pair's widths."""
+        coeff, payload = next(iter(rows.values()))[0]
+        got = codec.BatchBuffers(3, 1, coeff.size, payload.size)
+        for bid, pairs in rows.items():
+            for coeff, payload in pairs:
+                assert deliver(got, bid, np.concatenate([coeff, payload]))
+        return got
 
     dec = codec.IncrementalDecoder(4, 3, descriptors)
-    dec.load_state(buffer(1, [reception(1, [1, 0]), reception(1, [0, 1])]))
+    dec.load_state(buffer({2: [reception(2, [1, 0]), reception(2, [0, 1])]}), 0)
     assert not dec.attempt()
-    dec.add_row(2, *reception(2, [3, 7]))
-    assert dec.batches[1].u == 0
-    assert (dec.batches[2].u, dec.batches[2].rows) == (2, 1)
+    dec.add_row(3, np.concatenate(reception(3, [3, 7])))
+    assert dec.batches[2].u == 0
+    assert (dec.batches[3].u, dec.batches[3].rows) == (2, 1)
+    assert (dec.batches[1].u, dec.batches[1].rows) == (2, 0)
     before = decoder_state(dec)
-    coeff, payload = reception(2, [5, 1])
+    coeff, payload = reception(3, [5, 1])
     malformed = [
         (coeff, payload[:1]),
         (coeff, payload[:2]),
@@ -1382,17 +1453,31 @@ def test_feeds_reject_malformed_rows_before_any_state():
         (coeff[:1], payload),
         (np.append(coeff, 1), payload),
     ]
-    for bid in (1, 2):
+    row = np.concatenate([coeff, payload])
+    for bid in (1, 2, 3):
         for c, p in malformed:
             with pytest.raises(ValueError):
-                dec.add_row(bid, c, p)
+                dec.add_row(bid, np.concatenate([c, p]))
             with pytest.raises(ValueError):
-                dec.load_state(buffer(bid, [(c, p)]))
+                dec.load_state(buffer({bid: [(c, p)]}), 0)
             assert decoder_state(dec) == before
+        with pytest.raises(ValueError):
+            dec.add_row(bid, row[None])
+        assert decoder_state(dec) == before
     with pytest.raises(ValueError):
-        dec.load_state(buffer(2, [(coeff, payload), reception(2, [1, 0])]))
+        dec.load_state(buffer({3: [(coeff, payload), reception(3, [1, 0])]}), 0)
     assert decoder_state(dec) == before
-    dec.add_row(2, coeff, payload)
+    late = buffer(
+        {
+            1: [reception(1, [1, 1])],
+            2: [reception(2, [2, 1])],
+            3: [(coeff, payload), reception(3, [1, 0])],
+        }
+    )
+    with pytest.raises(ValueError):
+        dec.load_state(late, 0)
+    assert decoder_state(dec) == before
+    dec.add_row(3, row)
     assert dec.attempt() and np.array_equal(dec.extract(), file)
 
 
@@ -1435,18 +1520,17 @@ def test_inactivation_pick_equals_the_dict_rule():
     equals the reference rule's pick."""
     total = 0
     for seed in range(30):
-        file, descriptors, states = random_instance(seed + 4000)
+        file, descriptors, got = random_instance(seed + 4000)
         dec = codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
         picks = checked_picks(dec)
-        for bid, st in states.items():
-            dec.load_state(st)
+        for bid in descriptors:
+            dec.load_state(holding(got, {bid: held(got, bid)}), 0)
             dec.attempt()
         total += len(picks)
-    file, descriptors, states = pinned_instance()
+    file, descriptors, got = pinned_instance()
     dec = codec.IncrementalDecoder(600, 4, descriptors)
     picks = checked_picks(dec)
-    for st in states.values():
-        dec.load_state(st)
+    dec.load_state(got, 0)
     assert dec.attempt()
     assert sum(p is not None for p in picks) == dec.inactivated == 21
     assert total + len(picks) >= 100
@@ -1485,7 +1569,7 @@ def test_decode_multiplication_count_is_pinned(monkeypatch):
     pinned decode well under the count it takes at full width; a change
     that widens pulls or extract again moves this count.
     """
-    file, descriptors, states = pinned_instance()
+    file, descriptors, got = pinned_instance()
     count = {"mults": 0, "full": 0}
     matmul = gf.matmul
 
@@ -1514,10 +1598,10 @@ def test_decode_multiplication_count_is_pinned(monkeypatch):
     monkeypatch.setattr(gf, "matmul", counted)
     monkeypatch.setattr(codec.IncrementalDecoder, "_pull", full_width_count)
     monkeypatch.setattr(codec.IncrementalDecoder, "extract", full_width_extract)
-    result = codec.decode(states, descriptors, 600)
+    result = codec.decode(got, 0, descriptors, 600)
     assert result.success and np.array_equal(result.payloads, file)
     # the general product every source row took before unit-row loads
-    loaded = sum(st.rank * 16 * descriptors[bid].degree for bid, st in states.items())
+    loaded = sum(got.ranks[bid, 0] * 16 * d.degree for bid, d in descriptors.items())
     full = count["mults"] + count["full"] + loaded
     assert count["mults"] == 1_506_256
     assert count["mults"] < full == 4_772_671

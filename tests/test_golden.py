@@ -116,12 +116,13 @@ def test_decoder_digest(name, monkeypatch):
 
 
 # FAST at n=20 and seed 3: the group holds 138 of 300 packets after phase 1,
-# so phase 2 stalls once every user holds all of them (slot 232)
-STALL_DIGEST = "4c698757c8a01b1eed78568c2323491334c4124e148504c62ba6a981dcbf0c10"
-# seed 4: the group holds 137 packets (stall at slot 148), and users that
-# saturate early wait on peers still short of them
+# so phase 2 stalls once every user holds all of them (slot 232); each user
+# reports 162 unresolved, 300 minus the rank of what it holds
+STALL_DIGEST = "9347098e206985f404aac7d113375d422ea784fd9d543498b8de96b3f76cd525"
+# seed 4: the group holds 137 packets (stall at slot 148, 163 unresolved per
+# user), and users that saturate early wait on peers still short of them
 SATURATED_STALL_DIGEST = (
-    "3d5cb83db01d136989bf2819fb2a5dc7a10e74f22df5c31c183ef5b25ee00754"
+    "851f25486a5cd70cf83cdd7decd82f11986d58d4d2574da9e84a7d6555ded698"
 )
 
 

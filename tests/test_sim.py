@@ -18,7 +18,7 @@ from batchcast.analytics import (
     redundancy,
     stopping_time,
 )
-from conftest import EX2, source_packets
+from conftest import EX2, deliver, held, source_rows
 
 FAST = NetworkParams(
     num_users=3,
@@ -156,13 +156,13 @@ def test_phase1_matches_per_packet_absorb():
     ref = sim.make_users(3, session)
     ref_gd = np.zeros(n, dtype=np.int64)
     for bid in range(1, n + 1):
-        for p in source_packets(bid, session.source_payloads([bid])):
+        for p in source_rows(session.source_payloads([bid])):
             flags = _per_packet_mask(1, 3, FAST, rng)[0]
             for u, hit in zip(ref, flags):
                 if not hit:
                     continue
                 u.receptions += 1
-                if u.batches[bid].absorb(p):
+                if deliver(u.buffers, bid, p, u.user_id):
                     u.innovative += 1
                 else:
                     u.redundant += 1
@@ -176,11 +176,10 @@ def test_phase1_matches_per_packet_absorb():
         )
         assert np.array_equal(u.batch_ranks(n), r.batch_ranks(n))
         for bid in range(1, n + 1):
-            a, b = u.batches[bid], r.batches[bid]
-            assert a.rank == b.rank
-            assert np.array_equal(a.received_coeffs, b.received_coeffs)
-            assert np.array_equal(a.received_payloads, b.received_payloads)
-            assert np.array_equal(a.basis, b.basis)
+            i = u.user_id
+            assert u.buffers.ranks[bid, i] == r.buffers.ranks[bid, i]
+            assert np.array_equal(held(u.buffers, bid, i), held(r.buffers, bid, i))
+            assert np.array_equal(u.buffers.ops[bid, i], r.buffers.ops[bid, i])
 
 
 # ---------------------------------------------------------------- phase 1
@@ -508,25 +507,40 @@ def test_small_sessions_are_deterministic_and_within_their_bounds(case):
             assert (u.batch_ranks(n) <= group_distinct).all()
 
 
-def reference_next_send(u):
+def reference_next_send(u, states):
     """The batch a sender picks when slots are scheduled one at a time."""
     while u.queue_pos < u.queue.size:
         bid = int(u.queue[u.queue_pos])
         u.queue_pos += 1
-        if u.batches[bid].rank:
+        if states[bid].rank:
             return bid
     for _ in range(u.tail.size):
         bid = int(u.tail[u.tail_pos % u.tail.size])
         u.tail_pos += 1
-        if u.batches[bid].rank:
+        if states[bid].rank:
             return bid
     return None
 
 
+def one_packet_states(buffers, receiver):
+    """A receiver's buffers as BatchStates, by batch id, each fed that
+    batch's rows one at a time in arrival order."""
+    m = buffers.ops.shape[-1]
+    states = {}
+    for bid in range(1, buffers.ranks.shape[0]):
+        states[bid] = codec.BatchState(bid, m, buffers.raw.shape[-1] - m)
+        for row in held(buffers, bid, receiver):
+            assert states[bid].absorb(row)
+    return states
+
+
 def reference_phase2(session, users, params, seed, uniform, group_distinct, until_tx):
-    """Phase 2 one transmission at a time, from the same substreams: one
+    """Phase 2 one transmission at a time, from the same substreams, on
+    one-packet BatchStates built from the users' phase-1 buffers: one
     codec.recode, k delivery doubles, one absorb per receiver. Returns the
-    outcome, ("done", transmissions) or ("stall", slot), and the trace."""
+    outcome, ("done", transmissions) or ("stall", slot), the trace and
+    every user's BatchStates."""
+    states = [one_packet_states(u.buffers, u.user_id) for u in users]
     rng = sim._substream(seed, sim._PHASE2_TAG)
     mix_rng = sim._substream(seed, sim._MIX_TAG)
     access_rng = sim._substream(seed, sim._ACCESS_TAG) if uniform else None
@@ -542,29 +556,29 @@ def reference_phase2(session, users, params, seed, uniform, group_distinct, unti
     transmissions = slot = 0
     while pending or (until_tx is not None and transmissions < until_tx):
         if slot >= cap or 0 < pending == saturated:
-            return ("stall", slot), trace
+            return ("stall", slot), trace, states
         if access_rng is None:
             sender = users[slot % k]
         else:
             sender = users[int(access_rng.integers(k))]
         slot += 1
-        bid = reference_next_send(sender)
+        bid = reference_next_send(sender, states[sender.user_id])
         if bid is None:
             continue
         transmissions += 1
-        full = codec.recode(sender.batches[bid], mix_rng)
+        full = codec.recode(states[sender.user_id][bid], mix_rng)
         delivered = rng.random(k) >= params.loss_peer
         delivered[sender.user_id] = False
         for u, hit in zip(users, delivered):
             if not hit:
                 continue
             u.receptions += 1
-            if not u.batches[bid].absorb(codec.Packet(bid, full[:m], full[m:])):
+            if not states[u.user_id][bid].absorb(full):
                 u.redundant += 1
                 continue
             u.innovative += 1
             if u.decoder is not None and not u.decoded:
-                u.decoder.add_row(bid, full[:m], full[m:])
+                u.decoder.add_row(bid, full)
                 if u.innovative >= f and u.decoder.attempt():
                     u.decoded, u.decode_slot = True, transmissions
                     u.innovative_at_decode = u.innovative
@@ -576,7 +590,7 @@ def reference_phase2(session, users, params, seed, uniform, group_distinct, unti
             + tuple(int(d) for d in delivered)
             + tuple(u.innovative for u in users)
         )
-    return ("done", transmissions), trace
+    return ("done", transmissions), trace, states
 
 
 def prepared_group(params, n, seed, payload_len, observe, mute):
@@ -655,9 +669,10 @@ def test_windowed_phase2_equals_one_transmission_at_a_time(case):
     except sim.SimulationStallError as exc:
         outcome = ("stall", int(re.search(r"passed (\d+) slots", str(exc)).group(1)))
     session, ref, ref_gd = prepared_group(params, n, seed, payload_len, observe, mute)
-    assert (outcome, trace) == reference_phase2(
+    want, want_trace, states = reference_phase2(
         session, ref, params, seed, uniform, ref_gd, budget
     )
+    assert (outcome, trace) == (want, want_trace)
     fields = (
         "receptions",
         "innovative",
@@ -670,10 +685,12 @@ def test_windowed_phase2_equals_one_transmission_at_a_time(case):
     )
     for u, r in zip(users, ref):
         assert [getattr(u, a) for a in fields] == [getattr(r, a) for a in fields]
-    ours, theirs = users[0].buffers, ref[0].buffers
-    assert np.array_equal(ours.ranks, theirs.ranks)
-    assert np.array_equal(ours.raw, theirs.raw)
-    assert np.array_equal(ours.ops, theirs.ops)
+    ours = users[0].buffers
+    for i, theirs in enumerate(states):
+        assert ours.ranks[1:, i].tolist() == [st.rank for st in theirs.values()]
+        for bid, st in theirs.items():
+            assert np.array_equal(ours.raw[bid, i], st.buffers.raw[0, 0])
+            assert np.array_equal(ours.ops[bid, i], st.buffers.ops[0, 0])
 
 
 class DenseRank:
@@ -733,9 +750,9 @@ def test_decode_slots_and_stalls_match_the_dense_rank():
     rebuilt in order from the trace and the buffers' raw rows (kept in
     arrival order), expanded over the file, and their stacked rank tracked
     by dense elimination: each decode slot is the first transmission at
-    which that rank reaches F (0 for phase 1), and on a stall each pending
-    user whose decoder has attempted (at least F innovative packets)
-    reports F minus that rank as unresolved."""
+    which that rank reaches F (0 for phase 1), and on a stall every pending
+    user reports F minus that rank as unresolved, also a user below F
+    innovative packets, whose decoder never attempted before the stall."""
     seen = []
     run_phase2 = sim.run_phase2
 
@@ -786,9 +803,7 @@ def test_decode_slots_and_stalls_match_the_dense_rank():
                     continue
                 assert first < 0
                 for uid, innovative, unresolved in stuck:
-                    # a decoder attempts once its user holds F innovative
-                    # packets, and after every gain from then on
-                    if uid == u and innovative >= f:
+                    if uid == u:
                         assert unresolved == f - dense.rank, (seed, u)
                         stalled += 1
     assert decoded["phase1"] >= 20 and decoded["phase2"] >= 60 and stalled >= 10
@@ -801,27 +816,6 @@ def test_observe_subset_matches_full_run():
     assert one.decode_slots[1] == -1 and one.decode_slots[2] == -1
     assert one.phase2_tx <= full.phase2_tx
     assert one.innovative_at_decode[0] == full.innovative_at_decode[0]
-
-
-def test_batch_views_are_built_only_when_read(monkeypatch):
-    """Phase 2 reads no BatchState view: only the observed user's decoder
-    load builds that user's views, and they read the shared buffers."""
-    groups = []
-    make_users = sim.make_users
-
-    def keep_users(num_users, session):
-        groups.append(make_users(num_users, session))
-        return groups[-1]
-
-    monkeypatch.setattr(sim, "make_users", keep_users)
-    sim.run_session(FAST, 7, num_batches=64, observe=[1])
-    (users,) = groups
-    assert ["batches" in vars(u) for u in users] == [False, True, False]
-    ranks = users[0].buffers.ranks
-    for u in users:
-        views = u.batches
-        assert list(views) == list(range(1, 65))
-        assert [st.rank for st in views.values()] == ranks[1:, u.user_id].tolist()
 
 
 @pytest.mark.parametrize(
@@ -917,11 +911,12 @@ def test_phase2_stalls_once_no_pending_user_can_gain():
 def test_group_bound_violation_is_detected():
     session = sim.new_session(FAST, 1, 2)
     users = sim.make_users(2, session)
-    for p in source_packets(1, session.source_payloads([1]))[:3]:
-        assert users[1].batches[1].absorb(p)
-    for p in source_packets(2, session.source_payloads([2]))[:2]:
-        assert users[0].batches[2].absorb(p)
-    ranks = users[0].buffers.ranks
+    buffers = users[0].buffers
+    for p in source_rows(session.source_payloads([1]))[:3]:
+        assert deliver(buffers, 1, p, 1)
+    for p in source_rows(session.source_payloads([2]))[:2]:
+        assert deliver(buffers, 2, p, 0)
+    ranks = buffers.ranks
     bids = np.arange(1, 3)
     sim._check_group_bound(ranks, np.array([3, 2]), bids)
     gd = np.array([2, 1], dtype=np.int64)
