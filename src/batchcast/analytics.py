@@ -57,8 +57,11 @@ class NetworkParams:
             raise ValueError("batch_size must be at least 1")
         if self.file_packets < 1:
             raise ValueError("file_packets must be at least 1")
-        if self.code_overhead < 0:
-            raise ValueError("code_overhead must be nonnegative")
+        if not (self.code_overhead >= 0 and math.isfinite(_coded_length(self))):
+            raise ValueError(
+                "code_overhead=%r must be nonnegative, with a finite coded length "
+                "(1 + code_overhead) * file_packets" % self.code_overhead
+            )
         if not (0.0 < self.outage_tolerance < 1.0):
             raise ValueError("outage_tolerance must lie in (0, 1)")
 

@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, get_args
 
 import numpy as np
 
@@ -31,28 +31,6 @@ from .analytics import (
 )
 
 MODES = ("plan", "simulate", "sweep", "robustness", "single-phase")
-
-_INT_KEYS = {
-    "num_users",
-    "batch_size",
-    "file_packets",
-    "n",
-    "seed",
-    "runs",
-    "users_min",
-    "users_max",
-    "actual_users",
-}
-_FLOAT_KEYS = {
-    "loss_common",
-    "loss_source",
-    "loss_peer",
-    "code_overhead",
-    "outage_tolerance",
-}
-_BOOL_KEYS = {"write_trace"}
-_STR_KEYS = {"mode", "dist_path", "out_dir"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS
 
 # keys that must be present before each mode can run
 _NETWORK = ("loss_common", "loss_source", "loss_peer", "batch_size", "file_packets")
@@ -117,6 +95,15 @@ class ExperimentConfig:
         return " ".join(parts)
 
 
+# each config key's value type, Optional[X] read as X
+_KEY_TYPES = {
+    f.name: (get_args(f.type) or (f.type,))[0] for f in fields(ExperimentConfig)
+}
+# the spellings a bool key accepts
+_BOOLS = dict.fromkeys(("1", "true", "yes", "on"), True)
+_BOOLS.update(dict.fromkeys(("0", "false", "no", "off"), False))
+
+
 def parse_config_file(path: str) -> Dict[str, str]:
     """Flat key=value lines; blank lines and # comments ignored."""
     try:
@@ -140,27 +127,17 @@ def parse_config_file(path: str) -> Dict[str, str]:
 
 
 def _coerce(key: str, value: str):
+    kind = _KEY_TYPES[key]
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            low = str(value).strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(value)
-        return value
-    except ValueError:
+        return _BOOLS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
         raise ConfigError("error: bad_value field=%s value=%s" % (key, value))
 
 
 def build_config(mapping: Dict[str, str], mode: Optional[str] = None) -> ExperimentConfig:
     """Validate a raw key=value mapping into an ExperimentConfig."""
     for key in mapping:
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError("error: unknown_key key=%s" % key)
     chosen = mode or mapping.get("mode")
     if not chosen:
@@ -429,6 +406,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = build_config(mapping, mode=args.mode)
         try:
             return _COMMANDS[cfg.mode](cfg)
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError("error: bad_value detail=%s" % exc)
     except ConfigError as exc:

@@ -67,8 +67,8 @@ class DegreeDistribution:
         psi = np.asarray(psi, dtype=float)
         if psi.ndim != 1 or psi.size == 0:
             raise ValueError("psi must be a nonempty 1-D probability vector")
-        if np.any(psi < 0):
-            raise ValueError("degree probabilities must be nonnegative")
+        if not (np.isfinite(psi).all() and (psi >= 0).all()):
+            raise ValueError("degree probabilities must be finite and nonnegative")
         total = float(psi.sum())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(
@@ -166,18 +166,21 @@ def design_distribution(
 
 @dataclass
 class BatchDescriptor:
-    """Recipe for one batch: which packets went in and how they were mixed."""
+    """Recipe for one batch, in the arrays the encoder and decoders multiply:
+    contribs, its d distinct 0-based file indices (int64), and gen_t, the
+    M x d transpose of its generator. Both are read-only, so decoders share
+    them."""
 
-    batch_id: int
-    degree: int
-    contributor_ids: np.ndarray  # 1-based, distinct
-    generator: np.ndarray  # degree x M
+    contribs: np.ndarray
+    gen_t: np.ndarray
 
     def __post_init__(self):
-        if self.generator.shape != (self.degree, self.generator.shape[1]):
-            raise ValueError("generator must have one row per contributor")
-        if self.contributor_ids.size != self.degree:
-            raise ValueError("contributor count must equal the degree")
+        for name, dtype in (("contribs", np.int64), ("gen_t", np.uint8)):
+            a = np.ascontiguousarray(getattr(self, name), dtype=dtype).view()
+            a.flags.writeable = False
+            setattr(self, name, a)
+        if self.gen_t.ndim != 2 or self.gen_t.shape[1] != self.contribs.size:
+            raise ValueError("gen_t must have one column per contributor")
 
 
 def descriptor_rng(session_seed: int, batch_id: int) -> np.random.Generator:
@@ -188,7 +191,6 @@ def descriptor_rng(session_seed: int, batch_id: int) -> np.random.Generator:
 def make_descriptor(
     file_packets: int,
     dist: DegreeDistribution,
-    batch_id: int,
     rng: np.random.Generator,
     batch_size: int,
 ) -> BatchDescriptor:
@@ -198,11 +200,9 @@ def make_descriptor(
         raise ValueError(
             "degree %d exceeds the file's %d packets" % (d, file_packets)
         )
-    contributors = rng.choice(file_packets, size=d, replace=False).astype(np.int64) + 1
+    contribs = rng.choice(file_packets, size=d, replace=False)
     generator = rng.integers(0, 256, size=(d, batch_size), dtype=np.uint8)
-    return BatchDescriptor(
-        batch_id=batch_id, degree=d, contributor_ids=contributors, generator=generator
-    )
+    return BatchDescriptor(contribs, generator.T)
 
 
 # --------------------------------------------------------------- batch state
@@ -364,20 +364,13 @@ def recode(state: BatchState, rng: np.random.Generator) -> np.ndarray:
     return state.buffers.recode([0], [0], mix[None])[0]
 
 
-def encode_batch(
-    file: gf.SplitTables,
-    dist: DegreeDistribution,
-    batch_id: int,
-    rng: np.random.Generator,
-    batch_size: int,
-) -> Tuple[BatchDescriptor, np.ndarray]:
-    """One batch's (M, L) source payloads; packet j has coefficients e_j.
+def encode_batch(file: gf.SplitTables, desc: BatchDescriptor) -> np.ndarray:
+    """The (M, L) source payloads of desc's batch; packet j has coefficients e_j.
 
     file holds the split tables of the (F, L) file, which every batch of a
     session multiplies, so they are built once for all of them.
     """
-    desc = make_descriptor(file.shape[0], dist, batch_id, rng, batch_size)
-    return desc, file.matmul(desc.generator.T, desc.contributor_ids - 1)
+    return file.matmul(desc.gen_t, desc.contribs)
 
 
 # ------------------------------------------------------------------ decoding
@@ -499,15 +492,14 @@ class _DecoderBatch:
     __slots__ = ("contribs", "gen_t", "raw", "rows", "unres", "u", "queued")
 
     def __init__(self, desc: BatchDescriptor, payload_len: int, unres: np.ndarray):
-        self.contribs = desc.contributor_ids.astype(np.int64) - 1
-        self.gen_t = np.ascontiguousarray(desc.generator.T)
+        self.contribs, self.gen_t = desc.contribs, desc.gen_t  # shared, read-only
         m = self.gen_t.shape[0]
         # raw[:rows] holds the receptions, [coeff | payload], in arrival
         # order (the layout of BatchBuffers.raw)
         self.raw = np.zeros((m, m + payload_len), dtype=np.uint8)
         self.rows = 0
         self.unres = unres  # view of the decoder's per-slot mask
-        self.u = desc.degree
+        self.u = self.contribs.size
         self.queued = False
 
 
@@ -562,7 +554,7 @@ class IncrementalDecoder:
         self.payload_len = payload_len
         # one slot per (batch, column), batches in descriptor order; a slot
         # is set while that contributor is unresolved in a pending batch
-        degrees = [desc.degree for desc in descriptors.values()]
+        degrees = [desc.contribs.size for desc in descriptors.values()]
         starts = np.concatenate([[0], np.cumsum(degrees, dtype=np.int64)])
         self._unres = np.ones(int(starts[-1]), dtype=bool)
         self.batches: Dict[int, _DecoderBatch] = {}

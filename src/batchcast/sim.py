@@ -18,7 +18,8 @@ Channel draws and recode mix bytes are read from their streams in blocks;
 they are the same numbers, in the same order, as one draw per packet.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import AbstractSet, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,7 +46,11 @@ def _substream(seed: int, tag: int) -> np.random.Generator:
 
 @dataclass
 class CodingSession:
-    """Source-side coding context shared by every user and channel run."""
+    """Source-side coding context shared by every user and channel run.
+
+    descriptors is the one draw of every batch's descriptor, made on first
+    read: the source encodes from it and every decoder holds its arrays.
+    """
 
     file_packets: int
     batch_size: int
@@ -54,13 +59,9 @@ class CodingSession:
     seed: int
     dist: codec.DegreeDistribution
     file: np.ndarray
-    _drawn: Dict[int, codec.BatchDescriptor] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     def source_payloads(self, bids) -> np.ndarray:
-        """Regenerate the (M, L) source payloads of batches bids, stacked in
-        that order; records their descriptors.
+        """The (M, L) source payloads of batches bids, stacked in that order.
 
         The file's split tables are built once for the call, and freed when
         it returns.
@@ -69,33 +70,22 @@ class CodingSession:
         m = self.batch_size
         out = np.empty((len(bids) * m, self.payload_len), dtype=np.uint8)
         for i, bid in enumerate(bids):
-            desc, out[i * m : (i + 1) * m] = codec.encode_batch(
-                file, self.dist, bid, codec.descriptor_rng(self.seed, bid), m
-            )
-            self._drawn[bid] = desc
+            out[i * m : (i + 1) * m] = codec.encode_batch(file, self.descriptors[bid])
         return out
 
-    @property
+    @cached_property
     def descriptors(self) -> Dict[int, codec.BatchDescriptor]:
-        """Every batch's descriptor, in batch id order.
-
-        A descriptor not recorded yet is drawn now from its batch's stream,
-        the draws encode_batch makes first, so it is the one the source used.
-        """
-        missing = [
-            bid for bid in range(1, self.num_batches + 1) if bid not in self._drawn
-        ]
-        for bid in missing:
-            self._drawn[bid] = codec.make_descriptor(
+        """Every batch's descriptor by batch id, in id order, each drawn from
+        its batch's stream on the first read."""
+        return {
+            bid: codec.make_descriptor(
                 self.file_packets,
                 self.dist,
-                bid,
                 codec.descriptor_rng(self.seed, bid),
                 self.batch_size,
             )
-        if missing:
-            self._drawn = dict(sorted(self._drawn.items()))
-        return self._drawn
+            for bid in range(1, self.num_batches + 1)
+        }
 
 
 def new_session(

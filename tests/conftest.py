@@ -29,6 +29,15 @@ def source_rows(payloads: np.ndarray) -> np.ndarray:
     return np.concatenate([eye, payloads], axis=1)
 
 
+def encoded(tables, dist, bid: int, seed: int, batch_size: int):
+    """Batch bid's descriptor, drawn from its stream under seed, and its
+    (M, L) source payloads from tables, the file's gf.SplitTables."""
+    desc = codec.make_descriptor(
+        tables.shape[0], dist, codec.descriptor_rng(seed, bid), batch_size
+    )
+    return desc, codec.encode_batch(tables, desc)
+
+
 def deliver(buffers: codec.BatchBuffers, bid: int, row, receiver: int = 0) -> bool:
     """Receive one row [coeff | payload] of batch bid at one receiver of
     buffers; True iff it raised that receiver's rank."""

@@ -23,7 +23,17 @@ from batchcast.analytics import (
     stopping_time,
     tv_distance,
 )
-from conftest import COLLAPSE, EX2, EX3, EXP, deliver, held, recoded, source_rows
+from conftest import (
+    COLLAPSE,
+    EX2,
+    EX3,
+    EXP,
+    deliver,
+    encoded,
+    held,
+    recoded,
+    source_rows,
+)
 
 
 def report(number: int, checks, wall: float, budget: float = None):
@@ -305,11 +315,11 @@ def _dense_rank(got, descriptors, file_packets: int) -> int:
     for bid, desc in descriptors.items():
         if got.ranks[bid, 0] == 0:
             continue
-        coeffs = held(got, bid)[:, : desc.generator.shape[1]]
-        expanded = gf.matmul(coeffs, desc.generator.T)
+        coeffs = held(got, bid)[:, : desc.gen_t.shape[0]]
+        expanded = gf.matmul(coeffs, desc.gen_t)
         for r in expanded:
             wide = np.zeros(file_packets, dtype=np.uint8)
-            wide[desc.contributor_ids - 1] = r
+            wide[desc.contribs] = r
             rows.append(wide)
     if not rows:
         return 0
@@ -332,9 +342,7 @@ def _decode_instance(seed: int):
     )
     tables = gf.SplitTables(file)
     for bid in range(1, num_batches + 1):
-        desc, payloads = codec.encode_batch(
-            tables, dist, bid, codec.descriptor_rng(seed, bid), batch_size
-        )
+        desc, payloads = encoded(tables, dist, bid, seed, batch_size)
         descriptors[bid] = desc
         pkts = source_rows(payloads)
         for p in pkts:

@@ -93,6 +93,9 @@ def test_params_reject_bad_values():
         dict(batch_size=0),
         dict(file_packets=0),
         dict(code_overhead=-0.01),
+        dict(code_overhead=float("inf")),
+        dict(code_overhead=float("nan")),
+        dict(code_overhead=1e308),  # finite, but (1 + 1e308) * F is not
         dict(outage_tolerance=0.0),
         dict(outage_tolerance=1.0),
     ):
@@ -100,6 +103,13 @@ def test_params_reject_bad_values():
         kwargs.update(bad)
         with pytest.raises(ValueError):
             NetworkParams(**kwargs)
+
+
+@pytest.mark.parametrize("overhead", [float("inf"), float("nan"), 1e308])
+def test_params_reject_a_non_finite_coded_length(overhead):
+    # (1 + 1e308) * 1600 overflows; the planner would take ceil of inf
+    with pytest.raises(ValueError, match="code_overhead=.* finite coded length"):
+        NetworkParams(3, 0.05, 0.5, 0.1, 16, 1600, code_overhead=overhead)
 
 
 def test_params_accept_zero_losses():

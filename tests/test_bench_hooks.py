@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from batchcast import codec, gf, sim
-from batchcast.analytics import NetworkParams
+from batchcast.analytics import NetworkParams, stopping_time
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 FAST = NetworkParams(
@@ -121,6 +121,31 @@ def test_tracer_counts_one_encode_per_batch(tracing):
     summary = tracer.summary()
     assert summary["codec.encode_batch"]["calls"] == 64
     assert summary["gf.matmul.in.codec.encode_batch"]["calls"] == 0
+
+
+def test_traced_repair_battery_draws_no_descriptor(tracing, monkeypatch):
+    """A repair battery (observe=[], a phase-2 budget, payload 0) encodes
+    and decodes nothing, so it never reads the session's descriptors and
+    draws none; ex3-repair's cost leaves them out. A session with decoders
+    reads them through the same hook."""
+    reads = []
+    lazy = vars(sim.CodingSession)["descriptors"]
+    monkeypatch.setattr(
+        sim.CodingSession,
+        "descriptors",
+        property(lambda s: reads.append(s) or lazy.__get__(s, type(s))),
+    )
+    n = 64
+    tracer = tracing.Tracer()
+    with tracer:
+        with tracer.root(0):
+            sim.run_session(
+                FAST, 3, num_batches=n, observe=[], phase2_budget=stopping_time(n, FAST)
+            )
+    assert reads == []
+    assert tracer.summary()["codec.encode_batch"]["calls"] == 0
+    sim.run_session(FAST, 3, num_batches=n, observe=[0])
+    assert reads
 
 
 def test_tracer_counts_one_load_per_decoder(tracing):

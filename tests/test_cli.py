@@ -123,7 +123,21 @@ def test_simulate_bad_degree_file(tmp_path, capsys):
     cfg = write_cfg(tmp_path, extra={"dist_path": str(tmp_path / "nope.txt")})
     rc = run_cli(["simulate", "--config", cfg, "--out-dir", str(tmp_path)])
     assert rc == 2
-    assert "error: bad_value field=dist_path" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: bad_value field=dist_path value=")
+
+
+def test_simulate_degree_file_with_nan_weight_is_a_config_error(tmp_path, capsys):
+    dist_path = tmp_path / "nan.txt"
+    dist_path.write_text("1 nan\n2 1.0\n")
+    cfg = write_cfg(tmp_path, extra={"dist_path": str(dist_path)})
+    assert run_cli(["simulate", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: bad_value field=dist_path value=")
+    assert "must be finite" in err
+    assert not (tmp_path / "simulate.csv").exists()
 
 
 def test_simulate_records_stalled_seeds(tmp_path):
@@ -377,6 +391,18 @@ def test_plan_for_one_user_exits_with_a_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: bad_value detail=one user has no peer")
+
+
+@pytest.mark.parametrize("overhead", ["inf", "1e308", "nan"])
+def test_non_finite_coded_length_is_a_config_error(tmp_path, capsys, overhead):
+    # EX2's file: 1e308 is finite but (1 + 1e308) * 1600 is not
+    cfg = write_cfg(tmp_path, {"batch_size": "16", "file_packets": "1600"})
+    args = ["plan", "--config", cfg, "--set", "code_overhead=" + overhead]
+    assert run_cli(args + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: bad_value detail=code_overhead=")
+    assert not (tmp_path / "plan.csv").exists()
 
 
 def test_batch_count_past_the_batch_id_limit_is_a_config_error(tmp_path, capsys):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from batchcast import codec, gf
-from conftest import deliver, held, recoded, source_rows
+from conftest import deliver, encoded, held, recoded, source_rows
 
 
 def make_file(rng, file_packets: int, payload_len: int) -> np.ndarray:
@@ -28,9 +28,7 @@ def build_session(file, dist, num_batches, batch_size, seed):
     descriptors, batch_packets = {}, {}
     tables = gf.SplitTables(file)
     for bid in range(1, num_batches + 1):
-        desc, payloads = codec.encode_batch(
-            tables, dist, bid, codec.descriptor_rng(seed, bid), batch_size
-        )
+        desc, payloads = encoded(tables, dist, bid, seed, batch_size)
         descriptors[bid] = desc
         batch_packets[bid] = source_rows(payloads)
     return descriptors, batch_packets
@@ -77,10 +75,10 @@ def global_rank(buffers, descriptors, file_packets, receiver=0):
     for bid, desc in descriptors.items():
         if buffers.ranks[bid, receiver] == 0:
             continue
-        expanded = gf.matmul(coeffs(buffers, bid, receiver), desc.generator.T)
+        expanded = gf.matmul(coeffs(buffers, bid, receiver), desc.gen_t)
         for r in expanded:
             wide = np.zeros(file_packets, dtype=np.uint8)
-            wide[desc.contributor_ids - 1] = r
+            wide[desc.contribs] = r
             rows.append(wide)
     if not rows:
         return 0
@@ -97,6 +95,10 @@ def test_distribution_validation():
         codec.DegreeDistribution([1.2, -0.2])
     with pytest.raises(ValueError):
         codec.DegreeDistribution([])
+    # abs(nan - 1) > 1e-9 is False: the sum check alone lets NaN through
+    for weights in ([np.nan, 1.0], [np.inf, 1.0], [0.5, 0.5, np.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            codec.DegreeDistribution(weights)
     d = codec.DegreeDistribution([0.0, 1.0])
     assert d.max_degree == 2
 
@@ -203,35 +205,48 @@ def test_design_distribution_anchor_tracks_expected_rank():
 
 def test_descriptor_stream_is_deterministic():
     dist = codec.design_distribution(500, 50, 16)
-    a = codec.make_descriptor(500, dist, 7, codec.descriptor_rng(99, 7), 16)
-    b = codec.make_descriptor(500, dist, 7, codec.descriptor_rng(99, 7), 16)
-    assert a.degree == b.degree
-    assert np.array_equal(a.contributor_ids, b.contributor_ids)
-    assert np.array_equal(a.generator, b.generator)
-    c = codec.make_descriptor(500, dist, 8, codec.descriptor_rng(99, 8), 16)
+    a = codec.make_descriptor(500, dist, codec.descriptor_rng(99, 7), 16)
+    b = codec.make_descriptor(500, dist, codec.descriptor_rng(99, 7), 16)
+    assert np.array_equal(a.contribs, b.contribs)
+    assert np.array_equal(a.gen_t, b.gen_t)
+    c = codec.make_descriptor(500, dist, codec.descriptor_rng(99, 8), 16)
     assert not (
-        a.degree == c.degree and np.array_equal(a.contributor_ids, c.contributor_ids)
+        a.contribs.size == c.contribs.size and np.array_equal(a.contribs, c.contribs)
     )
 
 
 def test_descriptor_contributors_valid():
     dist = codec.design_distribution(300, 30, 16)
     for bid in range(1, 40):
-        desc = codec.make_descriptor(300, dist, bid, codec.descriptor_rng(5, bid), 16)
-        ids = desc.contributor_ids
-        assert ids.min() >= 1 and ids.max() <= 300
-        assert len(set(ids.tolist())) == desc.degree
-        assert desc.generator.shape == (desc.degree, 16)
+        desc = codec.make_descriptor(300, dist, codec.descriptor_rng(5, bid), 16)
+        ids = desc.contribs
+        assert ids.dtype == np.int64
+        assert ids.min() >= 0 and ids.max() < 300
+        assert len(set(ids.tolist())) == ids.size
+        assert desc.gen_t.shape == (16, ids.size)
+        assert desc.gen_t.flags.c_contiguous
 
 
 def test_descriptor_shape_validation():
     with pytest.raises(ValueError):
-        codec.BatchDescriptor(
-            batch_id=1,
-            degree=3,
-            contributor_ids=np.array([1, 2]),
-            generator=np.zeros((3, 4), dtype=np.uint8),
-        )
+        codec.BatchDescriptor(np.array([0, 1]), np.zeros((4, 3), dtype=np.uint8))
+
+
+def test_descriptor_arrays_are_read_only():
+    """Decoders hold a descriptor's arrays by reference, so neither can be
+    written; the arrays a descriptor is built from stay writable."""
+    contribs, gen_t = np.array([4, 0]), np.ones((3, 2), dtype=np.uint8)
+    desc = codec.BatchDescriptor(contribs, gen_t)
+    drawn = codec.make_descriptor(
+        50, codec.design_distribution(50, 10, 4), codec.descriptor_rng(1, 1), 4
+    )
+    for d in (desc, drawn):
+        with pytest.raises(ValueError, match="read-only"):
+            d.contribs[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            d.gen_t[0, 0] = 1
+    contribs[0] = 3
+    gen_t[0, 0] = 2
 
 
 # ------------------------------------------------------------------- encoding
@@ -241,14 +256,12 @@ def test_encode_batch_payload_algebra():
     rng = np.random.default_rng(11)
     file = make_file(rng, 50, 5)
     dist = codec.DegreeDistribution([0.0, 0.0, 1.0])  # degree 3
-    desc, payloads = codec.encode_batch(
-        gf.SplitTables(file), dist, 1, codec.descriptor_rng(4, 1), 4
-    )
-    assert desc.degree == 3 and payloads.shape == (4, 5)
+    desc, payloads = encoded(gf.SplitTables(file), dist, 1, 4, 4)
+    assert desc.contribs.size == 3 and payloads.shape == (4, 5)
     for j, payload in enumerate(payloads):
         expect = np.zeros(5, dtype=np.uint8)
-        for i, cid in enumerate(desc.contributor_ids):
-            expect ^= gf.mul(int(desc.generator[i, j]), file[cid - 1])
+        for i, pkt in enumerate(desc.contribs):
+            expect ^= gf.mul(int(desc.gen_t[j, i]), file[pkt])
         assert np.array_equal(payload, expect)
 
 
@@ -256,18 +269,16 @@ def test_encode_degree_one_is_scalar_multiple():
     rng = np.random.default_rng(12)
     file = make_file(rng, 20, 8)
     dist = codec.DegreeDistribution([1.0])
-    desc, payloads = codec.encode_batch(
-        gf.SplitTables(file), dist, 3, codec.descriptor_rng(8, 3), 4
-    )
-    src = file[desc.contributor_ids[0] - 1]
+    desc, payloads = encoded(gf.SplitTables(file), dist, 3, 8, 4)
+    src = file[desc.contribs[0]]
     for j, payload in enumerate(payloads):
-        assert np.array_equal(payload, gf.mul(int(desc.generator[0, j]), src))
+        assert np.array_equal(payload, gf.mul(int(desc.gen_t[j, 0]), src))
 
 
 @pytest.mark.parametrize("payload_len", [1, 7, 64])
 def test_encode_from_file_tables_matches_matmul(payload_len):
     """encode_batch multiplies through the split tables of the whole file;
-    its payloads equal gf.matmul(generator.T, file[contributors]) from
+    its payloads equal gf.matmul(gen_t, file[contribs]) from
     degree 1 to degree F. At L = 64 a degree-F batch's contributors span
     several k-chunks of the table product."""
     rng = np.random.default_rng(payload_len)
@@ -277,28 +288,22 @@ def test_encode_from_file_tables_matches_matmul(payload_len):
     for degree in (1, 2, 37, f):
         psi = np.zeros(degree)
         psi[-1] = 1.0
-        desc, payloads = codec.encode_batch(
-            tables, codec.DegreeDistribution(psi), 1, codec.descriptor_rng(degree, 1), m
-        )
-        assert desc.degree == degree
-        want = gf.matmul(desc.generator.T, file[desc.contributor_ids - 1])
+        desc, payloads = encoded(tables, codec.DegreeDistribution(psi), 1, degree, m)
+        assert desc.contribs.size == degree
+        want = gf.matmul(desc.gen_t, file[desc.contribs])
         assert payloads.shape == (m, payload_len) and payloads.flags.c_contiguous
         assert np.array_equal(payloads, want)
     assert payload_len < 64 or gf._split_step(m, 8) < f
 
 
 def test_encode_without_payload_builds_no_tables():
-    """A file of L = 0 has no multiples to tabulate; its batches still draw
-    their descriptors and get (M, 0) payloads."""
+    """A file of L = 0 has no multiples to tabulate; its batches still get
+    (M, 0) payloads."""
     file = np.zeros((50, 0), dtype=np.uint8)
     tables = gf.SplitTables(file)
     assert tables._t is None
-    dist = codec.design_distribution(50, 10, 4)
-    desc, payloads = codec.encode_batch(tables, dist, 2, codec.descriptor_rng(6, 2), 4)
-    same = codec.make_descriptor(50, dist, 2, codec.descriptor_rng(6, 2), 4)
+    _, payloads = encoded(tables, codec.design_distribution(50, 10, 4), 2, 6, 4)
     assert payloads.shape == (4, 0)
-    assert np.array_equal(desc.contributor_ids, same.contributor_ids)
-    assert np.array_equal(desc.generator, same.generator)
 
 
 # ---------------------------------------------------------------- batch state
@@ -308,9 +313,7 @@ def test_absorb_filters_duplicates_and_caps_rank():
     rng = np.random.default_rng(21)
     file = make_file(rng, 100, 6)
     dist = codec.design_distribution(100, 10, 4)
-    desc, payloads = codec.encode_batch(
-        gf.SplitTables(file), dist, 1, codec.descriptor_rng(2, 1), 4
-    )
+    desc, payloads = encoded(gf.SplitTables(file), dist, 1, 2, 4)
     pkts = source_rows(payloads)
     st = codec.BatchState(1, 4, 6)
     assert st.absorb(pkts[0]) is True
@@ -530,9 +533,7 @@ def test_recode_stays_in_row_space():
     rng = np.random.default_rng(23)
     file = make_file(rng, 80, 4)
     dist = codec.design_distribution(80, 8, 8)
-    desc, payloads = codec.encode_batch(
-        gf.SplitTables(file), dist, 1, codec.descriptor_rng(3, 1), 8
-    )
+    desc, payloads = encoded(gf.SplitTables(file), dist, 1, 3, 8)
     pkts = source_rows(payloads)
     st = codec.BatchState(1, 8, 4)
     for p in pkts[:5]:
@@ -565,9 +566,7 @@ def test_recode_single_row_is_scalar_multiple():
     rng = np.random.default_rng(24)
     file = make_file(rng, 30, 4)
     dist = codec.DegreeDistribution([0.0, 1.0])
-    desc, payloads = codec.encode_batch(
-        gf.SplitTables(file), dist, 1, codec.descriptor_rng(9, 1), 4
-    )
+    desc, payloads = encoded(gf.SplitTables(file), dist, 1, 9, 4)
     pkts = source_rows(payloads)
     st = codec.BatchState(1, 4, 4)
     st.absorb(pkts[2])
@@ -889,14 +888,9 @@ def test_flush_queues_batches_in_first_hit_order():
     and C={1, 3}. Resolving packet 3 then packet 0 reaches B, C, then A, and
     leaves each one unresolved contributor for its one row.
     """
-    contribs = {1: [1, 2], 2: [3, 4], 3: [2, 4]}
+    contribs = {1: [0, 1], 2: [2, 3], 3: [1, 3]}
     descriptors = {
-        bid: codec.BatchDescriptor(
-            batch_id=bid,
-            degree=2,
-            contributor_ids=np.array(ids),
-            generator=np.eye(2, dtype=np.uint8),
-        )
+        bid: codec.BatchDescriptor(np.array(ids), np.eye(2, dtype=np.uint8))
         for bid, ids in contribs.items()
     }
     dec = codec.IncrementalDecoder(4, 0, descriptors)
@@ -922,12 +916,7 @@ def test_rank_deficient_batch_stays_pending_until_more_rows_arrive():
     """
     rng = np.random.default_rng(43)
     file = make_file(rng, 4, 5)
-    desc = codec.BatchDescriptor(
-        batch_id=1,
-        degree=4,
-        contributor_ids=np.arange(1, 5),
-        generator=np.eye(4, dtype=np.uint8),
-    )
+    desc = codec.BatchDescriptor(np.arange(4), np.eye(4, dtype=np.uint8))
     dec = codec.IncrementalDecoder(4, 5, {1: desc})
     fed = []
 
@@ -1262,7 +1251,7 @@ def test_load_state_rows_equal_the_general_product(kind):
             assert np.array_equal(b.raw[: len(rows)], rows)
             assert np.array_equal(
                 codec._expand(b.raw[: len(rows), :8], b.gen_t),
-                gf.matmul(rows[:, :8], desc.generator.T),
+                gf.matmul(rows[:, :8], desc.gen_t),
             )
         rank = global_rank(got, descriptors, file.shape[0])
         result = codec.decode(got, 0, descriptors, file.shape[0])
@@ -1413,19 +1402,16 @@ def test_feeds_reject_malformed_rows_before_any_state():
     file = make_file(rng, 4, 3)
     descriptors = {
         bid: codec.BatchDescriptor(
-            batch_id=bid,
-            degree=len(ids),
-            contributor_ids=np.array(ids),
-            generator=rng.integers(1, 256, (len(ids), 2), dtype=np.uint8),
+            np.array(ids), rng.integers(1, 256, (len(ids), 2), dtype=np.uint8).T
         )
-        for bid, ids in {1: [3, 4], 2: [1, 2], 3: [1, 2, 3, 4]}.items()
+        for bid, ids in {1: [2, 3], 2: [0, 1], 3: [0, 1, 2, 3]}.items()
     }
 
     def reception(bid, coeff):
         coeff = np.array(coeff, dtype=np.uint8)
         desc = descriptors[bid]
-        mixed = gf.matmul(coeff[None, :], desc.generator.T)
-        return coeff, gf.matmul(mixed, file[desc.contributor_ids - 1])[0]
+        mixed = gf.matmul(coeff[None, :], desc.gen_t)
+        return coeff, gf.matmul(mixed, file[desc.contribs])[0]
 
     def buffer(rows):
         """Buffers holding rows[bid], (coeff, payload) pairs, of batch bid;
@@ -1547,10 +1533,7 @@ def test_inactivation_pick_breaks_ties_to_the_lowest_packet():
     rng = np.random.default_rng(9)
     descriptors = {
         bid: codec.BatchDescriptor(
-            batch_id=bid,
-            degree=len(ids),
-            contributor_ids=np.array(ids) + 1,
-            generator=rng.integers(1, 256, (len(ids), 2), dtype=np.uint8),
+            np.array(ids), rng.integers(1, 256, (len(ids), 2), dtype=np.uint8).T
         )
         for bid, ids in contribs.items()
     }
@@ -1601,7 +1584,9 @@ def test_decode_multiplication_count_is_pinned(monkeypatch):
     result = codec.decode(got, 0, descriptors, 600)
     assert result.success and np.array_equal(result.payloads, file)
     # the general product every source row took before unit-row loads
-    loaded = sum(got.ranks[bid, 0] * 16 * d.degree for bid, d in descriptors.items())
+    loaded = sum(
+        got.ranks[bid, 0] * 16 * d.contribs.size for bid, d in descriptors.items()
+    )
     full = count["mults"] + count["full"] + loaded
     assert count["mults"] == 1_506_256
     assert count["mults"] < full == 4_772_671

@@ -226,18 +226,16 @@ def test_phase1_encodes_from_file_tables_freed_on_return(monkeypatch):
 
 
 def test_descriptors_without_payloads_are_drawn_on_first_read():
-    """Phase 1 at payload 0 encodes nothing; a later read of the descriptors
-    draws each from its batch's stream, equal to what encoding records."""
+    """Phase 1 at payload 0 encodes nothing, so it reads no descriptor; the
+    first read draws each from its batch's stream, equal to the ones a
+    coded session encodes from."""
     n = 12
     bare = sim.new_session(FAST, 5, n)
     sim.run_phase1(
         bare, sim.make_users(3, bare), FAST, sim._substream(5, 1), np.zeros(n, np.int64)
     )
-    assert bare._drawn == {}
+    assert "descriptors" not in vars(bare)
     coded = sim.new_session(FAST, 5, n, payload_len=4)
-    coded.source_payloads([7])
-    # one batch recorded out of order still leaves the dict in batch id order
-    assert list(coded.descriptors) == list(range(1, n + 1))
     sim.run_phase1(
         coded, sim.make_users(3, coded), FAST, sim._substream(5, 1), np.zeros(n, np.int64)
     )
@@ -245,9 +243,50 @@ def test_descriptors_without_payloads_are_drawn_on_first_read():
     assert bare.descriptors is bare.descriptors
     for bid in range(1, n + 1):
         a, b = bare.descriptors[bid], coded.descriptors[bid]
-        assert a.degree == b.degree
-        assert np.array_equal(a.contributor_ids, b.contributor_ids)
-        assert np.array_equal(a.generator, b.generator)
+        assert np.array_equal(a.contribs, b.contribs)
+        assert np.array_equal(a.gen_t, b.gen_t)
+
+
+def test_phase1_encodes_the_descriptors_read_before_it(monkeypatch):
+    """Descriptors are drawn once per session: the ones read before phase 1
+    are the objects it encodes from, and still the session's after it."""
+    n = 12
+    session = sim.new_session(FAST, 5, n, payload_len=4)
+    before = session.descriptors
+    first = list(before.values())
+    encoded = []
+    encode = codec.encode_batch
+
+    def recorded(file, desc):
+        encoded.append(desc)
+        return encode(file, desc)
+
+    monkeypatch.setattr(codec, "encode_batch", recorded)
+    users = sim.make_users(3, session)
+    sim.run_phase1(session, users, FAST, sim._substream(5, 1), np.zeros(n, np.int64))
+    assert session.descriptors is before
+    assert len(encoded) == n
+    assert all(a is b for a, b in zip(encoded, first))
+    assert all(a is b for a, b in zip(session.descriptors.values(), first))
+
+
+def test_decoders_hold_the_sessions_descriptor_arrays():
+    """Every decoder references its session's read-only descriptor arrays:
+    no decoder converts or copies a batch's contributors or generator."""
+    n = 24
+    session = sim.new_session(FAST, 7, n, payload_len=4)
+    users = sim.make_users(3, session)
+    sim.run_phase1(session, users, FAST, sim._substream(7, 1), np.zeros(n, np.int64))
+    sim.prepare_phase2(session, users, FAST)
+    for u in users:
+        for bid, desc in session.descriptors.items():
+            b = u.decoder.batches[bid]
+            assert b.contribs is desc.contribs and b.gen_t is desc.gen_t
+    desc = session.descriptors[1]
+    with pytest.raises(ValueError, match="read-only"):
+        desc.contribs[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        desc.gen_t[0, 0] = 0
 
 
 def test_phase1_group_distinct_matches_binomial_law():
@@ -718,8 +757,8 @@ def expanded(session, bid, coeff):
     """A buffered row's coefficients over the whole file."""
     desc = session.descriptors[bid]
     wide = np.zeros(session.file_packets, dtype=np.uint8)
-    prods = gf.MUL_TABLE[coeff[:, None], desc.generator.T]
-    wide[desc.contributor_ids - 1] = np.bitwise_xor.reduce(prods, axis=0)
+    prods = gf.MUL_TABLE[coeff[:, None], desc.gen_t]
+    wide[desc.contribs] = np.bitwise_xor.reduce(prods, axis=0)
     return wide
 
 
