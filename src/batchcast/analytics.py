@@ -150,7 +150,7 @@ def min_batches(params: NetworkParams) -> int:
     coded = _coded_length(params)
     alpha = _normal_quantile(params.outage_tolerance)
     numerator = 2.0 * coded - alpha * math.sqrt(4.0 * p_none * coded)
-    return math.ceil(numerator / (2.0 * params.batch_size * (1.0 - p_none)))
+    return _batch_count(numerator / (2.0 * params.batch_size * (1.0 - p_none)), params)
 
 
 def max_batches(params: NetworkParams) -> int:
@@ -168,7 +168,19 @@ def max_batches(params: NetworkParams) -> int:
         + miss * b2
         + math.sqrt(4.0 * miss * b2 * coded + miss * b2 * b2)
     )
-    return math.ceil(numerator / (2.0 * params.batch_size * (1.0 - miss)))
+    return _batch_count(numerator / (2.0 * params.batch_size * (1.0 - miss)), params)
+
+
+def _batch_count(quotient: float, params: NetworkParams) -> int:
+    """ceil(quotient), a batch count computed from the coded length; a
+    coded length that overflows it is a bad code_overhead."""
+    if not math.isfinite(quotient):
+        raise ValueError(
+            "code_overhead=%r gives a coded length of %r packets, more than "
+            "the planner can count in batches"
+            % (params.code_overhead, _coded_length(params))
+        )
+    return math.ceil(quotient)
 
 
 def expected_peer_receptions(transmissions: float, params: NetworkParams) -> float:

@@ -20,19 +20,29 @@ once: the product of its rows' coefficients on its resolved contributors
 with those contributors' [payload | symbolic] expressions. A packet's
 expression is only as wide as the symbolic unknowns that existed when it
 resolved, so a pull multiplies its contributors in a few bands of similar
-width, each at the band's widest. Firing row-reduces only the batch's
-coefficient block on its unresolved contributors (at most M x 2M, with an
-identity block recording the row transform) and applies that transform to
-the pulled rows in one product. The batches one round of substitutions
-finishes while they hold rows (the full-mix and high-degree batches, mostly
-all at once when a decoder's last packets resolve) drain together: their
-expanded rows are placed over the union of their contributors and pulled in
-one product, tall enough for gf.matmul's split-table kernel. Symbolic
-constraints keep the same [payload | symbolic] row layout. A fire's surplus
-rows, or a drain's rows, enter the symbolic system as one block: reduced
-against its pivots in one product, eliminated among themselves in arrival
-order, so that each takes the pivot column it would take alone, and
-back-substituted into the stored rows in one more product.
+width, each at the band's widest. A firing batch lays its expanded rows out
+as [C_active | C_done | payload], its unresolved contributors first, and
+eliminates that block on the active columns only, stopping after their
+pivots; the one pull of the transformed C_done then gives the resolved
+packets' expressions, written in one array assignment, and the surplus
+rows' constraints. The batches one round of substitutions finishes while
+they hold rows (the full-mix and high-degree batches, mostly all at once
+when a decoder's last packets resolve) drain together: their expanded rows
+are placed over the union of their contributors and pulled in one product,
+tall enough for gf.matmul's split-table kernel. Symbolic constraints keep
+the same [payload | symbolic] row layout. A fire's surplus rows, or a
+drain's rows, enter the symbolic system as one block: reduced against its
+pivots in one product, eliminated among themselves in arrival order, so
+that each takes the pivot column it would take alone, and back-substituted
+into the stored rows in one more product.
+
+Batch bookkeeping lives in arrays: per batch, the rows it holds, its count
+of unresolved contributors and whether it waits to fire. One count over
+the batches a round of substitutions reaches updates them all, and the
+inactivation rule reads the batches one or two resolutions short off the
+same arrays. The structure behind them (which packet sits in which batch,
+and the reverse) is a DecoderIndex, built once per descriptor set and
+shared by every decoder of a session.
 
 Descriptors never travel. Each batch's degree, contributor set, and generator
 are redrawn from a deterministic stream seeded by (session seed, batch id),
@@ -459,10 +469,12 @@ class _ZSystem:
                     )
                 continue
             p = lp + int(nz[0])
-            w[i] = gf.MUL_TABLE[gf._INV[w[i, p]]].take(w[i])
-            hit = np.flatnonzero(w[:, p])
-            hit = hit[hit != i]
-            w[hit] ^= gf.outer(w[hit, p], w[i])
+            # one outer product scales row i and clears column p elsewhere,
+            # as in _eliminate
+            inv = gf._INV[w[i, p]]
+            q = gf.MUL_TABLE[inv].take(w[:, p])
+            q[i] = inv ^ 1
+            w ^= gf.outer(q, w[i])
             pivots.append(p - lp)
             kept.append(i)
         self._reserve(len(kept), width)
@@ -486,23 +498,6 @@ class _ZSystem:
         return out
 
 
-class _DecoderBatch:
-    """One batch in the decoder; it is finished exactly when u == 0."""
-
-    __slots__ = ("contribs", "gen_t", "raw", "rows", "unres", "u", "queued")
-
-    def __init__(self, desc: BatchDescriptor, payload_len: int, unres: np.ndarray):
-        self.contribs, self.gen_t = desc.contribs, desc.gen_t  # shared, read-only
-        m = self.gen_t.shape[0]
-        # raw[:rows] holds the receptions, [coeff | payload], in arrival
-        # order (the layout of BatchBuffers.raw)
-        self.raw = np.zeros((m, m + payload_len), dtype=np.uint8)
-        self.rows = 0
-        self.unres = unres  # view of the decoder's per-slot mask
-        self.u = self.contribs.size
-        self.queued = False
-
-
 def _expand(coeffs: np.ndarray, gen_t: np.ndarray) -> np.ndarray:
     """Rows' coefficients over their batch's contributors: coeffs . gen_t.
 
@@ -514,6 +509,32 @@ def _expand(coeffs: np.ndarray, gen_t: np.ndarray) -> np.ndarray:
     if not unit.all():
         out[~unit] = gf.matmul(coeffs[~unit], gen_t)
     return out
+
+
+def _eliminate(block: np.ndarray, u: int) -> bool:
+    """Row-reduce block in place on its first u columns only, to the
+    identity in its first u rows and zero in the rest, pivoting on the first
+    row with a nonzero entry as gf.row_reduce does; False as soon as one of
+    those columns has no pivot, the block then being partly reduced.
+
+    Each step is one outer product: row j gains q[j] times the pivot row,
+    with q[j] = f[j] / p for the pivot p and column entries f, except for
+    the pivot row itself, where 1 ^ q = 1 / p scales it.
+    """
+    for c in range(u):
+        p = block[c, c]
+        if not p:
+            nz = np.flatnonzero(block[c:, c])
+            if nz.size == 0:
+                return False
+            r = c + int(nz[0])
+            block[[c, r]] = block[[r, c]]
+            p = block[c, c]
+        inv = gf._INV[p]
+        q = gf.MUL_TABLE[inv].take(block[:, c])
+        q[c] = inv ^ 1
+        block[:, c:] ^= gf.outer(q, block[c, c:])
+    return True
 
 
 # a pull over at least _BAND_MIN contributors multiplies them in _BANDS
@@ -530,6 +551,41 @@ def _width_bands(widths: np.ndarray) -> list:
     return np.array_split(np.argsort(widths), _BANDS)
 
 
+class DecoderIndex:
+    """The structure of a descriptor set, built once and read by every
+    decoder of it, as the descriptors' arrays are.
+
+    Batches are numbered in descriptor order: pos maps a batch id to its
+    number i, whose contributors and generator transpose are contribs[i]
+    and gen_t[i] (the descriptor's own read-only arrays). Every batch has
+    one slot per contributor, numbered batch by batch: batch i's slots are
+    starts[i]:starts[i + 1], one per entry of contribs[i], and slot s is in
+    batch slot_batch[s]. Packet p's slots are inc_slot[inc_ptr[p]:inc_ptr[p + 1]],
+    in slot order; that order decides the order batches enter a decoder's
+    fire queue, hence its inactivation picks. Every array is read-only.
+    """
+
+    def __init__(self, descriptors: Dict[int, BatchDescriptor], file_packets: int):
+        self.file_packets = file_packets
+        self.pos = {bid: i for i, bid in enumerate(descriptors)}
+        self.contribs = [desc.contribs for desc in descriptors.values()]
+        self.gen_t = [desc.gen_t for desc in descriptors.values()]
+        sizes = {g.shape[0] for g in self.gen_t}
+        if len(sizes) > 1:
+            raise ValueError("batches of one decoder must share a batch size")
+        self.batch_size = sizes.pop() if sizes else 0
+        degrees = [c.size for c in self.contribs]
+        self.starts = np.concatenate([[0], np.cumsum(degrees, dtype=np.int64)])
+        self.slot_batch = np.repeat(np.arange(len(degrees)), degrees)
+        slot_pkt = np.concatenate(self.contribs + [np.zeros(0, np.int64)])
+        self.inc_slot = np.argsort(slot_pkt, kind="stable")
+        self.inc_ptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(slot_pkt, minlength=file_packets))]
+        )
+        for a in (self.starts, self.slot_batch, self.inc_slot, self.inc_ptr):
+            a.flags.writeable = False
+
+
 class IncrementalDecoder:
     """Joint decoder fed innovative receptions as [coeff | payload] rows: a
     receiver's buffers at once (load_state), then one row at a time
@@ -542,41 +598,27 @@ class IncrementalDecoder:
     the rank of every constraint received so far; rows fed since then count
     only from the next attempt, and before the first one it is
     file_packets.
+
+    The structure comes from index, a DecoderIndex shared with the other
+    decoders of the same descriptors. Per batch number i the decoder keeps
+    its received rows _raw[i, :_rows[i]], [coeff | payload] in arrival order
+    (the layout of BatchBuffers.raw), its count _u[i] of unresolved
+    contributors (the batch is finished exactly when it is 0) and whether
+    it waits in the fire queue (_queued[i]).
     """
 
-    def __init__(
-        self,
-        file_packets: int,
-        payload_len: int,
-        descriptors: Dict[int, BatchDescriptor],
-    ):
-        self.file_packets = file_packets
+    def __init__(self, index: DecoderIndex, payload_len: int):
+        self.index = index
+        self.file_packets = file_packets = index.file_packets
         self.payload_len = payload_len
-        # one slot per (batch, column), batches in descriptor order; a slot
-        # is set while that contributor is unresolved in a pending batch
-        degrees = [desc.contribs.size for desc in descriptors.values()]
-        starts = np.concatenate([[0], np.cumsum(degrees, dtype=np.int64)])
-        self._unres = np.ones(int(starts[-1]), dtype=bool)
-        self.batches: Dict[int, _DecoderBatch] = {}
-        for i, (bid, desc) in enumerate(descriptors.items()):
-            self.batches[bid] = _DecoderBatch(
-                desc, payload_len, self._unres[starts[i] : starts[i + 1]]
-            )
-        # slot -> index into _indexed, the (batch id, batch) pairs in
-        # descriptor order
-        self._indexed = list(self.batches.items())
-        self._slot_batch = np.repeat(np.arange(len(degrees)), degrees)
-        # packet -> slots in CSR form: packet p's slots are
-        # _inc_slot[_inc_ptr[p]:_inc_ptr[p + 1]], in slot order; that order
-        # decides the order batches enter the fire queue, hence the
-        # inactivation picks
-        slot_pkt = np.concatenate(
-            [b.contribs for b in self.batches.values()] + [np.zeros(0, np.int64)]
-        )
-        self._inc_slot = np.argsort(slot_pkt, kind="stable")
-        self._inc_ptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(slot_pkt, minlength=file_packets))]
-        )
+        m = index.batch_size
+        self._raw = np.zeros((len(index.contribs), m, m + payload_len), np.uint8)
+        self._rows = np.zeros(len(index.contribs), dtype=np.int64)
+        self._u = np.diff(index.starts)
+        self._queued = np.zeros(len(index.contribs), dtype=bool)
+        # one per slot, set while that contributor is unresolved in a
+        # pending batch
+        self._unres = np.ones(int(index.starts[-1]), dtype=bool)
         self.resolved = np.zeros(file_packets, dtype=bool)
         self.resolved_count = 0
         # row p expresses resolved packet p as [base | tails]: its payload is
@@ -586,12 +628,13 @@ class IncrementalDecoder:
         self.width = np.zeros(file_packets, dtype=np.int64)
         self.num_z = 0
         self.zsys = _ZSystem(payload_len)
-        # how many data-bearing pending batches contain each packet
+        # per packet, how many batches holding rows contained it unresolved
+        # when their first row arrived; never decremented, so it also counts
+        # batches that have since fired or drained
         self.stall_counts = np.zeros(file_packets, dtype=np.int64)
-        # batches within two resolutions of becoming solvable; entries may be
-        # stale and are rechecked when an inactivation is picked
-        self._near: set = set()
+        # batch numbers waiting to fire, taken last in, first out
         self._fire_queue: List[int] = []
+        # resolved packets not yet marked in the batches that contain them
         self._subst_queue: List[int] = []
 
     # -- feeding ------------------------------------------------------------
@@ -601,6 +644,11 @@ class IncrementalDecoder:
         if width > cap:
             new = max(width, 2 * cap, 32)
             self.expr = _grown(self.expr, self.file_packets, self.payload_len + new)
+
+    def _unresolved(self, i: int) -> np.ndarray:
+        """Batch i's unresolved contributors."""
+        starts = self.index.starts
+        return self.index.contribs[i][self._unres[starts[i] : starts[i + 1]]]
 
     def _pull(self, c_rows: np.ndarray, payloads, pkts: np.ndarray) -> np.ndarray:
         """[payload | Z coefficients] of rows once resolved pkts are known.
@@ -620,43 +668,42 @@ class IncrementalDecoder:
             rhs[:, :end] ^= gf.matmul(c_rows[:, sel], self.expr[pkts[sel], :end])
         return rhs
 
-    def _watch(self, bid: int, b: _DecoderBatch) -> None:
-        """Queue pending batch b if it may fire, or keep it as near."""
-        if b.u <= b.rows and not b.queued:
-            b.queued = True
-            self._fire_queue.append(bid)
-        elif b.rows and b.u - b.rows <= 2:
-            self._near.add(bid)
-
     def _feed(self, parts: List[Tuple[int, np.ndarray]]) -> None:
         """Take received rows [coeff | payload]: for each (batch id, rows)
-        pair in parts, the (k, M + L) rows of that batch, in order.
+        pair in parts, the (k, M + L) rows of that batch, in order; the
+        batches are distinct.
 
-        A pending batch stores its rows as they are; the finished ones
-        expand theirs and hand them to the Z system in one drain. Every
+        A pending batch stores its rows as they are and is queued once it
+        holds as many rows as it has unresolved contributors; the finished
+        ones expand theirs and hand them to the Z system in one drain. Every
         shape is checked first, so a malformed reception changes nothing.
         """
+        m, width = self._raw.shape[1:]
+        batches = []
         for bid, rows in parts:
-            b = self.batches[bid]
-            m, width = b.raw.shape
+            i = self.index.pos[bid]
             if rows.shape[1:] != (width,):
                 raise ValueError(
                     "rows of batch %d must be [coeff | payload], %d + %d wide"
                     % (bid, m, self.payload_len)
                 )
-            if b.u and b.rows + len(rows) > m:
+            if self._u[i] and self._rows[i] + len(rows) > m:
                 raise ValueError("batch %d holds at most %d rows" % (bid, m))
+            batches.append(i)
         finished = []
-        for bid, rows in parts:
-            b = self.batches[bid]
-            if b.u == 0:
-                finished.append((b, rows))
+        for i, (_, rows) in zip(batches, parts):
+            u = self._u[i]
+            if u == 0:
+                finished.append((i, rows))
                 continue
-            lo, b.rows = b.rows, b.rows + len(rows)
-            b.raw[lo : b.rows] = rows
+            lo = self._rows[i]
+            hi = self._rows[i] = lo + len(rows)
+            self._raw[i, lo:hi] = rows
             if lo == 0:
-                np.add.at(self.stall_counts, b.contribs[b.unres], 1)
-            self._watch(bid, b)
+                self.stall_counts[self._unresolved(i)] += 1
+            if u <= hi and not self._queued[i]:
+                self._queued[i] = True
+                self._fire_queue.append(i)
         if finished:
             self._drain(finished)
 
@@ -673,39 +720,42 @@ class IncrementalDecoder:
 
     # -- resolution ---------------------------------------------------------
 
-    def _assign(self, pkt: int, row: np.ndarray) -> None:
-        """Resolve pkt as row = [base | tails] over the current unknowns."""
-        self.expr[pkt, : row.size] = row
-        self.width[pkt] = self.num_z
-        self.resolved[pkt] = True
-        self.resolved_count += 1
-        self._subst_queue.append(pkt)
+    def _resolve(self, pkts: np.ndarray, rows: np.ndarray) -> None:
+        """Resolve pkts[j] as rows[j] = [base | tails] over the current
+        unknowns."""
+        self.expr[pkts, : rows.shape[1]] = rows
+        self.width[pkts] = self.num_z
+        self.resolved[pkts] = True
+        self.resolved_count += len(pkts)
+        self._subst_queue.extend(pkts.tolist())
 
     def _inactivate(self, pkt: int) -> None:
         self.num_z += 1
         self._grow_tails(self.num_z)
-        row = np.zeros(self.payload_len + self.num_z, dtype=np.uint8)
-        row[-1] = 1
-        self._assign(pkt, row)
+        row = np.zeros((1, self.payload_len + self.num_z), dtype=np.uint8)
+        row[0, -1] = 1
+        self._resolve(np.array([pkt]), row)
 
-    def _drain(self, parts: List[Tuple[_DecoderBatch, np.ndarray]]) -> None:
+    def _drain(self, parts: List[Tuple[int, np.ndarray]]) -> None:
         """Everything the batches constrain is known or symbolic: the rows
-        [coeff | payload] of each (batch, rows) pair in parts become
+        [coeff | payload] of each (batch number, rows) pair in parts become
         constraints of the Z system, pair by pair, each in row order.
 
         The rows are expanded batch by batch, placed over the union of the
         batches' contributors and pulled in one product.
         """
-        m = parts[0][0].raw.shape[0]
+        m = self.index.batch_size
+        contribs, gen_t = self.index.contribs, self.index.gen_t
         union = np.zeros(self.file_packets, dtype=bool)
-        for b, _ in parts:
-            union[b.contribs] = True
+        for i, _ in parts:
+            union[contribs[i]] = True
         pkts = np.flatnonzero(union)
         c_rows = np.zeros((sum(len(rows) for _, rows in parts), pkts.size), np.uint8)
         lo = 0
-        for b, rows in parts:
+        for i, rows in parts:
             hi = lo + len(rows)
-            c_rows[lo:hi, pkts.searchsorted(b.contribs)] = _expand(rows[:, :m], b.gen_t)
+            cols = pkts.searchsorted(contribs[i])
+            c_rows[lo:hi, cols] = _expand(rows[:, :m], gen_t[i])
             lo = hi
         payloads = np.concatenate([rows[:, m:] for _, rows in parts])
         self.zsys.add(self._pull(c_rows, payloads, pkts))
@@ -713,64 +763,74 @@ class IncrementalDecoder:
     def _flush_substitutions(self) -> None:
         """Mark queued resolutions in the pending batches that contain them.
 
-        Bookkeeping, apart from drains: a batch pulls its right-hand side
-        when it fires, but the batches this flush finishes while they hold
-        rows drain here, together. Batches are visited, and their rows
-        drained, in the order the queued packets first reach them.
+        Bookkeeping, apart from drains: one count per batch takes every
+        hit off u at once. Python then visits only the hit batches left
+        with u <= rows, in the order the queued packets first reach them:
+        it queues those that are still pending to fire, unless they wait
+        already, and drains here, together, those finished while they hold
+        rows.
         """
         pkts = np.array(self._subst_queue, dtype=np.int64)
         self._subst_queue = []
-        lo = self._inc_ptr[pkts]
-        counts = self._inc_ptr[pkts + 1] - lo
+        ix = self.index
+        lo = ix.inc_ptr[pkts]
+        counts = ix.inc_ptr[pkts + 1] - lo
         ends = np.cumsum(counts)
         # every queued packet's CSR range, concatenated in queue order
         pos = np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])
-        slots = self._inc_slot[pos]
+        slots = ix.inc_slot[pos]
         slots = slots[self._unres[slots]]
         self._unres[slots] = False
-        hit = self._slot_batch[slots]
-        hits = np.bincount(hit).tolist()
+        hit = ix.slot_batch[slots]
+        self._u -= np.bincount(hit, minlength=self._u.size)
+        ready = self._u[hit] <= self._rows[hit]
+        if not ready.any():
+            return
         finished = []
         # dict keys keep insertion order: the batches in first-hit order
-        for i in dict.fromkeys(hit.tolist()):
-            bid, b = self._indexed[i]
-            b.u -= hits[i]
-            if b.u:
-                self._watch(bid, b)
-            elif b.rows:
-                finished.append((b, b.raw[: b.rows]))
+        for i in dict.fromkeys(hit[ready].tolist()):
+            if self._u[i]:
+                if not self._queued[i]:
+                    self._queued[i] = True
+                    self._fire_queue.append(i)
+            elif self._rows[i]:
+                finished.append((i, self._raw[i, : self._rows[i]]))
         if finished:
             self._drain(finished)
 
-    def _fire(self, bid: int) -> None:
-        """Resolve a batch's unresolved contributors from its rows.
+    def _fire(self, i: int) -> None:
+        """Resolve batch i's u unresolved contributors from its rows.
 
-        Reduces only the coefficient block [C_active | I]; its right part is
-        the row transform, applied to the pulled right-hand side in one
-        product. The first u transformed rows resolve the contributors, the
-        rest are surplus constraints for the symbolic system. A batch whose
-        rows are rank-deficient on its unresolved contributors stays pending.
+        Its expanded rows are laid out as the block
+        [C_active | C_done | payload], active (unresolved) contributors
+        first, and eliminated on the u active columns only. If they have
+        full column rank, the block's first u rows are [I | T C_done |
+        T payload] and the rest [0 | S C_done | S payload]: one pull of
+        (T C_done) and (S C_done) with the done contributors' expressions
+        resolves the active contributors and leaves surplus constraints
+        for the symbolic system. A batch whose rows are rank-deficient on
+        its unresolved contributors stays pending, before any pull.
         """
-        b = self.batches[bid]
-        b.queued = False
-        if b.u == 0 or b.u > b.rows:
+        self._queued[i] = False
+        u, rows = int(self._u[i]), int(self._rows[i])
+        if u == 0 or u > rows:
             return
-        active = np.flatnonzero(b.unres)
-        done = np.flatnonzero(~b.unres)
-        u, rows, m = active.size, b.rows, b.raw.shape[0]
-        c_rows = _expand(b.raw[:rows, :m], b.gen_t)
-        rref, pivots = gf.row_reduce(
-            np.concatenate([c_rows[:, active], np.eye(rows, dtype=np.uint8)], axis=1)
-        )
-        if pivots[u - 1] >= u:
+        ix = self.index
+        m, contribs = ix.batch_size, ix.contribs[i]
+        unres = self._unres[ix.starts[i] : ix.starts[i + 1]]
+        # active columns first, then done ones, each in column order
+        order = np.argsort(~unres, kind="stable")
+        raw = self._raw[i, :rows]
+        c_rows = _expand(raw[:, :m], ix.gen_t[i])
+        block = np.concatenate((c_rows[:, order], raw[:, m:]), axis=1)
+        if not _eliminate(block, u):
             return
-        rhs = self._pull(c_rows[:, done], b.raw[:rows, m:], b.contribs[done])
-        out = gf.matmul(rref[:, u:], rhs)
-        for i in range(u):
-            self._assign(int(b.contribs[active[i]]), out[i])
+        d = contribs.size
+        out = self._pull(block[:, u:d], block[:, d:], contribs[order[u:]])
+        self._resolve(contribs[order[:u]], out[:u])
         self.zsys.add(out[u:])
-        b.unres[:] = False
-        b.u = 0
+        unres[:] = False
+        self._u[i] = 0
 
     def _cascade(self) -> None:
         while self._subst_queue or self._fire_queue:
@@ -780,25 +840,17 @@ class IncrementalDecoder:
                 self._fire(self._fire_queue.pop())
 
     def _pick_inactivation(self) -> Optional[int]:
-        # prefer the packet that unblocks the most batches sitting one or two
-        # resolutions short of solvable, weighting one short twice; freeing
-        # one tends to chain. Ties go to the lowest packet id.
-        if self._near:
+        # prefer the packet that unblocks the most batches holding rows one
+        # or two resolutions short of solvable, weighting one short twice;
+        # freeing one tends to chain. Ties go to the lowest packet id.
+        gap = self._u - self._rows
+        near = np.flatnonzero((self._rows > 0) & (gap >= 1) & (gap <= 2))
+        if near.size:
             pkts = []
-            stale = []
-            for bid in self._near:
-                b = self.batches[bid]
-                gap = b.u - b.rows
-                if not b.rows or gap < 1 or gap > 2:
-                    stale.append(bid)
-                    continue
-                unres = b.contribs[b.unres]
-                pkts.append(unres)
-                if gap == 1:
-                    pkts.append(unres)
-            self._near.difference_update(stale)
-            if pkts:
-                return int(np.bincount(np.concatenate(pkts)).argmax())
+            for i, g in zip(near.tolist(), gap[near].tolist()):
+                unres = self._unresolved(i)
+                pkts += (unres, unres) if g == 1 else (unres,)
+            return int(np.bincount(np.concatenate(pkts)).argmax())
         masked = np.where(self.resolved, -1, self.stall_counts)
         pkt = int(np.argmax(masked))
         if masked[pkt] <= 0:
@@ -850,7 +902,7 @@ def decode(
 ) -> DecodeResult:
     """One-shot joint decode of every row receiver holds in buffers."""
     payload_len = buffers.raw.shape[-1] - buffers.ops.shape[-1]
-    dec = IncrementalDecoder(file_packets, payload_len, descriptors)
+    dec = IncrementalDecoder(DecoderIndex(descriptors, file_packets), payload_len)
     dec.load_state(buffers, receiver)
     ok = dec.attempt()
     payloads = dec.extract() if ok else None

@@ -6,10 +6,10 @@ goes through a precomputed 256x256 product table so that the matrix kernels
 below reduce to vectorized numpy gathers plus XOR folds, which is what keeps
 the simulator fast on a single core.
 
-A product of at least 8 rows over a long enough inner dimension (their
-product at least 1200) goes through 4-bit split tables instead (Plank,
-Greenan and Miller, "Screaming Fast Galois Field Arithmetic Using Intel SIMD
-Instructions", FAST 2013): since a * b_j = lo(a) * b_j ^ x^4 * (hi(a) * b_j)
+A product of at least 8 rows with enough multiplications (r * k * c above
+50000) goes through 4-bit split tables instead (Plank, Greenan and Miller,
+"Screaming Fast Galois Field Arithmetic Using Intel SIMD Instructions",
+FAST 2013): since a * b_j = lo(a) * b_j ^ x^4 * (hi(a) * b_j)
 for the nibbles lo(a) and hi(a) of a, the 16 multiples v * b_j of each row of
 the right operand, built by doubling on uint64 words, serve every row of the
 left operand. The gathers then move whole rows of eight-byte words, and the
@@ -73,20 +73,26 @@ _HIGH = np.arange(ORDER, dtype=np.uint16) << 8
 # single slice is already larger), so its memory stays bounded by the output.
 _CHUNK_ELEMS = 1 << 16
 # an (r, k) by (k, c) product goes through split tables when r >= _SPLIT_ROWS,
-# k >= 2 and r * k >= _SPLIT_WORK. Split-table time over gather time on a
-# 2-core x86_64 at c = 80 (c is 64 payload bytes plus symbolic columns in
-# the decoder): r = 8: 1.01 at k = 100, 0.84 at 150; r = 12: 0.90 at 64,
-# 0.79 at 100; r = 16: 1.03 at 32, 0.68 at 64; r = 24: 1.16 at 16, 0.76 at
-# 32; fewer than 8 rows: 1.27 or more up to k = 400. At c = 24 the ratio is
-# 1.0 to 1.2 at r * k = 1200, so a lower threshold would slow payload-free
-# decoders. At k = 1 the final x^4 fold alone costs as much as the gather.
+# k >= 2 and r * k * c > _SPLIT_MULTS. Split-table time over gather time
+# depends on all three: replaying every product of at least 8 rows and an
+# inner dimension of at least 2 from three ex2-payload sessions and one
+# k9-robust session (3436 products, 2-core x86_64), its median was 3.7
+# below r * k * c = 10000, 2.0 up to 20000, 1.4 up to 40000, 1.1 up to
+# 60000, 0.8 up to 100000 and 0.5 above 200000. Over those products this
+# rule took 0.324 s, against 0.346 s for the earlier rule r * k >= 1200 and
+# 0.323 s for the faster kernel of each. Below 8 rows the gather kernel won
+# at every k up to 400; at k = 1 the final x^4 fold alone costs as much as
+# the gather.
 _SPLIT_ROWS = 8
-_SPLIT_WORK = 1200
-# the split-table kernel gathers about this many bytes per k-chunk, and its
-# tables take at most half as many (they hold 16 multiples per row of b, and
-# a chunk is cut as if a had at least 32 rows); twice as many ran 5% to 10%
-# faster on drain-sized products but added 0.5 MB to ex2-payload's peak RSS
+_SPLIT_MULTS = 50000
+# the split-table kernel gathers about this many bytes per k-chunk (a chunk
+# is cut as if a had at least 32 rows); twice as many ran 5% to 10% faster
+# on drain-sized products but added 0.5 MB to ex2-payload's peak RSS
 _TALL_CHUNK_BYTES = 1 << 19
+# a product through split tables builds them once per block of rows of b
+# whose tables (16 multiples per row) take about this many bytes, not once
+# per k-chunk; a block is a whole number of k-chunks
+_TABLE_BYTES = 1 << 20
 _LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
 _LSB = np.uint64(0x0101010101010101)
 
@@ -175,15 +181,21 @@ def _split_matmul(a: np.ndarray, c: int, words: int, chunk) -> np.ndarray:
 
 
 def _matmul_tall(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b through split tables of b, built chunk by chunk."""
+    """a @ b through split tables of b, built block by block."""
     k, c = b.shape
     words = -(-c // 8)
-    # row 16 j of a chunk's tables starts the multiples of its j-th row of b
-    offsets = np.arange(k, dtype=np.intp) << 4
+    step = _split_step(a.shape[0], words)
+    rows = step * max(1, _TABLE_BYTES // (128 * words * step))
+    # row 16 j of a block's tables starts the multiples of its j-th row of b
+    offsets = np.arange(min(rows, k), dtype=np.intp) << 4
+    lo, t = -1, None
 
     def chunk(s, e):
-        t = _split_tables(b[s:e], words)
-        return t, offsets[: t.shape[0] >> 4]
+        nonlocal lo, t
+        if s - s % rows != lo:
+            lo = s - s % rows
+            t = _split_tables(b[lo : lo + rows], words)
+        return t, offsets[s - lo : min(e, k) - lo]
 
     return _split_matmul(a, c, words, chunk)
 
@@ -218,7 +230,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("inner dimensions differ: %d vs %d" % (k, k2))
     if k == 0 or r == 0 or c == 0:
         return np.zeros((r, c), dtype=np.uint8)
-    if r >= _SPLIT_ROWS and k > 1 and r * k >= _SPLIT_WORK:
+    if r >= _SPLIT_ROWS and k > 1 and r * k * c > _SPLIT_MULTS:
         return _matmul_tall(a, b)
     high = a.astype(np.uint16)
     high <<= 8

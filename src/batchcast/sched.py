@@ -9,6 +9,7 @@ are exchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -66,17 +67,26 @@ def build_matrix(counts: np.ndarray, params: NetworkParams) -> np.ndarray:
     Entry [u, i] is the chance that the (u+1)th packet sent from batch i+1
     helps a peer. A column depends only on its count, so the matrix is a
     lookup into an (M+1) x M table, of which only the rows of counts that
-    occur are filled.
+    occur are filled, each from a cache kept across calls.
     """
     m = params.batch_size
     if np.any((counts < 0) | (counts > m)):
         raise ValueError("reception counts must lie in [0, %d], the batch size" % m)
     table = np.zeros((m + 1, m))
     for c in set(counts.tolist()):
-        table[c] = [
-            usefulness(c, u, params.loss_source, params.loss_peer, m) for u in range(m)
-        ]
+        table[c] = _usefulness_row(c, params.loss_source, params.loss_peer, m)
     return table[counts].T
+
+
+@functools.lru_cache(maxsize=4096)
+def _usefulness_row(received: int, loss_source: float, loss_peer: float,
+                    batch_size: int) -> tuple:
+    """usefulness(received, u, ...) for u = 0..batch_size-1. Sessions of one
+    channel share every row, so each is computed once per process."""
+    return tuple(
+        usefulness(received, u, loss_source, loss_peer, batch_size)
+        for u in range(batch_size)
+    )
 
 
 def build_queue(s: np.ndarray) -> np.ndarray:

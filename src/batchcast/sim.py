@@ -49,7 +49,8 @@ class CodingSession:
     """Source-side coding context shared by every user and channel run.
 
     descriptors is the one draw of every batch's descriptor, made on first
-    read: the source encodes from it and every decoder holds its arrays.
+    read: the source encodes from it and every decoder holds its arrays,
+    through decoder_index, which is also built once.
     """
 
     file_packets: int
@@ -86,6 +87,12 @@ class CodingSession:
             )
             for bid in range(1, self.num_batches + 1)
         }
+
+    @cached_property
+    def decoder_index(self) -> codec.DecoderIndex:
+        """The structure of the descriptors, built on first read and shared
+        by every decoder of the session."""
+        return codec.DecoderIndex(self.descriptors, self.file_packets)
 
 
 def new_session(
@@ -290,7 +297,7 @@ def prepare_phase2(
         u.tail = exhaustion_order(own)
         if u.user_id in watch:
             u.decoder = codec.IncrementalDecoder(
-                session.file_packets, session.payload_len, session.descriptors
+                session.decoder_index, session.payload_len
             )
             u.decoder.load_state(u.buffers, u.user_id)
             if u.innovative >= session.file_packets and u.decoder.attempt():

@@ -65,6 +65,20 @@ def held(buffers: codec.BatchBuffers, bid: int, receiver: int = 0) -> np.ndarray
     return buffers.raw[bid, receiver, : buffers.ranks[bid, receiver]]
 
 
+def make_decoder(descriptors, file_packets: int, payload_len: int):
+    """An IncrementalDecoder of descriptors on its own DecoderIndex."""
+    index = codec.DecoderIndex(descriptors, file_packets)
+    return codec.IncrementalDecoder(index, payload_len)
+
+
+def batch_state(dec: codec.IncrementalDecoder, bid: int):
+    """(u, rows, queued) of batch bid in dec: how many of its contributors
+    are unresolved, how many rows it holds, and whether it waits in the fire
+    queue."""
+    i = dec.index.pos[bid]
+    return int(dec._u[i]), int(dec._rows[i]), bool(dec._queued[i])
+
+
 def pytest_terminal_summary(terminalreporter):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")

@@ -112,6 +112,15 @@ def test_params_reject_a_non_finite_coded_length(overhead):
         NetworkParams(3, 0.05, 0.5, 0.1, 16, 1600, code_overhead=overhead)
 
 
+def test_planner_rejects_a_coded_length_it_cannot_count():
+    # 1e308 packets is finite, but twice it is not: min_batches and
+    # max_batches would take ceil of inf
+    p = NetworkParams(3, 0.05, 0.5, 0.1, 16, 1, code_overhead=1e308)
+    for plan in (an.min_batches, an.max_batches, an.optimize_batches):
+        with pytest.raises(ValueError, match="code_overhead=1e\\+308 gives"):
+            plan(p)
+
+
 def test_params_accept_zero_losses():
     p = NetworkParams(2, 0.0, 0.0, 0.0, 4, 10)
     assert an.effective_erasure(p) == 0.0

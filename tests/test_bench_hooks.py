@@ -69,15 +69,17 @@ def test_tracer_wraps_every_target_and_restores_it(tracing):
 
 def test_tracer_counts_products_on_both_kernels(tracing, monkeypatch):
     """A product of at least gf._SPLIT_ROWS rows, over an inner dimension
-    that makes r * k at least gf._SPLIT_WORK, takes the split-table kernel
-    inside gf.matmul; the traced gf.matmul still counts it, in calls and in
-    multiplications, as it counts a short one."""
-    rows, work = gf._SPLIT_ROWS, gf._SPLIT_WORK
-    edge = -(-work // rows)
+    that makes r * k * c more than gf._SPLIT_MULTS, takes the split-table
+    kernel inside gf.matmul; the traced gf.matmul still counts it, in calls
+    and in multiplications, as it counts a short one."""
+    rows, mults = gf._SPLIT_ROWS, gf._SPLIT_MULTS
+    edge = mults // (rows * 11) + 1
     shapes = [
-        (rows - 1, 300, 11),
+        (rows - 1, 700, 11),
         (rows, edge - 1, 11),
+        (16, 80, 30),  # r * k = 1280 but r * k * c = 38400
         (rows, edge, 11),
+        (8, 100, 67),  # r * k = 800 but r * k * c = 53600
         (16, 300, 67),
         (150, 300, 67),
     ]
@@ -101,7 +103,7 @@ def test_tracer_counts_products_on_both_kernels(tracing, monkeypatch):
             # the decoder reaches the kernel as gf.matmul through codec's gf
             got = [codec.gf.matmul(a, b) for a, b in pairs]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert split == [(r, k) for r, k, _ in shapes[2:]]
+    assert split == [(r, k) for r, k, _ in shapes[3:]]
     summary = tracer.summary()
     assert summary["gf.matmul"]["calls"] == len(shapes)
     assert summary["gf.matmul.in." + tracing.ROOT]["calls"] == len(shapes)

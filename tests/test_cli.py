@@ -395,14 +395,17 @@ def test_plan_for_one_user_exits_with_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("overhead", ["inf", "1e308", "nan"])
 def test_non_finite_coded_length_is_a_config_error(tmp_path, capsys, overhead):
-    # EX2's file: 1e308 is finite but (1 + 1e308) * 1600 is not
-    cfg = write_cfg(tmp_path, {"batch_size": "16", "file_packets": "1600"})
-    args = ["plan", "--config", cfg, "--set", "code_overhead=" + overhead]
-    assert run_cli(args + ["--out-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("error: bad_value detail=code_overhead=")
-    assert not (tmp_path / "plan.csv").exists()
+    # EX2's file: 1e308 is finite but (1 + 1e308) * 1600 is not; for a
+    # one-packet file the coded length is finite, but the planner's batch
+    # counts are not
+    for packets in ("1600", "1"):
+        cfg = write_cfg(tmp_path, {"batch_size": "16", "file_packets": packets})
+        args = ["plan", "--config", cfg, "--set", "code_overhead=" + overhead]
+        assert run_cli(args + ["--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: bad_value detail=code_overhead=")
+        assert not (tmp_path / "plan.csv").exists()
 
 
 def test_batch_count_past_the_batch_id_limit_is_a_config_error(tmp_path, capsys):

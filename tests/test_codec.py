@@ -16,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from batchcast import codec, gf
-from conftest import deliver, encoded, held, recoded, source_rows
+from conftest import (
+    batch_state,
+    deliver,
+    encoded,
+    held,
+    make_decoder,
+    recoded,
+    source_rows,
+)
 
 
 def make_file(rng, file_packets: int, payload_len: int) -> np.ndarray:
@@ -835,7 +843,7 @@ def test_incremental_feed_matches_oracle():
     for seed in range(40):
         file, descriptors, got = random_instance(seed + 1000)
         file_packets = file.shape[0]
-        dec = codec.IncrementalDecoder(file_packets, file.shape[1], descriptors)
+        dec = make_decoder(descriptors, file_packets, file.shape[1])
         bids = list(descriptors)
         half = len(bids) // 2
         dec.load_state(holding(got, {bid: held(got, bid) for bid in bids[:half]}), 0)
@@ -862,14 +870,13 @@ def test_late_row_for_partly_resolved_batch_matches_oracle():
     for seed in range(60):
         file, descriptors, got = random_instance(seed + 2000)
         file_packets = file.shape[0]
-        dec = codec.IncrementalDecoder(file_packets, file.shape[1], descriptors)
+        dec = make_decoder(descriptors, file_packets, file.shape[1])
         bids = list(descriptors)
         dec.load_state(holding(got, {bid: held(got, bid) for bid in bids[::2]}), 0)
         dec.attempt()
         for bid in bids[1::2]:
-            b = dec.batches[bid]
-            if got.ranks[bid, 0] and b.u != 0:
-                exercised += bool(dec.resolved[b.contribs].any())
+            if got.ranks[bid, 0] and batch_state(dec, bid)[0] != 0:
+                exercised += bool(dec.resolved[descriptors[bid].contribs].any())
             for row in held(got, bid):
                 dec.add_row(bid, row)
             dec.attempt()
@@ -893,14 +900,108 @@ def test_flush_queues_batches_in_first_hit_order():
         bid: codec.BatchDescriptor(np.array(ids), np.eye(2, dtype=np.uint8))
         for bid, ids in contribs.items()
     }
-    dec = codec.IncrementalDecoder(4, 0, descriptors)
+    dec = make_decoder(descriptors, 4, 0)
     for bid in contribs:
         dec.add_row(bid, np.array([1, 1], dtype=np.uint8))
     assert dec._fire_queue == []
     dec._subst_queue = [3, 0]
     dec._flush_substitutions()
-    assert dec._fire_queue == [2, 3, 1]
-    assert [dec.batches[bid].u for bid in contribs] == [1, 1, 1]
+    assert dec._fire_queue == [dec.index.pos[bid] for bid in (2, 3, 1)]
+    assert [batch_state(dec, bid) for bid in contribs] == [(1, 1, True)] * 3
+
+
+def dense_transform(block, u):
+    """The dense oracle of a fire: gf.row_reduce of [C_active | I], C_active
+    being block's first u columns, and its row transform applied to block.
+    Returns (transformed block, whether C_active has full column rank)."""
+    rows = block.shape[0]
+    eye = np.eye(rows, dtype=np.uint8)
+    rref, pivots = gf.row_reduce(np.concatenate([block[:, :u], eye], axis=1))
+    return gf.matmul(rref[:, u:], block), pivots[u - 1] == u - 1
+
+
+def test_fire_elimination_matches_the_dense_oracle():
+    """_eliminate on u active columns against the full row reduction of
+    [C_active | I]: it fails exactly when C_active lacks full column rank;
+    otherwise its first u rows are the identity on the active columns and
+    the rest zero there, every row stays in the block's row space, with no
+    surplus row (rows = u) the block equals the oracle's, and with surplus
+    rows these span the oracle's and the first u rows differ from the
+    oracle's only by their combinations. Covers a zero first pivot entry
+    (a row swap at the first step) and rank-deficient active blocks."""
+    rng = np.random.default_rng(61)
+    seen = {"square": 0, "surplus": 0, "deficient": 0, "swapped": 0}
+    for trial in range(400):
+        u = int(rng.integers(1, 9))
+        rows = u + int(rng.integers(0, 4))
+        block = rng.integers(0, 256, (rows, u + int(rng.integers(0, 40))), np.uint8)
+        kind = trial % 4
+        if kind == 1 and rows > 1:
+            block[0, 0] = 0
+        elif kind == 2:
+            # one active column a multiple of another, or zero
+            j = int(rng.integers(u))
+            block[:, j] = gf.mul(block[:, 0], int(rng.integers(0, 256))) if j else 0
+        want, full_rank = dense_transform(block, u)
+        got = block.copy()
+        assert codec._eliminate(got, u) == full_rank
+        if not full_rank:
+            seen["deficient"] += 1
+            continue
+        eye = np.eye(rows, u, dtype=np.uint8)
+        assert np.array_equal(got[:, :u], eye)
+        assert gf.rank(np.vstack([block, got])) == gf.rank(block) == gf.rank(got)
+        if rows == u:
+            seen["square"] += 1
+            assert np.array_equal(got, want)
+            continue
+        seen["surplus"] += 1
+        seen["swapped"] += kind == 1
+        span = gf.rank(want[u:])
+        assert span == gf.rank(got[u:]) == gf.rank(np.vstack([got[u:], want[u:]]))
+        assert gf.rank(np.vstack([want[u:], got[:u] ^ want[:u]])) == span
+    assert min(seen.values()) >= 30, seen
+
+
+def test_queued_batch_finished_by_substitution_drains_once(monkeypatch):
+    """Batches 1 and 2, both on packets {0, 1}, each get their two source
+    rows and are queued in that order. The fire queue is last in, first
+    out: batch 2 fires and resolves both packets, and the flush finishes
+    batch 1 while it still waits in the queue. Its rows drain then, once;
+    its turn in the queue later eliminates and drains nothing."""
+    rng = np.random.default_rng(21)
+    file = make_file(rng, 2, 3)
+    descriptors = {
+        bid: codec.BatchDescriptor(
+            np.array([0, 1]), rng.integers(1, 256, (2, 2), dtype=np.uint8).T
+        )
+        for bid in (1, 2)
+    }
+    dec = make_decoder(descriptors, 2, 3)
+    for bid, desc in descriptors.items():
+        for j in range(2):
+            payload = gf.matmul(desc.gen_t[j : j + 1], file[desc.contribs])[0]
+            dec.add_row(bid, np.concatenate([np.eye(2, dtype=np.uint8)[j], payload]))
+    assert dec._fire_queue == [dec.index.pos[1], dec.index.pos[2]]
+    assert [batch_state(dec, bid) for bid in (1, 2)] == [(2, 2, True)] * 2
+    drains, fires = [], []
+    drain = dec._drain
+
+    def logged(parts):
+        drains.append([(i, len(r)) for i, r in parts])
+        drain(parts)
+
+    dec._drain = logged
+    eliminate = codec._eliminate
+    monkeypatch.setattr(
+        codec, "_eliminate", lambda block, u: fires.append(u) or eliminate(block, u)
+    )
+    assert dec.attempt()
+    assert drains == [[(dec.index.pos[1], 2)]]
+    assert fires == [2]
+    assert [batch_state(dec, bid) for bid in (1, 2)] == [(0, 2, False)] * 2
+    assert dec._fire_queue == [] and dec.zsys.rank == 0 and dec.inactivated == 0
+    assert np.array_equal(dec.extract(), file)
 
 
 def test_rank_deficient_batch_stays_pending_until_more_rows_arrive():
@@ -917,7 +1018,7 @@ def test_rank_deficient_batch_stays_pending_until_more_rows_arrive():
     rng = np.random.default_rng(43)
     file = make_file(rng, 4, 5)
     desc = codec.BatchDescriptor(np.arange(4), np.eye(4, dtype=np.uint8))
-    dec = codec.IncrementalDecoder(4, 5, {1: desc})
+    dec = make_decoder({1: desc}, 4, 5)
     fed = []
 
     def feed(coeff):
@@ -930,9 +1031,8 @@ def test_rank_deficient_batch_stays_pending_until_more_rows_arrive():
     feed([11, 4, 5, 0])
     dec._inactivate(0)
     dec._cascade()
-    b = dec.batches[1]
-    assert (b.u, b.rows, dec.num_z) == (3, 3, 1)
-    assert b.u != 0 and np.array_equal(b.raw[:3, :4], np.array(fed))
+    assert batch_state(dec, 1) + (dec.num_z,) == (3, 3, False, 1)
+    assert np.array_equal(dec._raw[dec.index.pos[1], :3, :4], np.array(fed))
     assert list(dec.resolved) == [True, False, False, False]
     assert not dec.expr[1:].any()
     assert dec.zsys.rank == 0
@@ -1040,7 +1140,7 @@ def test_extract_in_width_bands_equals_the_full_width_product():
     instances = [pinned_instance()] + [random_instance(s) for s in range(60)]
     banded = 0
     for file, descriptors, got in instances:
-        dec = codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
+        dec = make_decoder(descriptors, file.shape[0], file.shape[1])
         dec.load_state(got, 0)
         if not dec.attempt() or len(set(dec.width.tolist())) < 3:
             continue
@@ -1106,7 +1206,7 @@ def test_pulls_equal_the_full_width_product_mid_decode():
     symbolic = 0
     for seed in range(40):
         file, descriptors, got = random_instance(seed + 3000)
-        dec = codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
+        dec = make_decoder(descriptors, file.shape[0], file.shape[1])
         checked_pulls(dec)
         bids = list(descriptors)
         for part in (bids[::2], bids[1::2]):
@@ -1122,7 +1222,7 @@ def test_large_pulls_take_the_banded_path():
     """The pinned instance drains full-mix batches of degree 600 through
     width bands; the decode and pulls over every packet stay exact."""
     file, descriptors, got = pinned_instance()
-    dec = codec.IncrementalDecoder(600, 4, descriptors)
+    dec = make_decoder(descriptors, 600, 4)
     calls = checked_pulls(dec)
     dec.load_state(got, 0)
     assert dec.attempt()
@@ -1164,14 +1264,15 @@ def test_batches_a_flush_finishes_drain_as_one_pull(monkeypatch):
     )
     for seed in range(16):
         file, descriptors, got = coverage_instance(seed, 0.6 + 0.2 * (seed % 4 > 0))
-        joint, alone = (codec.IncrementalDecoder(120, 3, descriptors) for _ in range(2))
+        joint, alone = (make_decoder(descriptors, 120, 3) for _ in range(2))
         drain, drain_alone = joint._drain, alone._drain
 
         def logged(parts, drain=drain):
             rows = sum(len(r) for _, r in parts)
             before = len(tall)
             drain(parts)
-            together.append(([b.contribs for b, _ in parts], rows, len(tall) > before))
+            sets = [joint.index.contribs[i] for i, _ in parts]
+            together.append((sets, rows, len(tall) > before))
 
         def one_at_a_time(parts, drain=drain_alone):
             for part in parts:
@@ -1243,14 +1344,14 @@ def test_load_state_rows_equal_the_general_product(kind):
     outcomes = set()
     for seed in range(12):
         file, descriptors, got = mixed_buffers(seed + 50, kind)
-        dec = codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
+        dec = make_decoder(descriptors, file.shape[0], file.shape[1])
         dec.load_state(got, 0)
         for bid, desc in descriptors.items():
-            b, rows = dec.batches[bid], held(got, bid)
-            assert b.rows == len(rows)
-            assert np.array_equal(b.raw[: len(rows)], rows)
+            raw, rows = dec._raw[dec.index.pos[bid]], held(got, bid)
+            assert batch_state(dec, bid)[1] == len(rows)
+            assert np.array_equal(raw[: len(rows)], rows)
             assert np.array_equal(
-                codec._expand(b.raw[: len(rows), :8], b.gen_t),
+                codec._expand(raw[: len(rows), :8], desc.gen_t),
                 gf.matmul(rows[:, :8], desc.gen_t),
             )
         rank = global_rank(got, descriptors, file.shape[0])
@@ -1324,12 +1425,12 @@ def test_row_and_block_feeds_reach_the_same_decoder():
     for seed in range(40):
         file, descriptors, got = random_instance(seed + 5000)
         by_row, by_block = (
-            codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
+            make_decoder(descriptors, file.shape[0], file.shape[1])
             for _ in range(2)
         )
         for part in split_buffers(got, rng):
             for bid in descriptors:
-                late += part.ranks[bid, 0] * (by_block.batches[bid].u == 0)
+                late += part.ranks[bid, 0] * (batch_state(by_block, bid)[0] == 0)
                 for row in held(part, bid):
                     by_row.add_row(bid, row)
             by_block.load_state(part, 0)
@@ -1351,7 +1452,7 @@ def test_row_and_block_feeds_reach_the_same_decoder():
         m = group.ops.shape[-1]
         for i in range(group.ranks.shape[1]):
             by_row, by_load = (
-                codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
+                make_decoder(descriptors, file.shape[0], file.shape[1])
                 for _ in range(2)
             )
             by_load.load_state(group, i)
@@ -1376,9 +1477,11 @@ def test_row_and_block_feeds_reach_the_same_decoder():
 def decoder_state(dec):
     """Everything a feed may change, as comparable values."""
     return (
-        [(b.raw.tobytes(), b.rows, b.u, b.queued) for b in dec.batches.values()],
+        [
+            (dec._raw[i].tobytes(),) + batch_state(dec, bid)
+            for bid, i in dec.index.pos.items()
+        ],
         dec.stall_counts.tobytes(),
-        sorted(dec._near),
         list(dec._fire_queue),
         dec.zsys.rows.tobytes(),
         dec.num_z,
@@ -1423,13 +1526,13 @@ def test_feeds_reject_malformed_rows_before_any_state():
                 assert deliver(got, bid, np.concatenate([coeff, payload]))
         return got
 
-    dec = codec.IncrementalDecoder(4, 3, descriptors)
+    dec = make_decoder(descriptors, 4, 3)
     dec.load_state(buffer({2: [reception(2, [1, 0]), reception(2, [0, 1])]}), 0)
     assert not dec.attempt()
     dec.add_row(3, np.concatenate(reception(3, [3, 7])))
-    assert dec.batches[2].u == 0
-    assert (dec.batches[3].u, dec.batches[3].rows) == (2, 1)
-    assert (dec.batches[1].u, dec.batches[1].rows) == (2, 0)
+    assert batch_state(dec, 2)[0] == 0
+    assert batch_state(dec, 3) == (2, 1, False)
+    assert batch_state(dec, 1) == (2, 0, False)
     before = decoder_state(dec)
     coeff, payload = reception(3, [5, 1])
     malformed = [
@@ -1468,16 +1571,23 @@ def test_feeds_reject_malformed_rows_before_any_state():
 
 
 def reference_pick(dec):
-    """The inactivation rule as a per-contributor dict, without side effects."""
+    """The inactivation rule as a per-contributor dict, without side effects.
+
+    It scans every batch: each pending one holding rows one or two
+    resolutions short of solvable weighs its unresolved contributors, read
+    off dec.resolved, by 2 or 1. Between cascades u must equal their count.
+    """
     counts = {}
-    for bid in dec._near:
-        b = dec.batches[bid]
-        gap = b.u - b.rows
-        if b.u == 0 or not b.rows or gap < 1 or gap > 2:
+    for bid, i in dec.index.pos.items():
+        u, rows, queued = batch_state(dec, bid)
+        contribs = dec.index.contribs[i]
+        unres = contribs[~dec.resolved[contribs]] if u else contribs[:0]
+        assert u == unres.size and not queued
+        gap = u - rows
+        if u == 0 or not rows or gap < 1 or gap > 2:
             continue
         w = 2 if gap == 1 else 1
-        for col in np.nonzero(b.unres)[0]:
-            pkt = int(b.contribs[col])
+        for pkt in unres.tolist():
             counts[pkt] = counts.get(pkt, 0) + w
     if counts:
         return max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
@@ -1507,14 +1617,14 @@ def test_inactivation_pick_equals_the_dict_rule():
     total = 0
     for seed in range(30):
         file, descriptors, got = random_instance(seed + 4000)
-        dec = codec.IncrementalDecoder(file.shape[0], file.shape[1], descriptors)
+        dec = make_decoder(descriptors, file.shape[0], file.shape[1])
         picks = checked_picks(dec)
         for bid in descriptors:
             dec.load_state(holding(got, {bid: held(got, bid)}), 0)
             dec.attempt()
         total += len(picks)
     file, descriptors, got = pinned_instance()
-    dec = codec.IncrementalDecoder(600, 4, descriptors)
+    dec = make_decoder(descriptors, 600, 4)
     picks = checked_picks(dec)
     dec.load_state(got, 0)
     assert dec.attempt()
@@ -1537,10 +1647,11 @@ def test_inactivation_pick_breaks_ties_to_the_lowest_packet():
         )
         for bid, ids in contribs.items()
     }
-    dec = codec.IncrementalDecoder(6, 0, descriptors)
+    dec = make_decoder(descriptors, 6, 0)
     for bid in contribs:
         dec.add_row(bid, np.array([1, 0], dtype=np.uint8))
-    assert dec._near == {1, 2, 3}
+    states = [batch_state(dec, bid) for bid in contribs]
+    assert states == [(2, 1, False), (3, 1, False), (3, 1, False)]
     assert reference_pick(dec) == 1
     assert dec._pick_inactivation() == 1
 
@@ -1550,7 +1661,11 @@ def test_decode_multiplication_count_is_pinned(monkeypatch):
 
     Pulls and extract at resolution width and unit-row loads must keep the
     pinned decode well under the count it takes at full width; a change
-    that widens pulls or extract again moves this count.
+    that widens pulls or extract again moves this count. A fire applies its
+    row transform to the payload columns while it eliminates, outside
+    gf.matmul, so that work is not counted here (it was a product of rows x
+    rows x (payload + num_z) per fire, 83,305 multiplications on this
+    instance).
     """
     file, descriptors, got = pinned_instance()
     count = {"mults": 0, "full": 0}
@@ -1588,5 +1703,5 @@ def test_decode_multiplication_count_is_pinned(monkeypatch):
         got.ranks[bid, 0] * 16 * d.contribs.size for bid, d in descriptors.items()
     )
     full = count["mults"] + count["full"] + loaded
-    assert count["mults"] == 1_506_256
-    assert count["mults"] < full == 4_772_671
+    assert count["mults"] == 1_422_951
+    assert count["mults"] < full == 4_689_366

@@ -205,19 +205,21 @@ def test_reference_matmul_matches_scalar_products():
 
 
 CHUNK = gf._CHUNK_ELEMS
-ROWS, WORK = gf._SPLIT_ROWS, gf._SPLIT_WORK
+ROWS, MULTS = gf._SPLIT_ROWS, gf._SPLIT_MULTS
 # rows of b per split-table chunk of a 32 x k by k x 64 product
 TALL_STEP = gf._split_step(32, 8)
+# rows of b per block of split tables of a 32 x k by k x 64 product
+TABLE_ROWS = TALL_STEP * (gf._TABLE_BYTES // (128 * 8 * TALL_STEP))
 
 
-def edge(r):
-    """The least inner dimension that sends a product of r rows (at least
-    ROWS of them) through split tables."""
-    return max(2, -(-WORK // r))
+def edge(r, c):
+    """The least inner dimension that sends an (r, k) by (k, c) product, r
+    at least ROWS, through split tables."""
+    return max(2, MULTS // (r * c) + 1)
 
 
-def splits(r, k):
-    return r >= ROWS and k >= edge(r)
+def splits(r, k, c):
+    return r >= ROWS and k >= edge(r, c)
 
 
 @pytest.mark.parametrize(
@@ -232,25 +234,40 @@ def splits(r, k):
         (CHUNK // 128 + 1, 2, 128),  # r * c > CHUNK: one inner index per chunk
         (16, 1600, 214),
         (1600, 150, 64),
-        # split tables from ROWS rows and r * k >= WORK on: both sides of
-        # the rule, c not a multiple of 8, k = 1, empty dimensions, and
+        # split tables from ROWS rows and r * k * c > MULTS on: both sides
+        # of the rule, c not a multiple of 8, k = 1, empty dimensions, and
         # k-chunks of TALL_STEP rows of b, the last short
         (ROWS - 1, 300, 67),
-        (ROWS, edge(ROWS) - 1, 67),
-        (ROWS, edge(ROWS), 67),
-        (16, edge(16) - 1, 61),
-        (16, edge(16), 61),
-        (16, 100, 3),
-        (31, edge(31) - 1, 67),
-        (31, edge(31), 67),
+        (ROWS, edge(ROWS, 67) - 1, 67),
+        (ROWS, edge(ROWS, 67), 67),
+        (16, edge(16, 61) - 1, 61),
+        (16, edge(16, 61), 61),
+        (16, edge(16, 3) - 1, 3),
+        (16, edge(16, 3), 3),
+        (31, edge(31, 67) - 1, 67),
+        (31, edge(31, 67), 67),
         (31, 300, 67),
         (32, 300, 67),
         (32, 1, 9),
-        (WORK, 1, 9),
-        (WORK // 2, 2, 9),
+        (MULTS, 1, 9),
+        (MULTS // 18 + 1, 2, 9),
         (32, 0, 9),
         (32, 9, 0),
         (32, 2 * TALL_STEP + 7, 64),
+        # both sides of the earlier rule, r * k >= 1200, which the new one
+        # moves to either kernel
+        (8, 149, 67),
+        (8, 150, 67),
+        (16, 74, 61),
+        (16, 75, 61),
+        (16, 100, 3),
+        (31, 38, 67),
+        (31, 39, 67),
+        (600, 2, 9),
+        (1200, 1, 9),
+        # several blocks of split tables, each of several k-chunks, the
+        # last block and chunk short
+        (32, 2 * TABLE_ROWS + TALL_STEP + 5, 64),
         (90, 1600, 61),
     ],
 )
@@ -261,6 +278,24 @@ def test_matmul_matches_reference(r, k, c):
     got = gf.matmul(a, b)
     assert got.shape == (r, c) and got.dtype == np.uint8
     assert np.array_equal(got, reference_matmul(a, b))
+
+
+def test_split_tables_are_built_once_per_block(monkeypatch):
+    """A tall product builds the split tables of b block by block, each
+    block serving several k-chunks of the gathers, the last block and chunk
+    short; the product still equals the reference."""
+    built = []
+    split_tables = gf._split_tables
+    monkeypatch.setattr(
+        gf, "_split_tables", lambda b, w: built.append(len(b)) or split_tables(b, w)
+    )
+    rng = np.random.default_rng(77)
+    k = 2 * TABLE_ROWS + TALL_STEP + 5
+    a = rng.integers(0, 256, (32, k), dtype=np.uint8)
+    b = rng.integers(0, 256, (k, 64), dtype=np.uint8)
+    assert np.array_equal(gf.matmul(a, b), reference_matmul(a, b))
+    assert TABLE_ROWS >= 2 * TALL_STEP
+    assert built == [TABLE_ROWS, TABLE_ROWS, TALL_STEP + 5]
 
 
 def test_matmul_memory_is_bounded():
@@ -292,7 +327,7 @@ def test_matmul_matches_reference_on_random_shapes():
         got = gf.matmul(a, b)
         assert got.shape == (r, c) and got.flags.c_contiguous
         assert np.array_equal(got, reference_matmul(a, b)), (r, k, c)
-        tall += splits(r, k)
+        tall += splits(r, k, c)
     assert 20 <= tall <= 40
 
 
@@ -305,7 +340,7 @@ def test_matmul_constant_operands(r, fill_a, fill_b):
     bit set), at inner dimensions on both sides of the split-table rule."""
     rng = np.random.default_rng(r)
     c = 21
-    for k in (edge(r) - 1, edge(r)):
+    for k in (edge(r, c) - 1, edge(r, c)):
         a = rng.integers(0, 256, (r, k), dtype=np.uint8)
         b = rng.integers(0, 256, (k, c), dtype=np.uint8)
         if fill_a is not None:

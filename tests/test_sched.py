@@ -87,6 +87,31 @@ def test_matrix_columns_permute_with_counts():
     assert np.array_equal(a[:, perm], b)
 
 
+def test_matrix_rows_are_cached_across_calls(monkeypatch):
+    """Each count's row is computed once per channel: a second matrix of
+    the same channel computes no usefulness value again, another channel
+    computes its own, and every entry equals usefulness() bit for bit."""
+    params = NetworkParams(3, 0.05, 0.37, 0.11, 8, 40)  # no other test's channel
+    counts = np.array([0, 3, 8, 3, 5])
+    want = np.array(
+        [[sched.usefulness(c, u, 0.37, 0.11, 8) for c in counts] for u in range(8)]
+    )
+    calls = []
+    usefulness = sched.usefulness
+    monkeypatch.setattr(
+        sched, "usefulness", lambda *args: calls.append(args) or usefulness(*args)
+    )
+    first = sched.build_matrix(counts, params)
+    assert len(calls) == 4 * 8  # counts 0, 3, 5 and 8
+    again = sched.build_matrix(counts[::-1].copy(), params)
+    assert len(calls) == 4 * 8
+    assert first.tobytes() == want.tobytes()
+    assert again.tobytes() == want[:, ::-1].tobytes()
+    other = sched.build_matrix(counts, NetworkParams(3, 0.05, 0.37, 0.12, 8, 40))
+    assert len(calls) == 2 * 4 * 8
+    assert not np.array_equal(other, first)
+
+
 def test_matrix_rejects_counts_above_batch_size():
     with pytest.raises(ValueError):
         sched.build_matrix(np.array([5]), small_cfg())

@@ -271,17 +271,24 @@ def test_phase1_encodes_the_descriptors_read_before_it(monkeypatch):
 
 
 def test_decoders_hold_the_sessions_descriptor_arrays():
-    """Every decoder references its session's read-only descriptor arrays:
-    no decoder converts or copies a batch's contributors or generator."""
+    """Every decoder references its session's read-only descriptor arrays
+    and its one read-only DecoderIndex: no decoder converts or copies a
+    batch's contributors or generator, or builds its own index."""
     n = 24
     session = sim.new_session(FAST, 7, n, payload_len=4)
     users = sim.make_users(3, session)
     sim.run_phase1(session, users, FAST, sim._substream(7, 1), np.zeros(n, np.int64))
     sim.prepare_phase2(session, users, FAST)
+    index = session.decoder_index
+    assert session.decoder_index is index
     for u in users:
-        for bid, desc in session.descriptors.items():
-            b = u.decoder.batches[bid]
-            assert b.contribs is desc.contribs and b.gen_t is desc.gen_t
+        assert u.decoder.index is index
+    for bid, desc in session.descriptors.items():
+        i = index.pos[bid]
+        assert index.contribs[i] is desc.contribs and index.gen_t[i] is desc.gen_t
+    for name in ("starts", "slot_batch", "inc_slot", "inc_ptr"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(index, name)[0] = 0
     desc = session.descriptors[1]
     with pytest.raises(ValueError, match="read-only"):
         desc.contribs[0] = 0
