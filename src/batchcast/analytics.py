@@ -272,46 +272,35 @@ def _innovative_margin(transmissions: float, batches: int, params: NetworkParams
 def stopping_time(batches: int, params: NetworkParams) -> int:
     """Smallest phase-2 slot count after which every user should decode.
 
-    Bisection on the monotone decode margin over [0, batches*batch_size],
-    widening the bracket upward by doubling if needed, then an integer
-    refinement so the returned value is minimal.
+    The least integer t >= 0 with a nonnegative decode margin. The bracket
+    starts at batches*batch_size and doubles until the margin is
+    nonnegative there; then an integer bisection keeps margin(lo) < 0 <=
+    margin(hi), with lo = -1 standing for "before slot 0". The result has
+    margin(t) >= 0 and t == 0 or margin(t - 1) < 0; it is the least such t
+    wherever the margin rises up to it.
     """
     n = batches
-    lo = 0.0
-    hi = float(n * params.batch_size)
-    if hi <= 0:
-        hi = 1.0
-    f_lo = _innovative_margin(lo, n, params)
+    lo, hi = -1, max(1, n * params.batch_size)
     f_hi = _innovative_margin(hi, n, params)
     grow = 0
-    while f_hi <= 0.0:
+    while f_hi < 0.0:
         grow += 1
-        nxt = _innovative_margin(hi * 2.0, n, params)
+        f_next = _innovative_margin(2 * hi, n, params)
         # The margin rises while peer packets still help, then sinks once the
         # worst-user spread outgrows the gain. A shrinking margin that is
         # still negative can never cross zero.
-        if grow > 60 or nxt <= f_hi:
+        if grow > 60 or f_next <= f_hi:
             raise ValueError(
                 "no phase-2 stopping time exists for %d batches" % n
             )
-        lo, f_lo = hi, f_hi
-        hi *= 2.0
-        f_hi = nxt
-    while f_hi - f_lo > 1.0:
-        mid = 0.5 * (lo + hi)
-        f_mid = _innovative_margin(mid, n, params)
-        if f_mid > 0.0:
-            hi, f_hi = mid, f_mid
+        lo, hi, f_hi = hi, 2 * hi, f_next
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _innovative_margin(mid, n, params) >= 0.0:
+            hi = mid
         else:
-            lo, f_lo = mid, f_mid
-        if hi - lo < 1e-9:
-            break
-    t = max(0, math.ceil(hi))
-    while t > 0 and _innovative_margin(t - 1, n, params) >= 0.0:
-        t -= 1
-    while _innovative_margin(t, n, params) < 0.0:
-        t += 1
-    return t
+            lo = mid
+    return hi
 
 
 def rank_distribution(
@@ -379,21 +368,14 @@ def optimize_batches(params: NetworkParams) -> PlanResult:
     m = params.batch_size
     t_of_n: Dict[int, int] = {}
     total_of_n: Dict[int, int] = {}
-    best_n = None
-    best_total = None
     for n in range(n_lo, n_hi + 1):
         try:
-            t = stopping_time(n, params)
+            t_of_n[n] = stopping_time(n, params)
         except ValueError:
             # phase 2 cannot finish at this batch count; skip it
             continue
-        t_of_n[n] = t
-        total = n * m + t
-        total_of_n[n] = total
-        if best_total is None or total < best_total:
-            best_total = total
-            best_n = n
-    if best_n is None:
+        total_of_n[n] = n * m + t_of_n[n]
+    if not total_of_n:
         cause = "no feasible batch count"
         if params.num_users < 2:
             cause = (
@@ -401,8 +383,10 @@ def optimize_batches(params: NetworkParams) -> PlanResult:
                 "alone delivers the file at no batch count"
             )
         raise ValueError("%s in [n_min=%d, n_max=%d]" % (cause, n_lo, n_hi))
+    # keys ascend, so the first minimum is the smallest tied batch count
+    n_opt = min(total_of_n, key=total_of_n.__getitem__)
     return PlanResult(
-        n_min=n_lo, n_max=n_hi, n_opt=best_n, t_of_n=t_of_n, total_of_n=total_of_n
+        n_min=n_lo, n_max=n_hi, n_opt=n_opt, t_of_n=t_of_n, total_of_n=total_of_n
     )
 
 

@@ -14,8 +14,9 @@ Randomness is split into tagged substreams of the session seed (file bytes,
 phase-1 channel, phase-2 channel, recode mixing, access policy), so a report
 is bit-identical given the same seed and configuration, and the coded
 session (descriptors, payloads) is shared across channel realizations.
-Channel draws and recode mix bytes are read from their streams in blocks;
-they are the same numbers, in the same order, as one draw per packet.
+Channel draws and recode mix bytes are read in blocks, phase-2 deliveries a
+window at a time; they are the same numbers, in the same order, as one draw
+per packet.
 """
 
 from dataclasses import dataclass, replace
@@ -439,11 +440,6 @@ def run_phase2(
     )
     # a pending user attempts a decode or saturates at this innovative count
     reach = min(session.file_packets, group_total)
-    # k delivery doubles per transmission, read from the stream in blocks of
-    # a multiple of k: the same doubles one rng.random(k) per transmission reads
-    block = max(1, _DRAW_BLOCK // k) * k
-    hits = np.zeros(0, dtype=bool)
-    drawn = 0
     mixes = _MixDraws(mix_rng, m)
     transmissions = 0
     slot = 0
@@ -496,11 +492,8 @@ def run_phase2(
             continue
         b, s = np.array(bids), np.array(senders)
         full = buffers.recode(b, s, mixes.take(ranks[b, s]))
-        while hits.size - drawn < count * k:
-            hits = np.concatenate((hits[drawn:], rng.random(block) >= params.loss_peer))
-            drawn = 0
-        delivered = hits[drawn : drawn + count * k].reshape(count, k).copy()
-        drawn += count * k
+        # row t holds the doubles one rng.random(k) per transmission reads
+        delivered = rng.random((count, k)) >= params.loss_peer
         delivered[np.arange(count), s] = False
         gained = buffers.absorb(b, full, delivered)
         _check_group_bound(ranks, group_distinct, b)
@@ -614,9 +607,18 @@ def run_single_phase(params: NetworkParams, seed: int) -> int:
 
     The source transmits until every user has collected the coded length
     (file plus outer-code margin); returns the transmission count. Raises
-    SimulationStallError past 50 times the expected transmission count.
+    SimulationStallError past 50 times the expected transmission count, and
+    ValueError for a coded length above MAX_BATCHES * batch_size packets.
     """
-    needed = int(np.ceil((1.0 + params.code_overhead) * params.file_packets))
+    coded = (1.0 + params.code_overhead) * params.file_packets
+    limit = codec.MAX_BATCHES * params.batch_size
+    if coded > limit:
+        raise ValueError(
+            "code_overhead=%r gives a coded length of %r packets, more than "
+            "the %d a two-phase session can carry"
+            % (params.code_overhead, coded, limit)
+        )
+    needed = int(np.ceil(coded))
     k = params.num_users
     rate = (1.0 - params.loss_common) * (1.0 - params.loss_source)
     cap = int(50 * needed / max(rate, 1e-6))

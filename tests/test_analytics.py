@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 from scipy.special import ndtri
 from scipy.stats import binom
@@ -23,6 +23,7 @@ from scipy.stats import binom
 from batchcast import analytics as an
 from batchcast.analytics import NetworkParams
 from batchcast.codec import MAX_BATCHES
+from conftest import COLLAPSE, EX2, EX3, EXP, FIG9_DESIGN
 
 
 def three_user_cfg() -> NetworkParams:
@@ -319,12 +320,37 @@ def test_stopping_time_pinned_values():
     assert an.stopping_time(402, five_user_cfg()) == 3054
 
 
-def test_stopping_time_is_minimal():
-    for n, cfg in ((167, lossier_peer_cfg()), (211, lossier_peer_cfg()),
-                   (129, three_user_cfg())):
-        t = an.stopping_time(n, cfg)
+@hst.composite
+def small_params(draw):
+    loss_source = draw(hst.floats(0.0, 0.9))
+    return NetworkParams(
+        num_users=draw(hst.integers(1, 6)),
+        loss_common=draw(hst.floats(0.0, 0.3)),
+        loss_source=loss_source,
+        loss_peer=loss_source * draw(hst.floats(0.0, 1.0)),
+        batch_size=draw(hst.sampled_from([4, 8, 16])),
+        file_packets=draw(hst.integers(20, 3000)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=small_params())
+@example(cfg=EX2)
+@example(cfg=EX3)
+@example(cfg=EXP)
+@example(cfg=FIG9_DESIGN)
+@example(cfg=COLLAPSE)
+def test_stopping_time_is_minimal(cfg):
+    # every batch count the planner scans (the pinned scenarios' whole
+    # [n_min, n_max]), three past either end, at most 400 above n_min
+    n_lo = an.min_batches(cfg)
+    for n in range(max(1, n_lo - 3), min(an.max_batches(cfg), n_lo + 400) + 4):
+        try:
+            t = an.stopping_time(n, cfg)
+        except ValueError:
+            continue
         assert an._innovative_margin(t, n, cfg) >= 0.0
-        assert an._innovative_margin(t - 1, n, cfg) < 0.0
+        assert t == 0 or an._innovative_margin(t - 1, n, cfg) < 0.0
 
 
 def test_stopping_time_zero_when_broadcast_suffices():
@@ -508,19 +534,6 @@ def test_optimize_never_plans_past_the_batch_id_limit():
     assert an.min_batches(over) == 85791
     with pytest.raises(ValueError, match=r"n_min=85791 exceeds the 65535"):
         an.optimize_batches(over)
-
-
-@hst.composite
-def small_params(draw):
-    loss_source = draw(hst.floats(0.0, 0.9))
-    return NetworkParams(
-        num_users=draw(hst.integers(1, 6)),
-        loss_common=draw(hst.floats(0.0, 0.3)),
-        loss_source=loss_source,
-        loss_peer=loss_source * draw(hst.floats(0.0, 1.0)),
-        batch_size=draw(hst.sampled_from([4, 8, 16])),
-        file_packets=draw(hst.integers(20, 3000)),
-    )
 
 
 @settings(max_examples=60, deadline=None)

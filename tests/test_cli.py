@@ -1,5 +1,7 @@
 """Tests for the experiment command line."""
 
+import itertools
+import re
 import subprocess
 import sys
 
@@ -393,19 +395,31 @@ def test_plan_for_one_user_exits_with_a_config_error(tmp_path, capsys):
     assert err.startswith("error: bad_value detail=one user has no peer")
 
 
-@pytest.mark.parametrize("overhead", ["inf", "1e308", "nan"])
+@pytest.mark.parametrize("overhead", ["inf", "1e308", "nan", "1e300"])
 def test_non_finite_coded_length_is_a_config_error(tmp_path, capsys, overhead):
     # EX2's file: 1e308 is finite but (1 + 1e308) * 1600 is not; for a
     # one-packet file the coded length is finite, but the planner's batch
-    # counts are not
-    for packets in ("1600", "1"):
+    # counts are not. single-phase and sweep --n skip the planner, and
+    # their baseline would overflow its cap (1e308) or never finish (1e300).
+    modes = {
+        "plan.csv": ["plan"],
+        "single_phase.csv": ["single-phase"],
+        "sweep.csv": ["sweep", "--n", "64"]
+        + ["--set", "users_min=3", "--set", "users_max=3"],
+    }
+    for (csv, mode), packets in itertools.product(modes.items(), ("1600", "1")):
         cfg = write_cfg(tmp_path, {"batch_size": "16", "file_packets": packets})
-        args = ["plan", "--config", cfg, "--set", "code_overhead=" + overhead]
-        assert run_cli(args + ["--out-dir", str(tmp_path)]) == 2
+        args = mode + ["--config", cfg, "--set", "code_overhead=" + overhead]
+        assert run_cli(args + ["--out-dir", str(tmp_path)]) == 2, mode
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: bad_value detail=code_overhead=")
-        assert not (tmp_path / "plan.csv").exists()
+        # a coded length the planner can count may still need more batches
+        # than a batch id can name
+        assert re.match(
+            r"error: bad_value detail=(code_overhead=|n_min=\d+ exceeds the 65535)",
+            err,
+        ), err
+        assert not (tmp_path / csv).exists()
 
 
 def test_batch_count_past_the_batch_id_limit_is_a_config_error(tmp_path, capsys):

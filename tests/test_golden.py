@@ -4,7 +4,8 @@ Each case hashes an output that a refactor must keep byte for byte: the
 repr of a ``SimReport`` (with the exact bytes of its rank distribution),
 every decoder's inactivation count and decode slot in a session, or the
 CSV files and stdout of one CLI mode, with the output directory replaced
-by ``<out>``. A changed digest means changed outputs. Regenerate
+by ``<out>``, or the planner's (n_min, n_max, n_opt) and plan-curve CSV
+for a pinned scenario. A changed digest means changed outputs. Regenerate
 the digests only for a change that is meant to alter them, and say so in
 CHANGES.md.
 """
@@ -16,7 +17,13 @@ from dataclasses import replace
 import pytest
 
 from batchcast import cli, codec, sim
-from batchcast.analytics import NetworkParams, stopping_time
+from batchcast.analytics import (
+    NetworkParams,
+    optimize_batches,
+    plan_table_csv,
+    stopping_time,
+)
+from conftest import COLLAPSE, EX2, EX3, EXP, FIG9_DESIGN
 
 FAST = NetworkParams(
     num_users=3,
@@ -160,6 +167,54 @@ def test_saturated_users_do_not_shorten_windows(monkeypatch):
     digest, windows = _stall(4, monkeypatch)
     assert digest == SATURATED_STALL_DIGEST
     assert windows < 73
+
+
+# (n_min, n_max, n_opt) and the digest of plan_table_csv for each scenario
+PLAN_CURVES = {
+    "EX2": (EX2, (129, 216, 152), "b3ad225e862e3bb9e3abfc557f204fd047b44f59f99527809a0ddfebcce781a6"),
+    "EX3": (EX3, (351, 673, 401), "1207defcc0363856035885a0d7c68dbfe22a6b43256215a55047745e36f3ac46"),
+    "EXP": (EXP, (167, 281, 208), "a31ccb371ba013ac3fa6bc1047bec1fc482c5522a86b386a266e72088b4df910"),
+    "FIG9_DESIGN": (FIG9_DESIGN, (167, 281, 196), "50b0795c6304cd259377453b8086cf7e1ba3a26e38635835eb6ffa1137a6d934"),
+    "COLLAPSE": (COLLAPSE, (128, 259, 258), "7171a74e0f2e00a0dcdeaa52e0c87f0bbaced1ca1f2505730c945aab4e2ade09"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_CURVES))
+def test_plan_curve_digest(name):
+    params, bounds, digest = PLAN_CURVES[name]
+    plan = optimize_batches(params)
+    assert (plan.n_min, plan.n_max, plan.n_opt) == bounds
+    assert _digest(plan_table_csv(plan)) == digest
+
+
+PLAN_ERRORS = {
+    "no_stopping_time": (
+        lambda: stopping_time(128, COLLAPSE),
+        "no phase-2 stopping time exists for 128 batches",
+    ),
+    "one_user": (
+        lambda: optimize_batches(replace(EX2, num_users=1)),
+        "one user has no peer to repair it in phase 2, and phase 1 alone "
+        "delivers the file at no batch count in [n_min=235, n_max=213]",
+    ),
+    "batch_id_limit": (
+        lambda: optimize_batches(replace(EX2, batch_size=1, file_packets=70000)),
+        "n_min=85791 exceeds the 65535 batches a batch id can name",
+    ),
+    "uncountable_coded_length": (
+        lambda: optimize_batches(replace(EX2, file_packets=1, code_overhead=1e308)),
+        "code_overhead=1e+308 gives a coded length of 1e+308 packets, more "
+        "than the planner can count in batches",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_ERRORS))
+def test_plan_error_message(name):
+    plan, message = PLAN_ERRORS[name]
+    with pytest.raises(ValueError) as err:
+        plan()
+    assert str(err.value) == message
 
 
 NETWORK = [

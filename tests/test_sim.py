@@ -72,20 +72,20 @@ def test_phase1_mask_equals_per_packet_draws(k, loss_common):
 
 @pytest.mark.parametrize("k", [1, 3, 5, 9])
 def test_block_draws_equal_per_transmission_draws(k):
-    """Phase 2 reads its delivery doubles in blocks whose size is a multiple
-    of k: consecutive k-wide slices of the blocks are the doubles that one
-    rng.random(k) call per transmission would read."""
+    """Phase 2 reads its delivery doubles with one rng.random((count, k))
+    call per window: row i of consecutive windows' draws is the doubles that
+    one rng.random(k) call per transmission would read."""
     one_by_one = sim._substream(31, sim._PHASE2_TAG)
-    blocks = sim._substream(31, sim._PHASE2_TAG)
-    drawn = np.concatenate([blocks.random(17 * k), blocks.random(23 * k)])
+    windows = sim._substream(31, sim._PHASE2_TAG)
+    drawn = np.concatenate([windows.random((17, k)), windows.random((23, k))])
     for i in range(40):
-        assert np.array_equal(one_by_one.random(k), drawn[i * k : (i + 1) * k])
-    assert one_by_one.random() == blocks.random()
+        assert np.array_equal(one_by_one.random(k), drawn[i])
+    assert one_by_one.random() == windows.random()
 
 
 @pytest.mark.parametrize("k", [3, 5])
 def test_phase2_deliveries_match_per_transmission_draws(k):
-    """Past the first block boundary, every traced delivery is the draw of
+    """Over a budget of many windows, every traced delivery is the draw of
     one rng.random(k) call per transmission, with the sender left out."""
     params = NetworkParams(k, 0.05, 0.5, 0.3, 8, 300)
     budget = sim._DRAW_BLOCK // k + 40
