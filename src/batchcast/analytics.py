@@ -175,12 +175,30 @@ def _batch_count(quotient: float, params: NetworkParams) -> int:
     """ceil(quotient), a batch count computed from the coded length; a
     coded length that overflows it is a bad code_overhead."""
     if not math.isfinite(quotient):
-        raise ValueError(
-            "code_overhead=%r gives a coded length of %r packets, more than "
-            "the planner can count in batches"
-            % (params.code_overhead, _coded_length(params))
-        )
+        raise _coded_length_error(params, "the planner can count in batches")
     return math.ceil(quotient)
+
+
+def carried_packets(params: NetworkParams) -> int:
+    """The packets every user must collect, the coded length rounded up; a
+    coded length past MAX_BATCHES * batch_size packets, the most a two-phase
+    session can carry, is a bad code_overhead or file_packets."""
+    limit = MAX_BATCHES * params.batch_size
+    if _coded_length(params) > limit:
+        raise _coded_length_error(
+            params,
+            "%d * batch_size = %d, the most a two-phase session can carry; the "
+            "coded length is (1 + code_overhead) * file_packets, with "
+            "file_packets=%d" % (MAX_BATCHES, limit, params.file_packets),
+        )
+    return math.ceil(_coded_length(params))
+
+
+def _coded_length_error(params: NetworkParams, room: str) -> ValueError:
+    return ValueError(
+        "code_overhead=%r gives a coded length of %r packets, more than %s"
+        % (params.code_overhead, _coded_length(params), room)
+    )
 
 
 def expected_peer_receptions(transmissions: float, params: NetworkParams) -> float:

@@ -26,7 +26,7 @@ from typing import AbstractSet, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import codec, gf
-from .analytics import NetworkParams, optimize_batches
+from .analytics import NetworkParams, carried_packets, optimize_batches
 from .sched import build_matrix, build_queue, exhaustion_order
 
 _FILE_TAG = 0
@@ -608,17 +608,10 @@ def run_single_phase(params: NetworkParams, seed: int) -> int:
     The source transmits until every user has collected the coded length
     (file plus outer-code margin); returns the transmission count. Raises
     SimulationStallError past 50 times the expected transmission count, and
-    ValueError for a coded length above MAX_BATCHES * batch_size packets.
+    ValueError for a coded length above MAX_BATCHES * batch_size packets
+    (analytics.carried_packets).
     """
-    coded = (1.0 + params.code_overhead) * params.file_packets
-    limit = codec.MAX_BATCHES * params.batch_size
-    if coded > limit:
-        raise ValueError(
-            "code_overhead=%r gives a coded length of %r packets, more than "
-            "the %d a two-phase session can carry"
-            % (params.code_overhead, coded, limit)
-        )
-    needed = int(np.ceil(coded))
+    needed = carried_packets(params)
     k = params.num_users
     rate = (1.0 - params.loss_common) * (1.0 - params.loss_source)
     cap = int(50 * needed / max(rate, 1e-6))

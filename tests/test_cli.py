@@ -1,7 +1,6 @@
 """Tests for the experiment command line."""
 
 import itertools
-import re
 import subprocess
 import sys
 
@@ -413,13 +412,39 @@ def test_non_finite_coded_length_is_a_config_error(tmp_path, capsys, overhead):
         assert run_cli(args + ["--out-dir", str(tmp_path)]) == 2, mode
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        # a coded length the planner can count may still need more batches
-        # than a batch id can name
-        assert re.match(
-            r"error: bad_value detail=(code_overhead=|n_min=\d+ exceeds the 65535)",
-            err,
-        ), err
+        if mode == ["plan"] and overhead == "1e300":
+            # a coded length the planner can count may still need more
+            # batches than a batch id can name
+            assert err.startswith("error: bad_value detail=n_min="), err
+            assert "exceeds the 65535 batches" in err
+        else:
+            assert err.startswith("error: bad_value detail=code_overhead="), err
         assert not (tmp_path / csv).exists()
+
+
+def test_single_phase_file_past_what_a_session_carries_is_a_config_error(
+    tmp_path, capsys
+):
+    # the baseline counts toward the same coded length a two-phase session
+    # carries in at most 65535 batches: here a large file, not the overhead,
+    # crosses 65535 * batch_size
+    cfg = write_cfg(tmp_path, {"batch_size": "1", "file_packets": "70000"})
+    sweep = ["sweep", "--n", "64", "--set", "users_min=3", "--set", "users_max=3"]
+    for mode in (["single-phase"], sweep):
+        assert run_cli(mode + ["--config", cfg, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: bad_value detail=code_overhead=0.01 gives a coded length of "
+            "70700.0 packets, more than 65535 * batch_size = 65535, the most a "
+            "two-phase session can carry; the coded length is (1 + code_overhead) "
+            "* file_packets, with file_packets=70000"
+        )
+    # one packet fewer than the limit still runs
+    cfg = write_cfg(
+        tmp_path,
+        {"batch_size": "1", "file_packets": "64884", "loss_common": "0.0"},
+    )
+    args = ["single-phase", "--config", cfg, "--runs", "1"]
+    assert run_cli(args + ["--out-dir", str(tmp_path)]) == 0
 
 
 def test_batch_count_past_the_batch_id_limit_is_a_config_error(tmp_path, capsys):
