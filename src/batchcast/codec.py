@@ -311,12 +311,10 @@ class BatchBuffers:
         """Packet t mixes receiver senders[t]'s rows of batch bids[t] by mix[t].
 
         mix is (T, r), r at most M, and zero past each sender's rank.
-        Returns the (T, M + L) packets [coeff | payload]: one gather of the
-        mixes' products with the buffered rows, XOR-folded.
+        Returns the (T, M + L) packets [coeff | payload], all in one
+        gf.vecmat of the mixes with the buffered rows.
         """
-        rows = self.raw[bids, senders, : mix.shape[1]]
-        prods = gf._MUL_FLAT.take(gf._HIGH.take(mix)[:, :, None] | rows)
-        return np.bitwise_xor.reduce(prods, axis=1)
+        return gf.vecmat(mix, self.raw[bids, senders, : mix.shape[1]])
 
     def absorb(
         self, bids: np.ndarray, full: np.ndarray, delivered: np.ndarray
@@ -326,7 +324,7 @@ class BatchBuffers:
 
         Returns the (T, g) mask of receptions that raised a rank. Each
         buffer's operator K reduces coeff to coeff . K, which is zero
-        exactly when coeff lies in its span; one gather reduces every
+        exactly when coeff lies in its span; one gf.vecmat reduces every
         packet against each buffer it reached that is short of full rank
         (a full one has K = 0). A nonzero reduced row r, scaled to 1 at its
         first nonzero column p, updates K ^= outer(K[:, p], r): the reduced
@@ -337,18 +335,13 @@ class BatchBuffers:
         t, i = (delivered & (self.ranks[bids] < m)).nonzero()
         b = bids[t]
         ops = self.ops[b, i]
-        high = gf._HIGH.take(full[t, :m])
-        rows = np.bitwise_xor.reduce(
-            gf._MUL_FLAT.take(high[:, :, None] | ops), axis=1
-        )
+        rows = gf.vecmat(full[t, :m], ops)
         gain = rows.any(axis=1)
         t, i, b, ops, rows = t[gain], i[gain], b[gain], ops[gain], rows[gain]
         n = np.arange(t.size)
         pivots = (rows != 0).argmax(axis=1)
-        inv = gf._HIGH.take(gf._INV.take(rows[n, pivots]))
-        rows = gf._MUL_FLAT.take(inv[:, None] | rows)
-        col = gf._HIGH.take(ops[n, :, pivots])
-        ops ^= gf._MUL_FLAT.take(col[:, :, None] | rows[:, None, :])
+        rows = gf.mul(gf.inv(rows[n, pivots])[:, None], rows)
+        ops ^= gf.mul(ops[n, :, pivots][:, :, None], rows[:, None, :])
         self.ops[b, i] = ops
         self.raw[b, i, self.ranks[b, i]] = full[t]
         self.ranks[b, i] += 1
@@ -469,12 +462,7 @@ class _ZSystem:
                     )
                 continue
             p = lp + int(nz[0])
-            # one outer product scales row i and clears column p elsewhere,
-            # as in _eliminate
-            inv = gf._INV[w[i, p]]
-            q = gf.MUL_TABLE[inv].take(w[:, p])
-            q[i] = inv ^ 1
-            w ^= gf.outer(q, w[i])
+            gf.pivot(w, i, p)
             pivots.append(p - lp)
             kept.append(i)
         self._reserve(len(kept), width)
@@ -516,24 +504,16 @@ def _eliminate(block: np.ndarray, u: int) -> bool:
     identity in its first u rows and zero in the rest, pivoting on the first
     row with a nonzero entry as gf.row_reduce does; False as soon as one of
     those columns has no pivot, the block then being partly reduced.
-
-    Each step is one outer product: row j gains q[j] times the pivot row,
-    with q[j] = f[j] / p for the pivot p and column entries f, except for
-    the pivot row itself, where 1 ^ q = 1 / p scales it.
     """
     for c in range(u):
-        p = block[c, c]
-        if not p:
+        if not block[c, c]:
             nz = np.flatnonzero(block[c:, c])
             if nz.size == 0:
                 return False
             r = c + int(nz[0])
             block[[c, r]] = block[[r, c]]
-            p = block[c, c]
-        inv = gf._INV[p]
-        q = gf.MUL_TABLE[inv].take(block[:, c])
-        q[c] = inv ^ 1
-        block[:, c:] ^= gf.outer(q, block[c, c:])
+        # rows c.. are zero left of column c, so only columns c.. change
+        gf.pivot(block[:, c:], c, 0)
     return True
 
 

@@ -4,7 +4,11 @@ All coefficient math in this package happens in GF(2^8) with reduction
 polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D). Addition is XOR. Multiplication
 goes through a precomputed 256x256 product table so that the matrix kernels
 below reduce to vectorized numpy gathers plus XOR folds, which is what keeps
-the simulator fast on a single core.
+the simulator fast on a single core. No other module reads that table:
+mul broadcasts its operands through it and inv takes an array as well as a
+scalar; vecmat(a, b), a[..., k] . b[..., k, c] over any broadcast leading
+axes, is the gather kernel, one gather and one XOR fold; and pivot is the
+step of every elimination, row_reduce here and the decoder's in codec.
 
 A product of at least 8 rows with enough multiplications (r * k * c above
 50000) goes through 4-bit split tables instead (Plank, Greenan and Miller,
@@ -98,11 +102,15 @@ _LSB = np.uint64(0x0101010101010101)
 
 
 def mul(a, b):
-    """Field product. Accepts scalars or equally shaped uint8 arrays."""
-    out = MUL_TABLE[a, b]
-    if np.isscalar(a) and np.isscalar(b):
-        return int(out)
-    return out
+    """Field product of scalars or of uint8 arrays that broadcast together.
+
+    Only a is range-checked (by the take from _HIGH): b must hold field
+    elements, 0 to 255, as every caller's uint8 operand does.
+    """
+    out = _MUL_FLAT.take(_HIGH.take(a) | b)
+    # take gives a numpy scalar for scalar operands; asking np.isscalar
+    # instead costs about 0.7 us a call, on the receive buffers' hot path
+    return out if isinstance(out, np.ndarray) else int(out)
 
 
 def add(a, b):
@@ -113,10 +121,13 @@ def add(a, b):
     return out
 
 
-def inv(a: int) -> int:
-    if a == 0:
+def inv(a):
+    """Multiplicative inverse of a scalar, or of every entry of an array."""
+    out = _INV.take(a)
+    # _INV maps 0, and only 0, to 0; count_nonzero costs a third of all()
+    if np.count_nonzero(out) < out.size:
         raise ZeroDivisionError("0 has no multiplicative inverse")
-    return int(_INV[a])
+    return out if isinstance(out, np.ndarray) else int(out)
 
 
 def outer(col: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -126,11 +137,26 @@ def outer(col: np.ndarray, row: np.ndarray) -> np.ndarray:
     return MUL_TABLE.take(col, axis=0).take(row, axis=1)
 
 
-def _products(high: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for high = a << 8, gathered in one piece."""
-    return np.bitwise_xor.reduce(
-        _MUL_FLAT.take(high[:, :, None] | b[None, :, :]), axis=1
-    )
+def vecmat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[..., k] . b[..., k, c] over the field, the leading axes
+    broadcasting: one gather of every product, XOR-folded over k."""
+    prods = _MUL_FLAT.take(_HIGH.take(a)[..., None] | b)
+    return np.bitwise_xor.reduce(prods, axis=-2)
+
+
+def pivot(w: np.ndarray, i: int, p: int) -> None:
+    """Scale row i of w to 1 at column p and clear column p from every
+    other row, in place.
+
+    One outer product: row j gains q[j] times row i, with
+    q[j] = w[j, p] / w[i, p], except row i itself, where 1 ^ q[i] =
+    1 / w[i, p] scales it. w may be any column view of a matrix; columns
+    where row i is zero keep their entries.
+    """
+    scale = _INV[w[i, p]]
+    q = MUL_TABLE[scale].take(w[:, p])
+    q[i] = scale ^ 1
+    w ^= outer(q, w[i])
 
 
 def _times_x(w: np.ndarray) -> np.ndarray:
@@ -156,23 +182,25 @@ def _split_step(r: int, words: int) -> int:
     return max(1, _TALL_CHUNK_BYTES // (8 * max(r, 32) * words))
 
 
-def _split_matmul(a: np.ndarray, c: int, words: int, chunk) -> np.ndarray:
-    """a @ b, b being (k, c), through 4-bit split tables, in k-chunks.
+def _split_matmul(
+    a: np.ndarray, t: np.ndarray, first: np.ndarray, c: int
+) -> np.ndarray:
+    """a @ b, b being (k, c), through split tables t of b, in k-chunks.
 
-    chunk(s, e) returns (t, first) for rows s:e of b: row first[j] + v of
-    the tables t is v * b[s + j], as words uint64 words. a is transposed so
-    that each gather is (k-chunk, r, words) and its XOR fold over the chunk
-    runs along whole r x words planes.
+    Row first[j] + v of t is v * b[j], as t.shape[1] uint64 words, for
+    each of the k entries of first. a is transposed so that each gather is
+    (k-chunk, r, words) and its XOR fold over the chunk runs along whole
+    r x words planes.
     """
     r, k = a.shape
+    words = t.shape[1]
     step = _split_step(r, words)
     a_t = np.ascontiguousarray(a.T)
     low = np.zeros((r, words), dtype=np.uint64)
     high = np.zeros((r, words), dtype=np.uint64)
     for s in range(0, k, step):
-        t, first = chunk(s, s + step)
         coef = a_t[s : s + step]
-        base = first[:, None]
+        base = first[s : s + step, None]
         low ^= np.bitwise_xor.reduce(t.take((coef & 15) | base, axis=0), axis=0)
         high ^= np.bitwise_xor.reduce(t.take((coef >> 4) | base, axis=0), axis=0)
     out = low.view(np.uint8)
@@ -181,23 +209,20 @@ def _split_matmul(a: np.ndarray, c: int, words: int, chunk) -> np.ndarray:
 
 
 def _matmul_tall(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b through split tables of b, built block by block."""
+    """a @ b through split tables of b: the XOR of the products of blocks
+    of rows of b, each block's tables built once for all its k-chunks."""
     k, c = b.shape
     words = -(-c // 8)
     step = _split_step(a.shape[0], words)
     rows = step * max(1, _TABLE_BYTES // (128 * words * step))
     # row 16 j of a block's tables starts the multiples of its j-th row of b
-    offsets = np.arange(min(rows, k), dtype=np.intp) << 4
-    lo, t = -1, None
-
-    def chunk(s, e):
-        nonlocal lo, t
-        if s - s % rows != lo:
-            lo = s - s % rows
-            t = _split_tables(b[lo : lo + rows], words)
-        return t, offsets[s - lo : min(e, k) - lo]
-
-    return _split_matmul(a, c, words, chunk)
+    first = np.arange(min(rows, k), dtype=np.intp) << 4
+    out = np.zeros((a.shape[0], c), dtype=np.uint8)
+    for s in range(0, k, rows):
+        e = min(s + rows, k)
+        t = _split_tables(b[s:e], words)
+        out ^= _split_matmul(a[:, s:e], t, first[: e - s], c)
+    return out
 
 
 class SplitTables:
@@ -209,17 +234,15 @@ class SplitTables:
 
     def __init__(self, b: np.ndarray):
         self.shape = b.shape
-        self._words = -(-b.shape[1] // 8)
-        self._t = _split_tables(b, self._words) if self._words else None
+        words = -(-b.shape[1] // 8)
+        self._t = _split_tables(b, words) if words else None
 
     def matmul(self, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """a @ b[rows]; a is (r, len(rows))."""
         if self._t is None:
             return np.zeros((a.shape[0], self.shape[1]), dtype=np.uint8)
         first = np.asarray(rows, dtype=np.intp) << 4
-        return _split_matmul(
-            a, self.shape[1], self._words, lambda s, e: (self._t, first[s:e])
-        )
+        return _split_matmul(a, self._t, first, self.shape[1])
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,15 +255,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros((r, c), dtype=np.uint8)
     if r >= _SPLIT_ROWS and k > 1 and r * k * c > _SPLIT_MULTS:
         return _matmul_tall(a, b)
-    high = a.astype(np.uint16)
-    high <<= 8
     # Products are taken from the flat table in k-chunks of about
     # _CHUNK_ELEMS (r, step, c) elements each and XOR-folded into the result;
     # a product that fits in one chunk is a single gather.
     step = max(1, _CHUNK_ELEMS // (r * c))
-    out = _products(high[:, :step], b[:step])
+    out = vecmat(a[:, :step], b[:step])
     for s in range(step, k, step):
-        out ^= _products(high[:, s : s + step], b[s : s + step])
+        out ^= vecmat(a[:, s : s + step], b[s : s + step])
     return out
 
 
@@ -267,10 +288,7 @@ def row_reduce(m: np.ndarray):
             p = r + nz[0]
             a[[r, p]] = a[[p, r]]
         # rows r.. are zero left of column c, so only columns c.. change
-        a[r, c:] = MUL_TABLE[_INV[a[r, c]]].take(a[r, c:])
-        factors = a[:, c].copy()
-        factors[r] = 0
-        a[:, c:] ^= outer(factors, a[r, c:])
+        pivot(a[:, c:], r, 0)
         pivots.append(c)
         r += 1
     return a, tuple(pivots)

@@ -243,23 +243,17 @@ def run_phase1(
 
 
 def _check_group_bound(
-    ranks: np.ndarray,
-    group_distinct: np.ndarray,
-    bids: np.ndarray,
-    users_first: bool = False,
+    ranks: np.ndarray, group_distinct: np.ndarray, bids: np.ndarray
 ) -> None:
     """Raise if a user holds more of a batch in bids than the group received.
 
     ranks is the group's (n + 1, k) rank array. The first offender is named
-    by batch in bids order, then by user, or by user first when users_first.
+    by batch in bids order, then by user.
     """
     over = ranks[bids] > group_distinct[bids - 1, None]
     if not over.any():
         return
-    if users_first:
-        uid, j = np.argwhere(over.T)[0]
-    else:
-        j, uid = np.argwhere(over)[0]
+    j, uid = np.argwhere(over)[0]
     bid = int(bids[j])
     raise RuntimeError(
         "user %d holds rank %d for batch %d but the group only ever "
@@ -556,10 +550,7 @@ def run_session(
     phase1_rng = _substream(seed, _PHASE1_TAG)
     phase1_tx = run_phase1(session, users, params, phase1_rng, group_distinct)
     _check_group_bound(
-        users[0].buffers.ranks,
-        group_distinct,
-        np.arange(1, num_batches + 1),
-        users_first=True,
+        users[0].buffers.ranks, group_distinct, np.arange(1, num_batches + 1)
     )
     prepare_phase2(session, users, params, observe)
     trace: Optional[List[Tuple]] = [] if with_trace else None

@@ -1,6 +1,7 @@
 """Tests for the experiment command line."""
 
 import itertools
+import os
 import subprocess
 import sys
 
@@ -341,6 +342,10 @@ def test_flag_overrides_config_seed(tmp_path):
 def test_module_entry_point(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
+    # the child imports the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [
             sys.executable,
@@ -354,6 +359,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "n_l=52 n_u=83 n*=62" in proc.stdout
@@ -361,6 +367,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "batchcast.cli", "simulate"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert bad.returncode == 2
     assert bad.stderr.startswith("error: missing_field")

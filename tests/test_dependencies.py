@@ -1,5 +1,8 @@
-"""The library runs on numpy alone: scipy is a test-only oracle."""
+"""Library structure: the library runs on numpy alone (scipy is a
+test-only oracle), and only gf knows the layout of its product tables."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -48,3 +51,32 @@ def test_library_runs_without_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def test_only_gf_reaches_into_gf():
+    """No module but gf reads gf's private names or its product table, so
+    the table layout and the kernels over it can change in one place."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "batchcast", "*.py"))):
+        if os.path.basename(path) == "gf.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("gf"):
+                names = [a.name for a in node.names]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "gf"
+            ):
+                names = [node.attr]
+            else:
+                continue
+            where = "%s:%d" % (os.path.basename(path), node.lineno)
+            found += [
+                "%s gf.%s" % (where, name)
+                for name in names
+                if name.startswith("_") or name == "MUL_TABLE"
+            ]
+    assert not found, sorted(found)

@@ -72,9 +72,23 @@ def test_mul_frozen_example():
 
 
 def test_mul_matches_peasant_oracle_everywhere():
+    want = np.zeros((256, 256), dtype=np.uint8)
     for a in range(256):
         for b in range(256):
-            assert gf.mul(a, b) == peasant_mul(a, b)
+            want[a, b] = peasant_mul(a, b)
+            assert gf.mul(a, b) == want[a, b]
+    # broadcasting: scalar by array, and the (T, M, 1) by (T, 1, M) outer
+    # products of BatchBuffers.absorb
+    x = np.arange(256, dtype=np.uint8)
+    for a in range(256):
+        assert np.array_equal(gf.mul(a, x), want[a])
+        assert np.array_equal(gf.mul(x, a), want[:, a])
+    rng = np.random.default_rng(3)
+    col = rng.integers(0, 256, (3, 16, 1), dtype=np.uint8)
+    row = rng.integers(0, 256, (3, 1, 16), dtype=np.uint8)
+    got = gf.mul(col, row)
+    assert got.shape == (3, 16, 16) and got.dtype == np.uint8
+    assert np.array_equal(got, want[col, row])
 
 
 def test_field_axioms_random_triples():
@@ -96,6 +110,14 @@ def test_inverses():
         assert gf.mul(a, gf.inv(a)) == 1
     with pytest.raises(ZeroDivisionError):
         gf.inv(0)
+    a = np.arange(1, 256, dtype=np.uint8).reshape(15, 17)
+    assert np.array_equal(gf.mul(a, gf.inv(a)), np.ones(a.shape, dtype=np.uint8))
+    assert gf.inv(np.zeros(0, dtype=np.uint8)).shape == (0,)
+    for zero_at in (0, 100, 254):
+        b = np.arange(1, 256, dtype=np.uint8)
+        b[zero_at] = 0
+        with pytest.raises(ZeroDivisionError):
+            gf.inv(b)
 
 
 def test_rank_identity_and_zero():
@@ -174,6 +196,31 @@ def test_row_reduce_matches_scalar_gauss_jordan(case):
         assert np.array_equal(red, np.array(want, dtype=np.uint8).reshape(m.shape))
 
 
+def test_pivot_on_a_column_view_matches_a_scalar_step():
+    """gf.pivot on w[:, c:], the view the eliminations pass, scales row i
+    and clears the pivot column as one step of brute_rref does, and leaves
+    the columns left of the view alone."""
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        r, cols = int(rng.integers(1, 8)), int(rng.integers(2, 12))
+        w = rng.integers(0, 256, (r, cols), dtype=np.uint8)
+        c = int(rng.integers(0, cols))
+        p = int(rng.integers(0, cols - c))
+        i = int(rng.integers(0, r))
+        w[i, c + p] = rng.integers(1, 256)
+        rows = [list(map(int, row)) for row in w]
+        inv = next(x for x in range(1, 256) if peasant_mul(rows[i][c + p], x) == 1)
+        rows[i][c:] = [peasant_mul(inv, v) for v in rows[i][c:]]
+        for j in range(r):
+            f = rows[j][c + p]
+            if j != i and f:
+                rows[j][c:] = [
+                    v ^ peasant_mul(f, x) for v, x in zip(rows[j][c:], rows[i][c:])
+                ]
+        gf.pivot(w[:, c:], i, p)
+        assert np.array_equal(w, np.array(rows, dtype=np.uint8))
+
+
 def test_outer_matches_table():
     rng = np.random.default_rng(37)
     for r, c in [(0, 4), (3, 0), (1, 1), (16, 27), (200, 264)]:
@@ -190,6 +237,23 @@ def reference_matmul(a, b):
     for j in range(a.shape[1]):
         out ^= gf.MUL_TABLE[a[:, j][:, None], b[j][None, :]]
     return out
+
+
+@pytest.mark.parametrize("r, k, c", [(1, 1, 1), (4, 6, 5), (9, 0, 3), (7, 33, 70)])
+def test_vecmat_matches_reference(r, k, c):
+    """2-D operands, and the stacked (T, r) by (T, r, c) products of
+    BatchBuffers.recode and absorb, one reference product per t."""
+    rng = np.random.default_rng(r * 100 + k * 10 + c)
+    a = rng.integers(0, 256, (r, k), dtype=np.uint8)
+    b = rng.integers(0, 256, (k, c), dtype=np.uint8)
+    got = gf.vecmat(a, b)
+    assert got.shape == (r, c) and got.dtype == np.uint8
+    assert np.array_equal(got, reference_matmul(a, b))
+    stacked = rng.integers(0, 256, (r, k, c), dtype=np.uint8)
+    got = gf.vecmat(a, stacked)
+    assert got.shape == (r, c)
+    for t in range(r):
+        assert np.array_equal(got[t], reference_matmul(a[t : t + 1], stacked[t])[0])
 
 
 def test_reference_matmul_matches_scalar_products():

@@ -966,12 +966,9 @@ def test_group_bound_violation_is_detected():
     bids = np.arange(1, 3)
     sim._check_group_bound(ranks, np.array([3, 2]), bids)
     gd = np.array([2, 1], dtype=np.int64)
-    # users outer, batches inner, as after phase 1
-    whole = "^user 0 holds rank 2 for batch 2 but the group only ever received 1 "
+    # batches outer, users inner, as a window's receptions happen
+    whole = "^user 1 holds rank 3 for batch 1 but the group only ever received 2 "
     with pytest.raises(RuntimeError, match=whole + "distinct packets$"):
-        sim._check_group_bound(ranks, gd, bids, users_first=True)
-    # batches outer, as a window's receptions happen
-    with pytest.raises(RuntimeError, match="^user 1 holds rank 3 for batch 1 "):
         sim._check_group_bound(ranks, gd, bids)
 
 
