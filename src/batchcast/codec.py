@@ -218,18 +218,6 @@ def make_descriptor(
 # --------------------------------------------------------------- batch state
 
 
-def _empty_buffers(shape: Tuple[int, ...], batch_size: int, payload_len: int):
-    """Operators and raw rows for a shape-sized array of empty buffers.
-
-    Returns (ops, raw) of shapes shape + (M, M) and shape + (M, M + L):
-    every residual operator is the identity and every row is zero.
-    """
-    ops = np.zeros(shape + (batch_size, batch_size), dtype=np.uint8)
-    diag = np.arange(batch_size)
-    ops[..., diag, diag] = 1
-    return ops, np.zeros(shape + (batch_size, batch_size + payload_len), np.uint8)
-
-
 class BatchState:
     """One receiver's buffer for one batch, on its own: the one-packet case
     of BatchBuffers, kept as a group of one batch and one receiver at
@@ -274,6 +262,11 @@ class BatchBuffers:
     other pivot column), and rows of non-pivot columns are zero. A vector c
     reduces to c . ops, and a full buffer has ops = 0.
 
+    distinct[b] is how many of batch b's source packets at least one
+    receiver holds, the rank of the group's union for that batch. Packets
+    after the source broadcast are recoded from what receivers hold, so no
+    rank can pass it.
+
     A packet changes only its own batch's buffers, so recode and absorb
     take any number of packets of distinct batches at once, each in one
     set of array operations.
@@ -283,8 +276,12 @@ class BatchBuffers:
         self, num_batches: int, receivers: int, batch_size: int, payload_len: int
     ):
         shape = (num_batches + 1, receivers)
-        self.ops, self.raw = _empty_buffers(shape, batch_size, payload_len)
+        self.ops = np.zeros(shape + (batch_size, batch_size), dtype=np.uint8)
+        diag = np.arange(batch_size)
+        self.ops[..., diag, diag] = 1
+        self.raw = np.zeros(shape + (batch_size, batch_size + payload_len), np.uint8)
         self.ranks = np.zeros(shape, dtype=np.int64)
+        self.distinct = np.zeros(num_batches + 1, dtype=np.int64)
 
     def load_sources(self, delivered: np.ndarray, payloads: np.ndarray) -> None:
         """Load the source broadcast into the still empty buffers.
@@ -293,7 +290,8 @@ class BatchBuffers:
         packet, batch by batch; payloads holds those packets' (n*M, L)
         payloads, or is None when L is 0. Packet j of a batch is the
         one-hot e_j, so a receiver's rows are its delivered e_j in slot
-        order, each its own basis row.
+        order, each its own basis row, and distinct counts the e_j some
+        receiver got.
         """
         n, g, m = self.ops.shape[0] - 1, self.ops.shape[1], self.ops.shape[2]
         hit = delivered.reshape(n, m, g).transpose(0, 2, 1)
@@ -304,6 +302,7 @@ class BatchBuffers:
             self.raw[b + 1, i, row, m:] = payloads[b * m + j]
         self.ops[b + 1, i, j, j] = 0
         self.ranks[1:] = hit.sum(axis=2)
+        self.distinct[1:] = hit.any(axis=1).sum(axis=1)
 
     def recode(
         self, bids: np.ndarray, senders: np.ndarray, mix: np.ndarray

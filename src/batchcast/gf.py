@@ -73,6 +73,8 @@ _EXP, _LOG, MUL_TABLE, _INV = _build_tables()
 _MUL_FLAT = MUL_TABLE.ravel()
 # a << 8 for every element a: where a's row of products starts in _MUL_FLAT
 _HIGH = np.arange(ORDER, dtype=np.uint16) << 8
+# the dtype of operands that need no range check
+_U8 = np.dtype(np.uint8)
 # matmul gathers at most this many products at once (one k-slice more when a
 # single slice is already larger), so its memory stays bounded by the output.
 _CHUNK_ELEMS = 1 << 16
@@ -101,13 +103,23 @@ _LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
 _LSB = np.uint64(0x0101010101010101)
 
 
-def mul(a, b):
-    """Field product of scalars or of uint8 arrays that broadcast together.
+def _elements(x):
+    """x as table indices: a uint8 array or scalar, which can only hold
+    field elements, or an int in range, as it is; anything else once
+    checked to lie in 0..255."""
+    if getattr(x, "dtype", None) is _U8 or (isinstance(x, int) and 0 <= x < ORDER):
+        return x
+    x = np.asarray(x)
+    bad = x[(x < 0) | (x >= ORDER)]
+    if bad.size:
+        raise ValueError("field elements run from 0 to 255, got %s" % bad[0])
+    return x
 
-    Only a is range-checked (by the take from _HIGH): b must hold field
-    elements, 0 to 255, as every caller's uint8 operand does.
-    """
-    out = _MUL_FLAT.take(_HIGH.take(a) | b)
+
+def mul(a, b):
+    """Field product of scalars or of arrays that broadcast together; raises
+    ValueError for an operand outside 0..255."""
+    out = _MUL_FLAT.take(_HIGH.take(_elements(a)) | _elements(b))
     # take gives a numpy scalar for scalar operands; asking np.isscalar
     # instead costs about 0.7 us a call, on the receive buffers' hot path
     return out if isinstance(out, np.ndarray) else int(out)
@@ -122,8 +134,9 @@ def add(a, b):
 
 
 def inv(a):
-    """Multiplicative inverse of a scalar, or of every entry of an array."""
-    out = _INV.take(a)
+    """Multiplicative inverse of a scalar, or of every entry of an array;
+    raises ValueError for an entry outside 0..255."""
+    out = _INV.take(_elements(a))
     # _INV maps 0, and only 0, to 0; count_nonzero costs a third of all()
     if np.count_nonzero(out) < out.size:
         raise ZeroDivisionError("0 has no multiplicative inverse")

@@ -14,9 +14,9 @@ Randomness is split into tagged substreams of the session seed (file bytes,
 phase-1 channel, phase-2 channel, recode mixing, access policy), so a report
 is bit-identical given the same seed and configuration, and the coded
 session (descriptors, payloads) is shared across channel realizations.
-Channel draws and recode mix bytes are read in blocks, phase-2 deliveries a
-window at a time; they are the same numbers, in the same order, as one draw
-per packet.
+Phase 1 reads its channel draws in one call, recode mix bytes come in
+blocks and phase-2 deliveries a window at a time; they are the same
+numbers, in the same order, as one draw per packet.
 """
 
 from dataclasses import dataclass, replace
@@ -147,8 +147,8 @@ class UserState:
     redundant: int = 0
     innovative_at_decode: int = -1
 
-    def batch_ranks(self, num_batches: int) -> np.ndarray:
-        return self.buffers.ranks[1 : num_batches + 1, self.user_id].copy()
+    def batch_ranks(self) -> np.ndarray:
+        return self.buffers.ranks[1:, self.user_id].copy()
 
 
 @dataclass
@@ -181,7 +181,7 @@ def make_users(num_users: int, session: CodingSession) -> List[UserState]:
     return [UserState(user_id=uid, buffers=buffers) for uid in range(num_users)]
 
 
-# doubles read from the phase-1 stream at a time
+# uint32 words read from the mix stream at a time
 _DRAW_BLOCK = 1 << 14
 
 
@@ -191,28 +191,24 @@ def phase1_deliveries(
     """(num_packets, num_users) delivery mask of the source broadcast.
 
     Each packet reads one shared loss draw and, only if it survives that
-    draw, one draw per user. Parsing fixed-size blocks of doubles in that
-    order gives the per-packet draws in bounded memory; the stream may be
-    read past the last packet.
+    draw, one draw per user. One read of num_packets * (1 + k) doubles
+    holds every packet's draws in that order; the stream may be read past
+    the last packet.
     """
     k = num_users
+    draws = rng.random(num_packets * (1 + k))
+    lost = (draws < params.loss_common).tolist()
+    rows, starts, pos = [], [], 0
+    for pkt in range(num_packets):
+        if lost[pos]:
+            pos += 1
+        else:
+            rows.append(pkt)
+            starts.append(pos + 1)
+            pos += 1 + k
     mask = np.zeros((num_packets, k), dtype=bool)
-    buf = np.empty(0)
-    pkt = 0
-    while pkt < num_packets:
-        buf = np.concatenate([buf, rng.random(_DRAW_BLOCK)])
-        lost = (buf < params.loss_common).tolist()
-        end = len(lost)
-        rows, starts, pos = [], [], 0
-        while pkt < num_packets and pos < end and (lost[pos] or pos + k < end):
-            if not lost[pos]:
-                rows.append(pkt)
-                starts.append(pos + 1)
-            pos += 1 if lost[pos] else 1 + k
-            pkt += 1
-        draws = buf[np.array(starts, dtype=np.intp)[:, None] + np.arange(k)]
-        mask[rows] = draws >= params.loss_source
-        buf = buf[pos:]
+    own = draws[np.array(starts, dtype=np.intp)[:, None] + np.arange(k)]
+    mask[rows] = own >= params.loss_source
     return mask
 
 
@@ -221,12 +217,10 @@ def run_phase1(
     users: List[UserState],
     params: NetworkParams,
     rng: np.random.Generator,
-    group_distinct: np.ndarray,
 ) -> int:
     """Broadcast every batch once into empty buffers; returns n*M.
 
     Source packets are one-hot and distinct: every delivery is innovative.
-    group_distinct gains, per batch, the packets at least one user received.
     Without payloads nothing is encoded, so no descriptor is drawn here.
     """
     n, m = session.num_batches, session.batch_size
@@ -238,19 +232,16 @@ def run_phase1(
     for u, count in zip(users, mask.sum(axis=0).tolist()):
         u.receptions += count
         u.innovative += count
-    group_distinct += mask.any(axis=1).reshape(n, m).sum(axis=1)
     return n * m
 
 
-def _check_group_bound(
-    ranks: np.ndarray, group_distinct: np.ndarray, bids: np.ndarray
-) -> None:
+def _check_group_bound(buffers: codec.BatchBuffers, bids: np.ndarray) -> None:
     """Raise if a user holds more of a batch in bids than the group received.
 
-    ranks is the group's (n + 1, k) rank array. The first offender is named
-    by batch in bids order, then by user.
+    The first offender is named by batch in bids order, then by user.
     """
-    over = ranks[bids] > group_distinct[bids - 1, None]
+    ranks, distinct = buffers.ranks, buffers.distinct
+    over = ranks[bids] > distinct[bids, None]
     if not over.any():
         return
     j, uid = np.argwhere(over)[0]
@@ -258,7 +249,7 @@ def _check_group_bound(
     raise RuntimeError(
         "user %d holds rank %d for batch %d but the group only ever "
         "received %d distinct packets"
-        % (uid, ranks[bid, uid], bid, group_distinct[bid - 1])
+        % (uid, ranks[bid, uid], bid, distinct[bid])
     )
 
 
@@ -387,7 +378,6 @@ def run_phase2(
     params: NetworkParams,
     rng: np.random.Generator,
     mix_rng: np.random.Generator,
-    group_distinct: np.ndarray,
     access_rng: Optional[np.random.Generator] = None,
     trace: Optional[List[Tuple]] = None,
     until_tx: Optional[int] = None,
@@ -397,9 +387,10 @@ def run_phase2(
     Returns the number of peer transmissions. Senders take turns in round
     robin order, or are drawn uniformly from access_rng when it is given.
     Slots where the scheduled sender has an empty buffer pass without a
-    transmission. When until_tx is given the phase instead runs for exactly
-    that transmission budget, which evaluates the repair process at a
-    planned stopping point.
+    transmission. When until_tx is given the phase runs at least that many
+    transmissions, which evaluates the repair process at a planned stopping
+    point, and past them until every observed user decodes or the phase
+    stalls; with no observed user it stops at until_tx.
 
     A transmission changes only its own batch's buffers, so consecutive
     transmissions of distinct batches form a window that is recoded,
@@ -425,13 +416,7 @@ def run_phase2(
     if any(u.queue is None for u in users):
         raise ValueError("phase 2 requires prepared queues; run phase 1 first")
     watched = [u for u in users if u.decoder is not None]
-    pending = sum(1 for u in watched if not u.decoded)
-    # A pending user holding every packet the group received never gets an
-    # innovative packet again, so it never reaches another decode attempt.
-    group_total = int(group_distinct.sum())
-    saturated = sum(
-        1 for u in watched if not u.decoded and u.innovative == group_total
-    )
+    group_total = int(buffers.distinct.sum())
     # a pending user attempts a decode or saturates at this innovative count
     reach = min(session.file_packets, group_total)
     mixes = _MixDraws(mix_rng, m)
@@ -439,12 +424,15 @@ def run_phase2(
     slot = 0
     # the sender of a slot that opened no window keeps it for the next one
     sender = None
-    while pending or (until_tx is not None and transmissions < until_tx):
-        if slot >= cap or 0 < pending == saturated:
+    while True:
+        pending = [u for u in watched if not u.decoded]
+        if not pending and (until_tx is None or transmissions >= until_tx):
+            return transmissions
+        # the innovative counts of pending users short of saturation
+        short = [u.innovative for u in pending if u.innovative < group_total]
+        if slot >= cap or (pending and not short):
             stuck = []
-            for u in watched:
-                if u.decoded:
-                    continue
+            for u in pending:
                 if u.innovative < session.file_packets:
                     # a user below F has never attempted; one attempt makes
                     # its unresolved F minus the rank of what it holds
@@ -456,11 +444,7 @@ def run_phase2(
                 % (slot, stuck, group_total)
             )
         if pending:
-            room = min(
-                max(1, reach - u.innovative)
-                for u in watched
-                if not u.decoded and u.innovative < group_total
-            )
+            room = max(1, reach - max(short))
         else:
             room = until_tx - transmissions
         slots, senders, bids = [], [], []
@@ -490,7 +474,7 @@ def run_phase2(
         delivered = rng.random((count, k)) >= params.loss_peer
         delivered[np.arange(count), s] = False
         gained = buffers.absorb(b, full, delivered)
-        _check_group_bound(ranks, group_distinct, b)
+        _check_group_bound(buffers, b)
         if trace is not None:
             held = np.cumsum(gained, axis=0) + [u.innovative for u in users]
             rows = np.column_stack((slots, senders, bids, delivered, held))
@@ -501,20 +485,16 @@ def run_phase2(
             u.innovative += new
             u.redundant += heard - new
         transmissions += count
-        for u in watched:
-            if u.decoded:
-                continue
+        for u in pending:
             mine = gained[:, u.user_id]
             for t in np.flatnonzero(mine).tolist():
                 u.decoder.add_row(bids[t], full[t])
-            if not mine[-1]:
-                continue
-            if u.innovative >= session.file_packets and u.decoder.attempt():
+            if (
+                mine[-1]
+                and u.innovative >= session.file_packets
+                and u.decoder.attempt()
+            ):
                 _mark_decoded(u, transmissions)
-                pending -= 1
-            elif u.innovative == group_total:
-                saturated += 1
-    return transmissions
 
 
 def run_session(
@@ -534,9 +514,10 @@ def run_session(
     in turn, "uniform" draws one at random from its own substream.
     observe selects which users run decoders (default: all). Limiting
     observation to one user keeps large rank-statistics batteries cheap;
-    the remaining users still receive and transmit. phase2_budget runs
-    the repair phase for a fixed transmission count instead of stopping
-    at group decode (pass observe=[] to skip decoders entirely then).
+    the remaining users still receive and transmit. phase2_budget is a
+    floor on the repair phase's transmissions: it runs at least that many,
+    and on until every observed user decodes; pass observe=[] to run
+    exactly the budget, with no decoders.
     """
     if access not in ("round_robin", "uniform"):
         raise ValueError(
@@ -546,12 +527,8 @@ def run_session(
         num_batches = optimize_batches(params).n_opt
     session = new_session(params, seed, num_batches, payload_len, dist=dist)
     users = make_users(params.num_users, session)
-    group_distinct = np.zeros(num_batches, dtype=np.int64)
-    phase1_rng = _substream(seed, _PHASE1_TAG)
-    phase1_tx = run_phase1(session, users, params, phase1_rng, group_distinct)
-    _check_group_bound(
-        users[0].buffers.ranks, group_distinct, np.arange(1, num_batches + 1)
-    )
+    phase1_tx = run_phase1(session, users, params, _substream(seed, _PHASE1_TAG))
+    _check_group_bound(users[0].buffers, np.arange(1, num_batches + 1))
     prepare_phase2(session, users, params, observe)
     trace: Optional[List[Tuple]] = [] if with_trace else None
     phase2_tx = run_phase2(
@@ -560,7 +537,6 @@ def run_session(
         params,
         _substream(seed, _PHASE2_TAG),
         _substream(seed, _MIX_TAG),
-        group_distinct,
         access_rng=_substream(seed, _ACCESS_TAG) if access == "uniform" else None,
         trace=trace,
         until_tx=phase2_budget,
@@ -570,7 +546,7 @@ def run_session(
     # contributes regardless of whether it carried a decoder.
     rank_distribution = np.mean(
         [
-            np.bincount(u.batch_ranks(num_batches), minlength=params.batch_size + 1)
+            np.bincount(u.batch_ranks(), minlength=params.batch_size + 1)
             / float(max(num_batches, 1))
             for u in users
         ],

@@ -89,6 +89,12 @@ def test_mul_matches_peasant_oracle_everywhere():
     got = gf.mul(col, row)
     assert got.shape == (3, 16, 16) and got.dtype == np.uint8
     assert np.array_equal(got, want[col, row])
+    # operands outside the field, either side, scalar or array, are refused
+    # rather than wrapped or read off a neighbouring table row
+    wide = np.array([1, 300])
+    for a, b in [(1, 300), (300, 1), (-1, 1), (1, -1), (wide, 1), (1, -wide)]:
+        with pytest.raises(ValueError, match="0 to 255"):
+            gf.mul(a, b)
 
 
 def test_field_axioms_random_triples():
@@ -118,6 +124,9 @@ def test_inverses():
         b[zero_at] = 0
         with pytest.raises(ZeroDivisionError):
             gf.inv(b)
+    for bad in (-1, 256, np.array([3, -1]), np.array([3, 256])):
+        with pytest.raises(ValueError, match="0 to 255"):
+            gf.inv(bad)
 
 
 def test_rank_identity_and_zero():

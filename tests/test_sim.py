@@ -62,8 +62,9 @@ def test_broadcast_source_delivery_rates():
 @pytest.mark.parametrize("loss_common", [0.0, 0.05, 0.9])
 def test_phase1_mask_equals_per_packet_draws(k, loss_common):
     params = NetworkParams(k, loss_common, 0.5, 0.1, 8, 300)
-    # every packet reads at least one double, so this spans over 3 blocks
-    n = 3 * sim._DRAW_BLOCK + 5
+    # every packet reads at least one double; at loss_common 0 every packet
+    # reads 1 + k, so the last one's draws end at the end of the one read
+    n = 49_157
     bulk = sim.phase1_deliveries(n, k, params, np.random.default_rng(k))
     ref = _per_packet_mask(n, k, params, np.random.default_rng(k))
     assert np.array_equal(bulk, ref)
@@ -81,6 +82,28 @@ def test_block_draws_equal_per_transmission_draws(k):
     for i in range(40):
         assert np.array_equal(one_by_one.random(k), drawn[i])
     assert one_by_one.random() == windows.random()
+
+
+@pytest.mark.xfail(
+    reason="descriptor_rng(seed, bid) and _substream(seed, tag) both seed "
+    "SeedSequence((seed, x)), so batches 1 to 5 draw their descriptors from "
+    "the phase-1, phase-2, mix, access and single-phase streams; separating "
+    "them changes every report digest",
+    strict=True,
+)
+def test_descriptor_streams_differ_from_the_channel_substreams():
+    seed = 7
+    tags = [
+        sim._FILE_TAG,
+        sim._PHASE1_TAG,
+        sim._PHASE2_TAG,
+        sim._MIX_TAG,
+        sim._ACCESS_TAG,
+        sim._SINGLE_TAG,
+    ]
+    channel = [sim._substream(seed, tag).random(4).tolist() for tag in tags]
+    for bid in range(1, 65):
+        assert codec.descriptor_rng(seed, bid).random(4).tolist() not in channel
 
 
 @pytest.mark.parametrize("k", [3, 5])
@@ -150,8 +173,7 @@ def test_phase1_matches_per_packet_absorb():
     n = 40
     session = sim.new_session(FAST, 5, n, payload_len=4)
     users = sim.make_users(3, session)
-    gd = np.zeros(n, dtype=np.int64)
-    sim.run_phase1(session, users, FAST, sim._substream(5, 1), gd)
+    sim.run_phase1(session, users, FAST, sim._substream(5, 1))
     rng = sim._substream(5, 1)
     ref = sim.make_users(3, session)
     ref_gd = np.zeros(n, dtype=np.int64)
@@ -167,14 +189,15 @@ def test_phase1_matches_per_packet_absorb():
                 else:
                     u.redundant += 1
             ref_gd[bid - 1] += flags.any()
-    assert np.array_equal(gd, ref_gd)
+    assert users[0].buffers.distinct[0] == 0
+    assert np.array_equal(users[0].buffers.distinct[1:], ref_gd)
     for u, r in zip(users, ref):
         assert (u.receptions, u.innovative, u.redundant) == (
             r.receptions,
             r.innovative,
             r.redundant,
         )
-        assert np.array_equal(u.batch_ranks(n), r.batch_ranks(n))
+        assert np.array_equal(u.batch_ranks(), r.batch_ranks())
         for bid in range(1, n + 1):
             i = u.user_id
             assert u.buffers.ranks[bid, i] == r.buffers.ranks[bid, i]
@@ -189,8 +212,8 @@ def test_phase1_counts_and_profiles():
     n = 64
     session = sim.new_session(FAST, 5, n)
     users = sim.make_users(3, session)
-    gd = np.zeros(n, dtype=np.int64)
-    tx = sim.run_phase1(session, users, FAST, sim._substream(5, 1), gd)
+    tx = sim.run_phase1(session, users, FAST, sim._substream(5, 1))
+    gd = users[0].buffers.distinct[1:]
     assert tx == n * FAST.batch_size
     mean = tx * 0.475
     sd = np.sqrt(tx * 0.475 * 0.525)
@@ -198,7 +221,7 @@ def test_phase1_counts_and_profiles():
         assert abs(u.receptions - mean) < 5 * sd
         assert u.innovative + u.redundant == u.receptions
         assert u.innovative <= min(FAST.file_packets, tx)
-        ranks = u.batch_ranks(n)
+        ranks = u.batch_ranks()
         assert ranks.shape == (n,)
         assert int(ranks.sum()) == u.innovative
         # no user can hold more of a batch than the group ever received
@@ -220,7 +243,7 @@ def test_phase1_encodes_from_file_tables_freed_on_return(monkeypatch):
     n = 12
     session = sim.new_session(FAST, 5, n, payload_len=4)
     users = sim.make_users(3, session)
-    sim.run_phase1(session, users, FAST, sim._substream(5, 1), np.zeros(n, np.int64))
+    sim.run_phase1(session, users, FAST, sim._substream(5, 1))
     assert len(built) == 1 and built[0]() is None
     assert list(session.descriptors) == list(range(1, n + 1))
 
@@ -231,14 +254,10 @@ def test_descriptors_without_payloads_are_drawn_on_first_read():
     coded session encodes from."""
     n = 12
     bare = sim.new_session(FAST, 5, n)
-    sim.run_phase1(
-        bare, sim.make_users(3, bare), FAST, sim._substream(5, 1), np.zeros(n, np.int64)
-    )
+    sim.run_phase1(bare, sim.make_users(3, bare), FAST, sim._substream(5, 1))
     assert "descriptors" not in vars(bare)
     coded = sim.new_session(FAST, 5, n, payload_len=4)
-    sim.run_phase1(
-        coded, sim.make_users(3, coded), FAST, sim._substream(5, 1), np.zeros(n, np.int64)
-    )
+    sim.run_phase1(coded, sim.make_users(3, coded), FAST, sim._substream(5, 1))
     assert list(bare.descriptors) == list(range(1, n + 1))
     assert bare.descriptors is bare.descriptors
     for bid in range(1, n + 1):
@@ -263,7 +282,7 @@ def test_phase1_encodes_the_descriptors_read_before_it(monkeypatch):
 
     monkeypatch.setattr(codec, "encode_batch", recorded)
     users = sim.make_users(3, session)
-    sim.run_phase1(session, users, FAST, sim._substream(5, 1), np.zeros(n, np.int64))
+    sim.run_phase1(session, users, FAST, sim._substream(5, 1))
     assert session.descriptors is before
     assert len(encoded) == n
     assert all(a is b for a, b in zip(encoded, first))
@@ -277,7 +296,7 @@ def test_decoders_hold_the_sessions_descriptor_arrays():
     n = 24
     session = sim.new_session(FAST, 7, n, payload_len=4)
     users = sim.make_users(3, session)
-    sim.run_phase1(session, users, FAST, sim._substream(7, 1), np.zeros(n, np.int64))
+    sim.run_phase1(session, users, FAST, sim._substream(7, 1))
     sim.prepare_phase2(session, users, FAST)
     index = session.decoder_index
     assert session.decoder_index is index
@@ -303,8 +322,8 @@ def test_phase1_group_distinct_matches_binomial_law():
     n = 4000
     session = sim.new_session(FAST, 11, n)
     users = sim.make_users(3, session)
-    gd = np.zeros(n, dtype=np.int64)
-    sim.run_phase1(session, users, FAST, sim._substream(11, 1), gd)
+    sim.run_phase1(session, users, FAST, sim._substream(11, 1))
+    gd = users[0].buffers.distinct[1:]
     q = 0.95 * (1 - 0.5 ** 3)
     emp = np.bincount(gd, minlength=9)[:9] / float(n)
     ref = binom.pmf(np.arange(9), 8, q)
@@ -325,8 +344,8 @@ def test_phase1_group_distinct_matches_composed_law():
     m = FAST.batch_size
     session = sim.new_session(FAST, 11, n)
     users = sim.make_users(3, session)
-    gd = np.zeros(n, dtype=np.int64)
-    sim.run_phase1(session, users, FAST, sim._substream(11, 1), gd)
+    sim.run_phase1(session, users, FAST, sim._substream(11, 1))
+    gd = users[0].buffers.distinct[1:]
     own = 0.95 * 0.5
     cover = 1 - 0.5 ** 2
     ref = np.zeros(m + 1)
@@ -401,11 +420,11 @@ def test_zero_batches_edge():
         sim.new_session(FAST, 0, 65536)
     session = sim.new_session(FAST, 0, 0)
     users = sim.make_users(2, session)
-    gd = np.zeros(0, dtype=np.int64)
-    tx = sim.run_phase1(session, users, FAST, sim._substream(0, 1), gd)
+    tx = sim.run_phase1(session, users, FAST, sim._substream(0, 1))
     assert tx == 0
     assert users[0].receptions == 0
-    assert users[0].batch_ranks(0).size == 0
+    assert users[0].batch_ranks().size == 0
+    assert users[0].buffers.distinct.tolist() == [0]
 
 
 # ---------------------------------------------------------------- phase 2
@@ -529,7 +548,7 @@ def test_small_sessions_are_deterministic_and_within_their_bounds(case):
         try:
             return run_phase2(session, users, *args, **kwargs)
         finally:
-            phase2_ends.append((users, args[3]))
+            phase2_ends.append(users)
 
     outcomes = []
     with mock.patch.object(sim, "run_phase2", keep_buffers):
@@ -547,10 +566,11 @@ def test_small_sessions_are_deterministic_and_within_their_bounds(case):
                 assert slot < 0 or at_decode >= params.file_packets
     assert outcomes[0] == outcomes[1]
     assert len(phase2_ends) == 2
-    for users, group_distinct in phase2_ends:
+    for users in phase2_ends:
+        group_distinct = users[0].buffers.distinct[1:]
         assert group_distinct.max(initial=0) <= params.batch_size
         for u in users:
-            assert (u.batch_ranks(n) <= group_distinct).all()
+            assert (u.batch_ranks() <= group_distinct).all()
 
 
 def reference_next_send(u, states):
@@ -656,7 +676,9 @@ def prepared_group(params, n, seed, payload_len, observe, mute):
     users[0].buffers.load_sources(mask, payloads)
     for u, count in zip(users, mask.sum(axis=0).tolist()):
         u.receptions = u.innovative = count
+    # the reference counts the group's distinct packets on its own
     group_distinct = mask.any(axis=1).reshape(n, m).sum(axis=1)
+    assert np.array_equal(users[0].buffers.distinct[1:], group_distinct)
     sim.prepare_phase2(session, users, params, observe)
     return session, users, group_distinct
 
@@ -697,7 +719,7 @@ def test_windowed_phase2_equals_one_transmission_at_a_time(case):
     positions, buffers and trace, or the stall slot, exactly as a loop of
     one transmission per step does."""
     params, n, seed, uniform, payload_len, observe, budget, mute = case
-    session, users, gd = prepared_group(params, n, seed, payload_len, observe, mute)
+    session, users, _ = prepared_group(params, n, seed, payload_len, observe, mute)
     trace = []
     try:
         sent = sim.run_phase2(
@@ -706,7 +728,6 @@ def test_windowed_phase2_equals_one_transmission_at_a_time(case):
             params,
             sim._substream(seed, sim._PHASE2_TAG),
             sim._substream(seed, sim._MIX_TAG),
-            gd,
             access_rng=sim._substream(seed, sim._ACCESS_TAG) if uniform else None,
             trace=trace,
             until_tx=budget,
@@ -864,6 +885,16 @@ def test_observe_subset_matches_full_run():
     assert one.innovative_at_decode[0] == full.innovative_at_decode[0]
 
 
+def test_phase2_budget_is_a_floor_while_an_observed_user_pends():
+    """A budget below the decode point runs on until the observed user
+    decodes; with no observed user the budget is exact."""
+    for budget in (1, 10, 50):
+        rep = sim.run_session(FAST, 7, 64, observe=[0], phase2_budget=budget)
+        assert (rep.phase2_tx, rep.decode_slots[0]) == (98, 98)
+    rep = sim.run_session(FAST, 7, 64, observe=[], phase2_budget=10)
+    assert rep.phase2_tx == 10 and rep.decode_slots == [-1, -1, -1]
+
+
 @pytest.mark.parametrize(
     "params, n, payload_len",
     [(FAST, 64, 12), (EX2, 152, 64)],
@@ -872,17 +903,9 @@ def test_observe_subset_matches_full_run():
 def test_payload_bytes_survive_the_protocol(params, n, payload_len):
     session = sim.new_session(params, 13, n, payload_len=payload_len)
     users = sim.make_users(params.num_users, session)
-    gd = np.zeros(n, dtype=np.int64)
-    sim.run_phase1(session, users, params, sim._substream(13, 1), gd)
+    sim.run_phase1(session, users, params, sim._substream(13, 1))
     sim.prepare_phase2(session, users, params)
-    sim.run_phase2(
-        session,
-        users,
-        params,
-        sim._substream(13, 2),
-        sim._substream(13, 3),
-        gd,
-    )
+    sim.run_phase2(session, users, params, sim._substream(13, 2), sim._substream(13, 3))
     for u in users:
         assert u.decoded
         got = u.decoder.extract()
@@ -911,14 +934,7 @@ def test_phase2_requires_prepared_queues():
     session = sim.new_session(FAST, 9, 8)
     users = sim.make_users(3, session)
     with pytest.raises(ValueError):
-        sim.run_phase2(
-            session,
-            users,
-            FAST,
-            sim._substream(9, 2),
-            sim._substream(9, 3),
-            np.zeros(8, dtype=np.int64),
-        )
+        sim.run_phase2(session, users, FAST, sim._substream(9, 2), sim._substream(9, 3))
 
 
 def test_stall_guard_fires_on_undersized_plan():
@@ -936,8 +952,7 @@ def test_phase2_stalls_once_no_pending_user_can_gain():
     n = 20
     session = sim.new_session(FAST, 3, n)
     users = sim.make_users(3, session)
-    gd = np.zeros(n, dtype=np.int64)
-    sim.run_phase1(session, users, FAST, sim._substream(3, 1), gd)
+    sim.run_phase1(session, users, FAST, sim._substream(3, 1))
     sim.prepare_phase2(session, users, FAST)
     trace = []
     with pytest.raises(sim.SimulationStallError, match="pending"):
@@ -947,10 +962,9 @@ def test_phase2_stalls_once_no_pending_user_can_gain():
             FAST,
             sim._substream(3, 2),
             sim._substream(3, 3),
-            gd,
             trace=trace,
         )
-    assert all(u.innovative == gd.sum() for u in users)
+    assert all(u.innovative == users[0].buffers.distinct.sum() for u in users)
     assert trace[-1][0] < 1600 // 4
 
 
@@ -962,26 +976,27 @@ def test_group_bound_violation_is_detected():
         assert deliver(buffers, 1, p, 1)
     for p in source_rows(session.source_payloads([2]))[:2]:
         assert deliver(buffers, 2, p, 0)
-    ranks = buffers.ranks
     bids = np.arange(1, 3)
-    sim._check_group_bound(ranks, np.array([3, 2]), bids)
-    gd = np.array([2, 1], dtype=np.int64)
+    buffers.distinct[1:] = [3, 2]
+    sim._check_group_bound(buffers, bids)
+    buffers.distinct[1:] = [2, 1]
     # batches outer, users inner, as a window's receptions happen
     whole = "^user 1 holds rank 3 for batch 1 but the group only ever received 2 "
     with pytest.raises(RuntimeError, match=whole + "distinct packets$"):
-        sim._check_group_bound(ranks, gd, bids)
+        sim._check_group_bound(buffers, bids)
 
 
 def test_phase2_raises_when_a_rank_passes_the_group_bound():
-    """Handed group counts equal to the highest rank any user holds after
+    """With group counts set to the highest rank any user holds after
     phase 1, phase 2 stops at the first reception that raises one past it."""
     n = 40
     session = sim.new_session(FAST, 5, n)
     users = sim.make_users(3, session)
-    sim.run_phase1(session, users, FAST, sim._substream(5, 1), np.zeros(n, np.int64))
+    sim.run_phase1(session, users, FAST, sim._substream(5, 1))
     sim.prepare_phase2(session, users, FAST, observe=[])
     ranks = users[0].buffers.ranks
     low = ranks[1:].max(axis=1)
+    users[0].buffers.distinct[1:] = low
     with pytest.raises(RuntimeError, match="group only ever received") as err:
         sim.run_phase2(
             session,
@@ -989,7 +1004,6 @@ def test_phase2_raises_when_a_rank_passes_the_group_bound():
             FAST,
             sim._substream(5, 2),
             sim._substream(5, 3),
-            low,
             until_tx=500,
         )
     assert not isinstance(err.value, sim.SimulationStallError)
