@@ -22,8 +22,8 @@ expression is only as wide as the symbolic unknowns that existed when it
 resolved, so a pull multiplies its contributors in a few bands of similar
 width, each at the band's widest. A firing batch lays its expanded rows out
 as [C_active | C_done | payload], its unresolved contributors first, and
-eliminates that block on the active columns only, stopping after their
-pivots; the one pull of the transformed C_done then gives the resolved
+eliminates that block on the active columns only (gf.row_reduce);
+the one pull of the transformed C_done then gives the resolved
 packets' expressions, written in one array assignment, and the surplus
 rows' constraints. The batches one round of substitutions finishes while
 they hold rows (the full-mix and high-degree batches, mostly all at once
@@ -121,8 +121,13 @@ class DegreeDistribution:
                     raise ValueError(
                         "%s:%d: expected 'degree probability'" % (path, lineno)
                     )
-                d = int(parts[0])
-                p = float(parts[1])
+                try:
+                    d, p = int(parts[0]), float(parts[1])
+                except ValueError:
+                    raise ValueError(
+                        "%s:%d: expected an integer degree and a number, got %r"
+                        % (path, lineno, line)
+                    ) from None
                 if d < 1:
                     raise ValueError("%s:%d: degree must be >= 1" % (path, lineno))
                 degrees.append(d)
@@ -498,24 +503,6 @@ def _expand(coeffs: np.ndarray, gen_t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eliminate(block: np.ndarray, u: int) -> bool:
-    """Row-reduce block in place on its first u columns only, to the
-    identity in its first u rows and zero in the rest, pivoting on the first
-    row with a nonzero entry as gf.row_reduce does; False as soon as one of
-    those columns has no pivot, the block then being partly reduced.
-    """
-    for c in range(u):
-        if not block[c, c]:
-            nz = np.flatnonzero(block[c:, c])
-            if nz.size == 0:
-                return False
-            r = c + int(nz[0])
-            block[[c, r]] = block[[r, c]]
-        # rows c.. are zero left of column c, so only columns c.. change
-        gf.pivot(block[:, c:], c, 0)
-    return True
-
-
 # a pull over at least _BAND_MIN contributors multiplies them in _BANDS
 # width bands
 _BAND_MIN = 256
@@ -782,13 +769,14 @@ class IncrementalDecoder:
 
         Its expanded rows are laid out as the block
         [C_active | C_done | payload], active (unresolved) contributors
-        first, and eliminated on the u active columns only. If they have
-        full column rank, the block's first u rows are [I | T C_done |
-        T payload] and the rest [0 | S C_done | S payload]: one pull of
-        (T C_done) and (S C_done) with the done contributors' expressions
-        resolves the active contributors and leaves surplus constraints
-        for the symbolic system. A batch whose rows are rank-deficient on
-        its unresolved contributors stays pending, before any pull.
+        first, and gf.row_reduce(block, u) eliminates it on the u active
+        columns only. If they have full column rank (u pivots), the block's
+        first u rows are [I | T C_done | T payload] and the rest
+        [0 | S C_done | S payload]: one pull of (T C_done) and (S C_done)
+        with the done contributors' expressions resolves the active
+        contributors and leaves surplus constraints for the symbolic
+        system. A batch whose rows give fewer than u pivots stays pending,
+        before any pull.
         """
         self._queued[i] = False
         u, rows = int(self._u[i]), int(self._rows[i])
@@ -802,7 +790,8 @@ class IncrementalDecoder:
         raw = self._raw[i, :rows]
         c_rows = _expand(raw[:, :m], ix.gen_t[i])
         block = np.concatenate((c_rows[:, order], raw[:, m:]), axis=1)
-        if not _eliminate(block, u):
+        block, pivots = gf.row_reduce(block, u)
+        if len(pivots) < u:
             return
         d = contribs.size
         out = self._pull(block[:, u:d], block[:, d:], contribs[order[u:]])

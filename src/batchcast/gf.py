@@ -8,7 +8,8 @@ the simulator fast on a single core. No other module reads that table:
 mul broadcasts its operands through it and inv takes an array as well as a
 scalar; vecmat(a, b), a[..., k] . b[..., k, c] over any broadcast leading
 axes, is the gather kernel, one gather and one XOR fold; and pivot is the
-step of every elimination, row_reduce here and the decoder's in codec.
+step of every elimination: row_reduce, which also runs the decoder's fires
+on a column limit, and the symbolic system's row-by-row pivots in codec.
 
 A product of at least 8 rows with enough multiplications (r * k * c above
 50000) goes through 4-bit split tables instead (Plank, Greenan and Miller,
@@ -20,7 +21,7 @@ left operand. The gathers then move whole rows of eight-byte words, and the
 sum of the high-nibble products is multiplied by x^4 once at the end.
 SplitTables keeps the tables of a whole matrix, so that many products with
 selections of its rows (the source's batches, all over one file) pay for
-them once.
+them once; matmul builds one per block of rows of its right operand.
 """
 
 from __future__ import annotations
@@ -126,8 +127,9 @@ def mul(a, b):
 
 
 def add(a, b):
-    """Field sum (XOR); provided for symmetry."""
-    out = np.bitwise_xor(a, b)
+    """Field sum (XOR); provided for symmetry. Raises ValueError for an
+    operand outside 0..255."""
+    out = np.bitwise_xor(_elements(a), _elements(b))
     if np.isscalar(a) and np.isscalar(b):
         return int(out)
     return out
@@ -228,13 +230,10 @@ def _matmul_tall(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     words = -(-c // 8)
     step = _split_step(a.shape[0], words)
     rows = step * max(1, _TABLE_BYTES // (128 * words * step))
-    # row 16 j of a block's tables starts the multiples of its j-th row of b
-    first = np.arange(min(rows, k), dtype=np.intp) << 4
     out = np.zeros((a.shape[0], c), dtype=np.uint8)
     for s in range(0, k, rows):
         e = min(s + rows, k)
-        t = _split_tables(b[s:e], words)
-        out ^= _split_matmul(a[:, s:e], t, first[: e - s], c)
+        out ^= SplitTables(b[s:e]).matmul(a[:, s:e], np.arange(e - s))
     return out
 
 
@@ -278,20 +277,21 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def row_reduce(m: np.ndarray):
-    """Reduced row echelon form.
+def row_reduce(m: np.ndarray, cols: int | None = None):
+    """Reduced row echelon form on the first cols columns (default: all).
 
-    Returns (rref, pivot_columns). Pivoting picks the first row with a
-    nonzero entry in the current column; there is no magnitude to compare in
-    a finite field.
+    Returns (rref, pivot_columns); the other columns only undergo the same
+    row operations. Pivoting picks the first row with a nonzero entry in
+    the current column; there is no magnitude to compare in a finite
+    field. Raises ValueError for an entry outside 0..255.
     """
-    a = np.array(m, dtype=np.uint8, copy=True)
+    a = np.array(_elements(m), dtype=np.uint8)
     if a.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    rows, cols = a.shape
+    rows = a.shape[0]
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in range(a.shape[1] if cols is None else cols):
         if r == rows:
             break
         if not a[r, c]:
@@ -308,8 +308,9 @@ def row_reduce(m: np.ndarray):
 
 
 def rank(m: np.ndarray) -> int:
-    """Number of linearly independent rows."""
-    a = np.asarray(m, dtype=np.uint8)
+    """Number of linearly independent rows; raises ValueError for an entry
+    outside 0..255."""
+    a = np.asarray(_elements(m), dtype=np.uint8)
     if a.size == 0:
         return 0
     return len(row_reduce(a)[1])

@@ -128,8 +128,9 @@ def test_tracer_counts_one_encode_per_batch(tracing):
 def test_traced_repair_battery_draws_no_descriptor(tracing, monkeypatch):
     """A repair battery (observe=[], a phase-2 budget, payload 0) encodes
     and decodes nothing, so it never reads the session's descriptors and
-    draws none; ex3-repair's cost leaves them out. A session with decoders
-    reads them through the same hook."""
+    draws none, and fires no batch through gf.row_reduce; ex3-repair's cost
+    leaves them out. A session with decoders reads them through the same
+    hook."""
     reads = []
     lazy = vars(sim.CodingSession)["descriptors"]
     monkeypatch.setattr(
@@ -145,7 +146,9 @@ def test_traced_repair_battery_draws_no_descriptor(tracing, monkeypatch):
                 FAST, 3, num_batches=n, observe=[], phase2_budget=stopping_time(n, FAST)
             )
     assert reads == []
-    assert tracer.summary()["codec.encode_batch"]["calls"] == 0
+    summary = tracer.summary()
+    assert summary["codec.encode_batch"]["calls"] == 0
+    assert summary["gf.row_reduce"]["calls"] == 0
     sim.run_session(FAST, 3, num_batches=n, observe=[0])
     assert reads
 
@@ -153,7 +156,8 @@ def test_traced_repair_battery_draws_no_descriptor(tracing, monkeypatch):
 def test_tracer_counts_one_load_per_decoder(tracing):
     """prepare_phase2 loads each observed user's decoder from the group's
     buffers in one load_state call, so the traced span counts decoders, not
-    batches; phase 2 feeds each innovative row through add_row."""
+    batches; phase 2 feeds each innovative row through add_row, and each
+    firing batch eliminates its block through gf.row_reduce."""
     tracer = tracing.Tracer()
     with tracer:
         with tracer.root(0):
@@ -165,6 +169,7 @@ def test_tracer_counts_one_load_per_decoder(tracing):
     decoded = [report.decode_slots[u] for u in (0, 2)]
     assert all(slot > 0 for slot in decoded)
     assert summary["codec.IncrementalDecoder.add_row"]["calls"] > 0
+    assert summary["gf.row_reduce"]["calls"] > 0
 
 
 def test_capture_hook_sees_each_sessions_users():

@@ -8,6 +8,7 @@ back-substitution regression are pinned separately.
 """
 
 import copy
+import re
 import time
 
 import numpy as np
@@ -169,6 +170,12 @@ def test_distribution_file_rejects_malformed(tmp_path):
     empty.write_text("# only a comment\n\n")
     with pytest.raises(ValueError):
         codec.DegreeDistribution.from_file(str(empty))
+    # a malformed number names its file and line, as the other checks do
+    for name, text in [("degree", "2 0.5\n1.5 0.5\n"), ("prob", "2 0.5\n3 half\n")]:
+        path = tmp_path / (name + ".txt")
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^%s:2: " % re.escape(str(path))):
+            codec.DegreeDistribution.from_file(str(path))
 
 
 def test_distribution_file_skips_comments(tmp_path):
@@ -921,13 +928,14 @@ def dense_transform(block, u):
 
 
 def test_fire_elimination_matches_the_dense_oracle():
-    """_eliminate on u active columns against the full row reduction of
-    [C_active | I]: it fails exactly when C_active lacks full column rank;
-    otherwise its first u rows are the identity on the active columns and
-    the rest zero there, every row stays in the block's row space, with no
-    surplus row (rows = u) the block equals the oracle's, and with surplus
-    rows these span the oracle's and the first u rows differ from the
-    oracle's only by their combinations. Covers a zero first pivot entry
+    """gf.row_reduce on u active columns, as a fire runs it, against the
+    full row reduction of [C_active | I]: it returns fewer than u pivots
+    exactly when C_active lacks full column rank; otherwise its first u
+    rows are the identity on the active columns and the rest zero there,
+    every row stays in the block's row space, with no surplus row
+    (rows = u) the block equals the oracle's, and with surplus rows these
+    span the oracle's and the first u rows differ from the oracle's only
+    by their combinations. Covers a zero first pivot entry
     (a row swap at the first step) and rank-deficient active blocks."""
     rng = np.random.default_rng(61)
     seen = {"square": 0, "surplus": 0, "deficient": 0, "swapped": 0}
@@ -943,8 +951,8 @@ def test_fire_elimination_matches_the_dense_oracle():
             j = int(rng.integers(u))
             block[:, j] = gf.mul(block[:, 0], int(rng.integers(0, 256))) if j else 0
         want, full_rank = dense_transform(block, u)
-        got = block.copy()
-        assert codec._eliminate(got, u) == full_rank
+        got, pivots = gf.row_reduce(block, u)
+        assert (len(pivots) == u) == full_rank
         if not full_rank:
             seen["deficient"] += 1
             continue
@@ -992,9 +1000,9 @@ def test_queued_batch_finished_by_substitution_drains_once(monkeypatch):
         drain(parts)
 
     dec._drain = logged
-    eliminate = codec._eliminate
+    row_reduce = gf.row_reduce
     monkeypatch.setattr(
-        codec, "_eliminate", lambda block, u: fires.append(u) or eliminate(block, u)
+        gf, "row_reduce", lambda block, u: fires.append(u) or row_reduce(block, u)
     )
     assert dec.attempt()
     assert drains == [[(dec.index.pos[1], 2)]]

@@ -80,3 +80,41 @@ def test_only_gf_reaches_into_gf():
                 if name.startswith("_") or name == "MUL_TABLE"
             ]
     assert not found, sorted(found)
+
+
+def test_only_the_symbolic_system_pivots_outside_gf():
+    """Column elimination lives in gf.row_reduce: outside gf, gf.pivot is
+    used by codec._ZSystem.add alone, which pivots each row on its first
+    nonzero column, a different rule. A second column loop beside
+    row_reduce would show up here."""
+    found = []
+
+    class Uses(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef = visit_scope
+
+        def visit_Attribute(self, node):
+            if isinstance(node.value, ast.Name) and node.value.id == "gf":
+                if node.attr == "pivot":
+                    found.append("%s:%d" % (".".join(self.scope), node.lineno))
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            if (node.module or "").endswith("gf"):
+                if "pivot" in [a.name for a in node.names]:
+                    found.append("%s:%d" % (".".join(self.scope), node.lineno))
+
+    for path in sorted(glob.glob(os.path.join(SRC, "batchcast", "*.py"))):
+        module = os.path.basename(path)[:-3]
+        if module == "gf":
+            continue
+        with open(path) as fh:
+            Uses(module).visit(ast.parse(fh.read(), path))
+    assert [f.rsplit(":", 1)[0] for f in found] == ["codec._ZSystem.add"], found

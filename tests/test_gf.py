@@ -21,18 +21,19 @@ def peasant_mul(a: int, b: int) -> int:
     return p
 
 
-def brute_rref(m):
+def brute_rref(m, limit=None):
     """Scalar Gauss-Jordan using only the peasant oracle, no library calls.
 
     Returns (rows, pivot_columns) with the pivot rule gf.row_reduce
     documents: the first row at or below the current one with a nonzero
-    entry in the column.
+    entry in the column. Only the first limit columns (default: all) are
+    pivoted on; the rest go along with the row operations.
     """
     rows = [list(map(int, r)) for r in m]
     cols = len(rows[0]) if rows else 0
     pivots = []
     rk = 0
-    for c in range(cols):
+    for c in range(cols if limit is None else limit):
         piv = None
         for r in range(rk, len(rows)):
             if rows[r][c]:
@@ -102,6 +103,13 @@ def test_field_axioms_random_triples():
     a = rng.integers(0, 256, 10_000)
     b = rng.integers(0, 256, 10_000)
     c = rng.integers(0, 256, 10_000)
+    assert np.array_equal(gf.add(a, b), a ^ b)
+    assert gf.add(0x53, 0xCA) == 0x99 and gf.add(np.uint8(7), 7) == 0
+    # add, like mul, refuses operands outside the field instead of XORing
+    # them into values no field element has
+    for x, y in [(300, 1), (1, 300), (-1, 0), (0, -1), (a, b + 256), (-a - 1, b)]:
+        with pytest.raises(ValueError, match="0 to 255"):
+            gf.add(x, y)
     ab = gf.mul(a, b)
     assert np.array_equal(ab, gf.mul(b, a))
     assert np.array_equal(gf.mul(ab, c), gf.mul(a, gf.mul(b, c)))
@@ -133,6 +141,12 @@ def test_rank_identity_and_zero():
     for m in (1, 4, 8, 16):
         assert gf.rank(np.eye(m, dtype=np.uint8)) == m
     assert gf.rank(np.zeros((5, 9), dtype=np.uint8)) == 0
+    # entries outside the field are refused, not wrapped to uint8 (256 would
+    # read as 0 and rank 0; 300 and 44 as the same row and rank 1)
+    for bad in ([[256, 0]], [[300, 1], [44, 1]], [[3, -1]]):
+        for reduce in (gf.rank, gf.row_reduce):
+            with pytest.raises(ValueError, match="0 to 255"):
+                reduce(np.array(bad))
 
 
 def test_rank_constructed_dependency():
@@ -196,13 +210,20 @@ ROW_REDUCE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(ROW_REDUCE_CASES))
 def test_row_reduce_matches_scalar_gauss_jordan(case):
+    """Every case in full (cols=None) and on column limits from 1 up to
+    every column, as a fire reduces its block on its active columns: the
+    pivots and the whole matrix, limited columns and the rest, match."""
     for seed in range(3):
         rng = np.random.default_rng([seed, len(case)])
         m = ROW_REDUCE_CASES[case](rng)
-        red, piv = gf.row_reduce(m)
-        want, want_piv = brute_rref(m)
-        assert piv == want_piv
-        assert np.array_equal(red, np.array(want, dtype=np.uint8).reshape(m.shape))
+        cols = m.shape[1]
+        # cols // 2 is the active width of the fire-shaped [C | I] cases
+        for limit in (None, 1, cols // 2, cols - 1, cols):
+            red, piv = gf.row_reduce(m, limit)
+            want, want_piv = brute_rref(m, limit)
+            assert piv == want_piv, limit
+            want = np.array(want, dtype=np.uint8).reshape(m.shape)
+            assert np.array_equal(red, want), limit
 
 
 def test_pivot_on_a_column_view_matches_a_scalar_step():
