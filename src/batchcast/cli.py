@@ -254,13 +254,17 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     rank_lines = ["rank,empirical,exact_model,normal_approx"]
     if ranks:
         empirical = np.mean(ranks, axis=0)
-        t_est = stopping_time(n, params)
-        exact = rank_distribution(n, t_est, params)
-        approx = rank_distribution(n, t_est, params, approximate=True)
-        for r in range(params.batch_size + 1):
-            rank_lines.append(
-                "%d,%.6f,%.6f,%.6f" % (r, empirical[r], exact[r], approx[r])
-            )
+        try:
+            t_est = stopping_time(n, params)
+        except ValueError:
+            # no stopping time for n batches: no model, as a stall has no totals
+            models = [",,"] * (params.batch_size + 1)
+        else:
+            exact = rank_distribution(n, t_est, params)
+            approx = rank_distribution(n, t_est, params, approximate=True)
+            models = [",%.6f,%.6f" % pair for pair in zip(exact, approx)]
+        for r, model in enumerate(models):
+            rank_lines.append("%d,%.6f%s" % (r, empirical[r], model))
     rank_path = _write_csv(cfg, "rank_distribution.csv", "\n".join(rank_lines) + "\n")
 
     mean_total, sd_total = stats[2]

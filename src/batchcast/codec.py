@@ -10,9 +10,9 @@ symbolic system by elimination at the end. That fallback makes the decoder
 exact: it recovers the file precisely when the stacked linear system has full
 rank, and otherwise reports exactly how many packets remain undetermined.
 
-Structure comes first, numbers second. A batch keeps its receptions as
-received, [coeff | payload] rows over its M-wide coefficient space, and
-expands their coefficients over its contributors (coeff . G^T) only when it
+Structure comes first, numbers second. A decoder reads a receiver's rows
+[coeff | payload] where the group's BatchBuffers keep them, and expands
+their coefficients over the batch's contributors (coeff . G^T) only when it
 fires or drains, or when rows arrive after it did. Resolving a packet only
 updates the unresolved counts of the batches that contain it; when a batch
 fires (or drains into the symbolic system) it pulls its right-hand side
@@ -36,7 +36,7 @@ pivots in one product, eliminated among themselves in arrival order, so
 that each takes the pivot column it would take alone, and back-substituted
 into the stored rows in one more product.
 
-Batch bookkeeping lives in arrays: per batch, the rows it holds, its count
+Batch bookkeeping lives in arrays: per batch, the rows taken, its count
 of unresolved contributors and whether it waits to fire. One count over
 the batches a round of substitutions reaches updates them all, and the
 inactivation rule reads the batches one or two resolutions short off the
@@ -261,11 +261,12 @@ class BatchBuffers:
     receiver. A buffer keeps every innovative row raw, in arrival order,
     for recoding and decoding: the first ranks[b, i] rows of the
     M x (M + L) array raw[b, i] are the rows [coeff | payload] that raised
-    its rank, and the rest are zero. Their span is kept as the M x M
-    residual operator ops = I ^ B, where B is their reduced row echelon
-    form: row p of B is the basis row with pivot column p (zero in every
-    other pivot column), and rows of non-pivot columns are zero. A vector c
-    reduces to c . ops, and a full buffer has ops = 0.
+    its rank, and the rest are zero. Row r is written once, when the rank
+    goes from r to r + 1, so decoders read the rows in place. Their span is
+    kept as the M x M residual operator ops = I ^ B, where B is their
+    reduced row echelon form: row p of B is the basis row with pivot column
+    p (zero in every other pivot column), and rows of non-pivot columns are
+    zero. A vector c reduces to c . ops, and a full buffer has ops = 0.
 
     distinct[b] is how many of batch b's source packets at least one
     receiver holds, the rank of the group's union for that batch. Packets
@@ -521,19 +522,21 @@ class DecoderIndex:
     """The structure of a descriptor set, built once and read by every
     decoder of it, as the descriptors' arrays are.
 
-    Batches are numbered in descriptor order: pos maps a batch id to its
-    number i, whose contributors and generator transpose are contribs[i]
-    and gen_t[i] (the descriptor's own read-only arrays). Every batch has
-    one slot per contributor, numbered batch by batch: batch i's slots are
+    Batch ids run 1..n in order, as in BatchBuffers: batch id b is number
+    i = b - 1, with contributors and generator transpose contribs[i] and
+    gen_t[i] (the descriptor's own read-only arrays). Every batch has one
+    slot per contributor, numbered batch by batch: batch i's slots are
     starts[i]:starts[i + 1], one per entry of contribs[i], and slot s is in
-    batch slot_batch[s]. Packet p's slots are inc_slot[inc_ptr[p]:inc_ptr[p + 1]],
-    in slot order; that order decides the order batches enter a decoder's
-    fire queue, hence its inactivation picks. Every array is read-only.
+    batch slot_batch[s]. Packet p's slots are
+    inc_slot[inc_ptr[p]:inc_ptr[p + 1]], in slot order; that order decides
+    the order batches enter a decoder's fire queue, hence its inactivation
+    picks. Every array is read-only.
     """
 
     def __init__(self, descriptors: Dict[int, BatchDescriptor], file_packets: int):
+        if list(descriptors) != list(range(1, len(descriptors) + 1)):
+            raise ValueError("batch ids must run 1..%d in order" % len(descriptors))
         self.file_packets = file_packets
-        self.pos = {bid: i for i, bid in enumerate(descriptors)}
         self.contribs = [desc.contribs for desc in descriptors.values()]
         self.gen_t = [desc.gen_t for desc in descriptors.values()]
         sizes = {g.shape[0] for g in self.gen_t}
@@ -553,9 +556,9 @@ class DecoderIndex:
 
 
 class IncrementalDecoder:
-    """Joint decoder fed innovative receptions as [coeff | payload] rows: a
-    receiver's buffers at once (load_state), then one row at a time
-    (add_row).
+    """Joint decoder of one receiver's rows in a group's BatchBuffers: every
+    row the receiver holds at once (load_state), then a batch's new rows as
+    they arrive (add_row).
 
     attempt() advances peeling as far as possible, marking packets symbolic
     when nothing can peel, and reports whether the file is fully determined.
@@ -566,22 +569,28 @@ class IncrementalDecoder:
     file_packets.
 
     The structure comes from index, a DecoderIndex shared with the other
-    decoders of the same descriptors. Per batch number i the decoder keeps
-    its received rows _raw[i, :_rows[i]], [coeff | payload] in arrival order
-    (the layout of BatchBuffers.raw), its count _u[i] of unresolved
-    contributors (the batch is finished exactly when it is 0) and whether
-    it waits in the fire queue (_queued[i]).
+    decoders of the same descriptors; buffers hold the same batches. Batch
+    number i (batch id i + 1) has the receiver's rows _raw[i, :_held[i]],
+    [coeff | payload] in arrival order, views of buffers.raw and
+    buffers.ranks: BatchBuffers writes row r once, when the rank goes from
+    r to r + 1, and never rewrites it. Of them the decoder has taken
+    _rows[i]; it keeps its count _u[i] of unresolved contributors (the
+    batch is finished exactly when it is 0) and whether it waits in the
+    fire queue (_queued[i]).
     """
 
-    def __init__(self, index: DecoderIndex, payload_len: int):
+    def __init__(self, index: DecoderIndex, buffers: BatchBuffers, receiver: int):
+        n, m = len(index.contribs), index.batch_size
+        if buffers.ranks.shape[0] != n + 1 or (n and buffers.ops.shape[-1] != m):
+            raise ValueError("buffers must hold the index's %d batches of %d" % (n, m))
         self.index = index
         self.file_packets = file_packets = index.file_packets
-        self.payload_len = payload_len
-        m = index.batch_size
-        self._raw = np.zeros((len(index.contribs), m, m + payload_len), np.uint8)
-        self._rows = np.zeros(len(index.contribs), dtype=np.int64)
+        self.payload_len = payload_len = buffers.raw.shape[-1] - buffers.ops.shape[-1]
+        self._raw = buffers.raw[1:, receiver]
+        self._held = buffers.ranks[1:, receiver]
+        self._rows = np.zeros(n, dtype=np.int64)
         self._u = np.diff(index.starts)
-        self._queued = np.zeros(len(index.contribs), dtype=bool)
+        self._queued = np.zeros(n, dtype=bool)
         # one per slot, set while that contributor is unresolved in a
         # pending batch
         self._unres = np.ones(int(index.starts[-1]), dtype=bool)
@@ -634,37 +643,22 @@ class IncrementalDecoder:
             rhs[:, :end] ^= gf.matmul(c_rows[:, sel], self.expr[pkts[sel], :end])
         return rhs
 
-    def _feed(self, parts: List[Tuple[int, np.ndarray]]) -> None:
-        """Take received rows [coeff | payload]: for each (batch id, rows)
-        pair in parts, the (k, M + L) rows of that batch, in order; the
-        batches are distinct.
-
-        A pending batch stores its rows as they are and is queued once it
-        holds as many rows as it has unresolved contributors; the finished
-        ones expand theirs and hand them to the Z system in one drain. Every
-        shape is checked first, so a malformed reception changes nothing.
+    def _feed(self, batches: List[int]) -> None:
+        """Take rows _rows[i]:_held[i] of each batch number i in batches,
+        which are distinct. A pending batch takes them where they are and is
+        queued once it holds as many rows as it has unresolved contributors;
+        the finished ones hand their new rows to the Z system in one drain.
         """
-        m, width = self._raw.shape[1:]
-        batches = []
-        for bid, rows in parts:
-            i = self.index.pos[bid]
-            if rows.shape[1:] != (width,):
-                raise ValueError(
-                    "rows of batch %d must be [coeff | payload], %d + %d wide"
-                    % (bid, m, self.payload_len)
-                )
-            if self._u[i] and self._rows[i] + len(rows) > m:
-                raise ValueError("batch %d holds at most %d rows" % (bid, m))
-            batches.append(i)
         finished = []
-        for i, (_, rows) in zip(batches, parts):
+        for i in batches:
+            lo, hi = int(self._rows[i]), int(self._held[i])
+            if lo == hi:
+                continue
+            self._rows[i] = hi
             u = self._u[i]
             if u == 0:
-                finished.append((i, rows))
+                finished.append((i, self._raw[i, lo:hi]))
                 continue
-            lo = self._rows[i]
-            hi = self._rows[i] = lo + len(rows)
-            self._raw[i, lo:hi] = rows
             if lo == 0:
                 self.stall_counts[self._unresolved(i)] += 1
             if u <= hi and not self._queued[i]:
@@ -673,16 +667,16 @@ class IncrementalDecoder:
         if finished:
             self._drain(finished)
 
-    def add_row(self, batch_id: int, row: np.ndarray) -> None:
-        """Feed one innovative reception, the row [coeff | payload]."""
-        self._feed([(batch_id, row[None])])
+    def add_row(self, batch_id: int) -> None:
+        """Take the rows of batch batch_id the decoder has not taken yet."""
+        if not 0 < batch_id <= self._rows.size:
+            raise ValueError("no batch %d in 1..%d" % (batch_id, self._rows.size))
+        self._feed([batch_id - 1])
 
-    def load_state(self, buffers: BatchBuffers, receiver: int) -> None:
-        """Feed every row receiver holds in buffers: batches in id order,
-        each batch's rows in arrival order."""
-        ranks = buffers.ranks[:, receiver].tolist()
-        raw = buffers.raw[:, receiver]
-        self._feed([(bid, raw[bid, :r]) for bid, r in enumerate(ranks) if r])
+    def load_state(self) -> None:
+        """Take every row the receiver holds that the decoder has not taken:
+        batches in id order, each batch's rows in arrival order."""
+        self._feed(np.flatnonzero(self._rows < self._held).tolist())
 
     # -- resolution ---------------------------------------------------------
 
@@ -869,9 +863,8 @@ def decode(
     file_packets: int,
 ) -> DecodeResult:
     """One-shot joint decode of every row receiver holds in buffers."""
-    payload_len = buffers.raw.shape[-1] - buffers.ops.shape[-1]
-    dec = IncrementalDecoder(DecoderIndex(descriptors, file_packets), payload_len)
-    dec.load_state(buffers, receiver)
+    dec = IncrementalDecoder(DecoderIndex(descriptors, file_packets), buffers, receiver)
+    dec.load_state()
     ok = dec.attempt()
     payloads = dec.extract() if ok else None
     return DecodeResult(

@@ -283,9 +283,9 @@ def prepare_phase2(
         u.tail = exhaustion_order(own)
         if u.user_id in watch:
             u.decoder = codec.IncrementalDecoder(
-                session.decoder_index, session.payload_len
+                session.decoder_index, u.buffers, u.user_id
             )
-            u.decoder.load_state(u.buffers, u.user_id)
+            u.decoder.load_state()
             if u.innovative >= session.file_packets and u.decoder.attempt():
                 _mark_decoded(u, 0)
 
@@ -488,7 +488,7 @@ def run_phase2(
         for u in pending:
             mine = gained[:, u.user_id]
             for t in np.flatnonzero(mine).tolist():
-                u.decoder.add_row(bids[t], full[t])
+                u.decoder.add_row(bids[t])
             if (
                 mine[-1]
                 and u.innovative >= session.file_packets

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from batchcast import cli, codec
+from batchcast.analytics import NetworkParams, stopping_time
 
 BASE = {
     "num_users": "3",
@@ -165,6 +166,33 @@ def test_simulate_records_stalled_seeds(tmp_path):
     data = [ln.split(",") for ln in lines[2:]]
     assert len(data) == 2
     assert all(row[1] == "stalled" for row in data)
+
+
+def test_simulate_leaves_the_model_columns_empty_without_a_stopping_time(tmp_path):
+    # 13 batches of 16 at k=9 finish seed 0, but the model has no phase-2
+    # stopping time for 13 batches: the run still exits cleanly, and the
+    # rank file keeps its empirical column with the model columns empty
+    extra = {
+        "num_users": "9",
+        "loss_common": "0.0",
+        "loss_peer": "0.5",
+        "batch_size": "16",
+        "file_packets": "200",
+    }
+    cfg = write_cfg(tmp_path, extra=extra)
+    out = tmp_path / "out"
+    args = ["simulate", "--config", cfg, "--out-dir", str(out), "--runs", "1"]
+    assert run_cli(args + ["--n", "13"]) == 0
+    with pytest.raises(ValueError, match="no phase-2 stopping time exists"):
+        stopping_time(13, NetworkParams(9, 0.0, 0.5, 0.5, 16, 200))
+    lines = (out / "simulate.csv").read_text().splitlines()
+    assert lines[2].split(",")[:2] == ["0", "ok"]
+    rlines = (out / "rank_distribution.csv").read_text().splitlines()
+    assert rlines[1] == "rank,empirical,exact_model,normal_approx"
+    rows = [ln.split(",") for ln in rlines[2:]]
+    assert [int(r[0]) for r in rows] == list(range(17))
+    assert all(r[2:] == ["", ""] for r in rows)
+    assert abs(sum(float(r[1]) for r in rows) - 1.0) < 1e-5
 
 
 # ----------------------------------------------------------------- sweep

@@ -67,15 +67,21 @@ def received_sources(batch_packets, rng=None, p=1.0):
     return got
 
 
+def give(buffers, rows):
+    """Deliver rows[bid], in order, for each batch bid in rows to receiver 0
+    of buffers; every row must raise the rank. Returns buffers."""
+    for bid, block in rows.items():
+        for row in block:
+            assert deliver(buffers, bid, row)
+    return buffers
+
+
 def holding(like, rows):
     """One-receiver buffers shaped like like that hold rows[bid], in order,
     for each batch bid in rows; every row must raise the rank."""
     m = like.ops.shape[-1]
     part = codec.BatchBuffers(like.ranks.shape[0] - 1, 1, m, like.raw.shape[-1] - m)
-    for bid, block in rows.items():
-        for row in block:
-            assert deliver(part, bid, row)
-    return part
+    return give(part, rows)
 
 
 def global_rank(buffers, descriptors, file_packets, receiver=0):
@@ -850,14 +856,16 @@ def test_incremental_feed_matches_oracle():
     for seed in range(40):
         file, descriptors, got = random_instance(seed + 1000)
         file_packets = file.shape[0]
-        dec = make_decoder(descriptors, file_packets, file.shape[1])
         bids = list(descriptors)
         half = len(bids) // 2
-        dec.load_state(holding(got, {bid: held(got, bid) for bid in bids[:half]}), 0)
+        part = holding(got, {bid: held(got, bid) for bid in bids[:half]})
+        dec = make_decoder(descriptors, file_packets, part)
+        dec.load_state()
         dec.attempt()
         for bid in bids[half:]:
             for row in held(got, bid):
-                dec.add_row(bid, row)
+                assert deliver(part, bid, row)
+                dec.add_row(bid)
             dec.attempt()
         ok = dec.attempt()
         rank = global_rank(got, descriptors, file_packets)
@@ -877,15 +885,17 @@ def test_late_row_for_partly_resolved_batch_matches_oracle():
     for seed in range(60):
         file, descriptors, got = random_instance(seed + 2000)
         file_packets = file.shape[0]
-        dec = make_decoder(descriptors, file_packets, file.shape[1])
         bids = list(descriptors)
-        dec.load_state(holding(got, {bid: held(got, bid) for bid in bids[::2]}), 0)
+        part = holding(got, {bid: held(got, bid) for bid in bids[::2]})
+        dec = make_decoder(descriptors, file_packets, part)
+        dec.load_state()
         dec.attempt()
         for bid in bids[1::2]:
             if got.ranks[bid, 0] and batch_state(dec, bid)[0] != 0:
                 exercised += bool(dec.resolved[descriptors[bid].contribs].any())
             for row in held(got, bid):
-                dec.add_row(bid, row)
+                assert deliver(part, bid, row)
+                dec.add_row(bid)
             dec.attempt()
         rank = global_rank(got, descriptors, file_packets)
         assert dec.unresolved == file_packets - rank, "seed %d" % seed
@@ -907,13 +917,15 @@ def test_flush_queues_batches_in_first_hit_order():
         bid: codec.BatchDescriptor(np.array(ids), np.eye(2, dtype=np.uint8))
         for bid, ids in contribs.items()
     }
-    dec = make_decoder(descriptors, 4, 0)
+    got = codec.BatchBuffers(3, 1, 2, 0)
+    dec = make_decoder(descriptors, 4, got)
     for bid in contribs:
-        dec.add_row(bid, np.array([1, 1], dtype=np.uint8))
+        assert deliver(got, bid, np.array([1, 1], dtype=np.uint8))
+        dec.add_row(bid)
     assert dec._fire_queue == []
     dec._subst_queue = [3, 0]
     dec._flush_substitutions()
-    assert dec._fire_queue == [dec.index.pos[bid] for bid in (2, 3, 1)]
+    assert dec._fire_queue == [bid - 1 for bid in (2, 3, 1)]
     assert [batch_state(dec, bid) for bid in contribs] == [(1, 1, True)] * 3
 
 
@@ -985,12 +997,15 @@ def test_queued_batch_finished_by_substitution_drains_once(monkeypatch):
         )
         for bid in (1, 2)
     }
-    dec = make_decoder(descriptors, 2, 3)
+    got = codec.BatchBuffers(2, 1, 2, 3)
+    dec = make_decoder(descriptors, 2, got)
     for bid, desc in descriptors.items():
         for j in range(2):
             payload = gf.matmul(desc.gen_t[j : j + 1], file[desc.contribs])[0]
-            dec.add_row(bid, np.concatenate([np.eye(2, dtype=np.uint8)[j], payload]))
-    assert dec._fire_queue == [dec.index.pos[1], dec.index.pos[2]]
+            row = np.concatenate([np.eye(2, dtype=np.uint8)[j], payload])
+            assert deliver(got, bid, row)
+            dec.add_row(bid)
+    assert dec._fire_queue == [0, 1]
     assert [batch_state(dec, bid) for bid in (1, 2)] == [(2, 2, True)] * 2
     drains, fires = [], []
     drain = dec._drain
@@ -1005,7 +1020,7 @@ def test_queued_batch_finished_by_substitution_drains_once(monkeypatch):
         gf, "row_reduce", lambda block, u: fires.append(u) or row_reduce(block, u)
     )
     assert dec.attempt()
-    assert drains == [[(dec.index.pos[1], 2)]]
+    assert drains == [[(0, 2)]]
     assert fires == [2]
     assert [batch_state(dec, bid) for bid in (1, 2)] == [(0, 2, False)] * 2
     assert dec._fire_queue == [] and dec.zsys.rank == 0 and dec.inactivated == 0
@@ -1026,13 +1041,15 @@ def test_rank_deficient_batch_stays_pending_until_more_rows_arrive():
     rng = np.random.default_rng(43)
     file = make_file(rng, 4, 5)
     desc = codec.BatchDescriptor(np.arange(4), np.eye(4, dtype=np.uint8))
-    dec = make_decoder({1: desc}, 4, 5)
+    got = codec.BatchBuffers(1, 1, 4, 5)
+    dec = make_decoder({1: desc}, 4, got)
     fed = []
 
     def feed(coeff):
         coeff = np.array(coeff, dtype=np.uint8)
         fed.append(coeff)
-        dec.add_row(1, np.concatenate([coeff, gf.matmul(coeff[None, :], file)[0]]))
+        assert deliver(got, 1, np.concatenate([coeff, gf.matmul(coeff[None], file)[0]]))
+        dec.add_row(1)
 
     feed([3, 5, 2, 0])
     feed([9, 1, 7, 0])
@@ -1040,7 +1057,7 @@ def test_rank_deficient_batch_stays_pending_until_more_rows_arrive():
     dec._inactivate(0)
     dec._cascade()
     assert batch_state(dec, 1) + (dec.num_z,) == (3, 3, False, 1)
-    assert np.array_equal(dec._raw[dec.index.pos[1], :3, :4], np.array(fed))
+    assert np.array_equal(dec._raw[0, :3, :4], np.array(fed))
     assert list(dec.resolved) == [True, False, False, False]
     assert not dec.expr[1:].any()
     assert dec.zsys.rank == 0
@@ -1148,8 +1165,8 @@ def test_extract_in_width_bands_equals_the_full_width_product():
     instances = [pinned_instance()] + [random_instance(s) for s in range(60)]
     banded = 0
     for file, descriptors, got in instances:
-        dec = make_decoder(descriptors, file.shape[0], file.shape[1])
-        dec.load_state(got, 0)
+        dec = make_decoder(descriptors, file.shape[0], got)
+        dec.load_state()
         if not dec.attempt() or len(set(dec.width.tolist())) < 3:
             continue
         lp, z = dec.payload_len, dec.zsys.solve(dec.num_z)
@@ -1214,11 +1231,13 @@ def test_pulls_equal_the_full_width_product_mid_decode():
     symbolic = 0
     for seed in range(40):
         file, descriptors, got = random_instance(seed + 3000)
-        dec = make_decoder(descriptors, file.shape[0], file.shape[1])
+        fed = holding(got, {})
+        dec = make_decoder(descriptors, file.shape[0], fed)
         checked_pulls(dec)
         bids = list(descriptors)
         for part in (bids[::2], bids[1::2]):
-            dec.load_state(holding(got, {bid: held(got, bid) for bid in part}), 0)
+            give(fed, {bid: held(got, bid) for bid in part})
+            dec.load_state()
             dec.attempt()
             symbolic += dec.num_z > 0
             assert_expr_within_widths(dec)
@@ -1230,9 +1249,9 @@ def test_large_pulls_take_the_banded_path():
     """The pinned instance drains full-mix batches of degree 600 through
     width bands; the decode and pulls over every packet stay exact."""
     file, descriptors, got = pinned_instance()
-    dec = make_decoder(descriptors, 600, 4)
+    dec = make_decoder(descriptors, 600, got)
     calls = checked_pulls(dec)
-    dec.load_state(got, 0)
+    dec.load_state()
     assert dec.attempt()
     assert np.array_equal(dec.extract(), file)
     assert max(calls) >= codec._BAND_MIN
@@ -1272,7 +1291,7 @@ def test_batches_a_flush_finishes_drain_as_one_pull(monkeypatch):
     )
     for seed in range(16):
         file, descriptors, got = coverage_instance(seed, 0.6 + 0.2 * (seed % 4 > 0))
-        joint, alone = (make_decoder(descriptors, 120, 3) for _ in range(2))
+        joint, alone = (make_decoder(descriptors, 120, got) for _ in range(2))
         drain, drain_alone = joint._drain, alone._drain
 
         def logged(parts, drain=drain):
@@ -1288,7 +1307,7 @@ def test_batches_a_flush_finishes_drain_as_one_pull(monkeypatch):
 
         joint._drain, alone._drain = logged, one_at_a_time
         for dec in (joint, alone):
-            dec.load_state(got, 0)
+            dec.load_state()
         ok = joint.attempt()
         assert alone.attempt() == ok
         assert joint.zsys.rank == alone.zsys.rank
@@ -1352,10 +1371,10 @@ def test_load_state_rows_equal_the_general_product(kind):
     outcomes = set()
     for seed in range(12):
         file, descriptors, got = mixed_buffers(seed + 50, kind)
-        dec = make_decoder(descriptors, file.shape[0], file.shape[1])
-        dec.load_state(got, 0)
+        dec = make_decoder(descriptors, file.shape[0], got)
+        dec.load_state()
         for bid, desc in descriptors.items():
-            raw, rows = dec._raw[dec.index.pos[bid]], held(got, bid)
+            raw, rows = dec._raw[bid - 1], held(got, bid)
             assert batch_state(dec, bid)[1] == len(rows)
             assert np.array_equal(raw[: len(rows)], rows)
             assert np.array_equal(
@@ -1372,19 +1391,20 @@ def test_load_state_rows_equal_the_general_product(kind):
     assert outcomes == {True, False}
 
 
-def split_buffers(got, rng, parts=3):
-    """Each batch's rows cut at random points into parts consecutive blocks.
+def split_rows(got, rng, receiver=0, parts=3):
+    """Each batch's rows at receiver cut at random points into parts
+    consecutive blocks.
 
-    Returns one set of buffers per part, holding that part's rows of every
-    batch in their order.
+    Returns one dict per part, mapping every batch id to that part's rows of
+    the batch, in their order.
     """
     blocks = [{} for _ in range(parts)]
     for bid in range(1, got.ranks.shape[0]):
-        rows = held(got, bid)
+        rows = held(got, bid, receiver)
         cuts = np.sort(rng.integers(0, len(rows) + 1, parts - 1))
         for p, block in enumerate(np.split(rows, cuts)):
             blocks[p][bid] = block
-    return [holding(got, block) for block in blocks]
+    return blocks
 
 
 def group_instance(seed):
@@ -1432,16 +1452,17 @@ def test_row_and_block_feeds_reach_the_same_decoder():
     late, decoded = 0, 0
     for seed in range(40):
         file, descriptors, got = random_instance(seed + 5000)
-        by_row, by_block = (
-            make_decoder(descriptors, file.shape[0], file.shape[1])
-            for _ in range(2)
-        )
-        for part in split_buffers(got, rng):
+        row_fed, block_fed = holding(got, {}), holding(got, {})
+        by_row = make_decoder(descriptors, file.shape[0], row_fed)
+        by_block = make_decoder(descriptors, file.shape[0], block_fed)
+        for part in split_rows(got, rng):
             for bid in descriptors:
-                late += part.ranks[bid, 0] * (batch_state(by_block, bid)[0] == 0)
-                for row in held(part, bid):
-                    by_row.add_row(bid, row)
-            by_block.load_state(part, 0)
+                late += len(part[bid]) * (batch_state(by_block, bid)[0] == 0)
+                for row in part[bid]:
+                    assert deliver(row_fed, bid, row)
+                    by_row.add_row(bid)
+            give(block_fed, part)
+            by_block.load_state()
             ok = by_row.attempt()
             assert by_block.attempt() == ok
         assert np.array_equal(by_row.expr, by_block.expr)
@@ -1459,16 +1480,16 @@ def test_row_and_block_feeds_reach_the_same_decoder():
         file, descriptors, group = group_instance(seed + 6000)
         m = group.ops.shape[-1]
         for i in range(group.ranks.shape[1]):
-            by_row, by_load = (
-                make_decoder(descriptors, file.shape[0], file.shape[1])
-                for _ in range(2)
-            )
-            by_load.load_state(group, i)
+            row_fed = holding(group, {})
+            by_row = make_decoder(descriptors, file.shape[0], row_fed)
+            by_load = make_decoder(descriptors, file.shape[0], group, i)
+            by_load.load_state()
             for bid in descriptors:
                 rows = held(group, bid, i)
                 recoded_rows += int((np.count_nonzero(rows[:, :m], axis=1) > 1).sum())
                 for row in rows:
-                    by_row.add_row(bid, row)
+                    assert deliver(row_fed, bid, row)
+                    by_row.add_row(bid)
             ok = by_row.attempt()
             assert by_load.attempt() == ok
             assert by_row.inactivated == by_load.inactivated
@@ -1482,12 +1503,86 @@ def test_row_and_block_feeds_reach_the_same_decoder():
     assert outcomes == {True, False} and recoded_rows >= 100
 
 
+def test_decoder_reads_its_receivers_rows_in_place():
+    """A decoder's rows and counts are views of its receiver's in the
+    group's buffers. Rows absorbed after it was built are taken by add_row,
+    or by a second load_state, each once: its taken counts follow the
+    buffers' ranks, no batch drains more rows than it took, a feed with
+    nothing new changes nothing, and the decode ends as exact as a one-shot
+    decode of the same rows."""
+    rng = np.random.default_rng(14)
+    by_row = by_load = decoded = 0
+    for seed in range(12):
+        file, descriptors, group = group_instance(seed + 7000)
+        m = group.ops.shape[-1]
+        fed = codec.BatchBuffers(len(descriptors), 4, m, group.raw.shape[-1] - m)
+        for i in range(4):
+            dec = make_decoder(descriptors, file.shape[0], fed, i)
+            assert np.shares_memory(dec._raw, fed.raw)
+            assert np.shares_memory(dec._held, fed.ranks)
+            drained = np.zeros(len(descriptors), dtype=np.int64)
+            drain = dec._drain
+
+            def counted(parts, drain=drain, drained=drained):
+                for j, rows in parts:
+                    drained[j] += len(rows)
+                drain(parts)
+
+            dec._drain = counted
+            for p, part in enumerate(split_rows(group, rng, i)):
+                for bid, rows in part.items():
+                    for row in rows:
+                        assert deliver(fed, bid, row, i)
+                        if p == 1:
+                            dec.add_row(bid)
+                            by_row += 1
+                if p != 1:
+                    by_load += sum(map(len, part.values()))
+                    dec.load_state()
+                assert np.array_equal(dec._rows, fed.ranks[1:, i])
+                dec.attempt()
+                before = decoder_state(dec)
+                dec.load_state()
+                for bid in descriptors:
+                    dec.add_row(bid)
+                assert decoder_state(dec) == before
+                assert (drained <= dec._rows).all()
+            one_shot = codec.decode(group, i, descriptors, file.shape[0])
+            assert dec.unresolved == one_shot.unresolved
+            if one_shot.success:
+                decoded += 1
+                assert np.array_equal(dec.extract(), file)
+    assert by_row >= 100 and by_load >= 100 and decoded >= 10
+
+
+def test_decoders_bind_only_to_buffers_of_their_batches():
+    """DecoderIndex takes batch ids 1..n in order, as BatchBuffers numbers
+    them, and a decoder takes only buffers of its index's batch count and
+    batch size."""
+    rng = np.random.default_rng(15)
+    desc = [
+        codec.BatchDescriptor(
+            np.array([0, 1]), rng.integers(0, 256, (2, 4), dtype=np.uint8).T
+        )
+        for _ in range(2)
+    ]
+    for ids in ([2], [1, 3], [2, 1]):
+        with pytest.raises(ValueError, match="1..%d in order" % len(ids)):
+            codec.DecoderIndex(dict(zip(ids, desc)), 2)
+    index = codec.DecoderIndex({1: desc[0], 2: desc[1]}, 2)
+    for n, m in ((1, 4), (3, 4), (2, 2), (2, 8)):
+        with pytest.raises(ValueError, match="must hold the index"):
+            codec.IncrementalDecoder(index, codec.BatchBuffers(n, 1, m, 3), 0)
+    dec = codec.IncrementalDecoder(index, codec.BatchBuffers(2, 1, 4, 3), 0)
+    assert dec.payload_len == 3
+
+
 def decoder_state(dec):
     """Everything a feed may change, as comparable values."""
     return (
         [
-            (dec._raw[i].tobytes(),) + batch_state(dec, bid)
-            for bid, i in dec.index.pos.items()
+            (dec._raw[i].tobytes(),) + batch_state(dec, i + 1)
+            for i in range(len(dec.index.contribs))
         ],
         dec.stall_counts.tobytes(),
         list(dec._fire_queue),
@@ -1497,13 +1592,11 @@ def decoder_state(dec):
 
 
 def test_feeds_reject_malformed_rows_before_any_state():
-    """A row [coeff | payload] whose payload is not payload_len wide (a
-    length-1 payload used to broadcast) or whose coefficients are not M
-    wide, a row that is not one row, or more rows than M for a pending
-    batch raise ValueError from add_row and from load_state, on a pending
-    batch and on a finished one, and change nothing; a load_state whose
-    last batch overflows does not store the rows of the batches before it
-    either.
+    """Feeds read rows only where the decoder's buffers keep them, so no
+    malformed reception reaches it. An add_row of a batch id outside 1..n
+    raises ValueError and changes nothing; an add_row or a load_state
+    without new rows, on a pending, a finished or an empty batch, changes
+    nothing; the pending batch's next row completes the decode.
 
     Batch 2 on packets {0, 1} fires from its two unit rows; batch 3 on all
     four packets then holds one row and is pending, and batch 1 on packets
@@ -1522,59 +1615,30 @@ def test_feeds_reject_malformed_rows_before_any_state():
         coeff = np.array(coeff, dtype=np.uint8)
         desc = descriptors[bid]
         mixed = gf.matmul(coeff[None, :], desc.gen_t)
-        return coeff, gf.matmul(mixed, file[desc.contribs])[0]
+        return np.concatenate([coeff, gf.matmul(mixed, file[desc.contribs])[0]])
 
-    def buffer(rows):
-        """Buffers holding rows[bid], (coeff, payload) pairs, of batch bid;
-        M and L are the first pair's widths."""
-        coeff, payload = next(iter(rows.values()))[0]
-        got = codec.BatchBuffers(3, 1, coeff.size, payload.size)
-        for bid, pairs in rows.items():
-            for coeff, payload in pairs:
-                assert deliver(got, bid, np.concatenate([coeff, payload]))
-        return got
-
-    dec = make_decoder(descriptors, 4, 3)
-    dec.load_state(buffer({2: [reception(2, [1, 0]), reception(2, [0, 1])]}), 0)
+    got = codec.BatchBuffers(3, 1, 2, 3)
+    dec = make_decoder(descriptors, 4, got)
+    give(got, {2: [reception(2, [1, 0]), reception(2, [0, 1])]})
+    dec.load_state()
     assert not dec.attempt()
-    dec.add_row(3, np.concatenate(reception(3, [3, 7])))
+    assert deliver(got, 3, reception(3, [3, 7]))
+    dec.add_row(3)
     assert batch_state(dec, 2)[0] == 0
     assert batch_state(dec, 3) == (2, 1, False)
     assert batch_state(dec, 1) == (2, 0, False)
     before = decoder_state(dec)
-    coeff, payload = reception(3, [5, 1])
-    malformed = [
-        (coeff, payload[:1]),
-        (coeff, payload[:2]),
-        (coeff, np.append(payload, 9)),
-        (coeff[:1], payload),
-        (np.append(coeff, 1), payload),
-    ]
-    row = np.concatenate([coeff, payload])
-    for bid in (1, 2, 3):
-        for c, p in malformed:
-            with pytest.raises(ValueError):
-                dec.add_row(bid, np.concatenate([c, p]))
-            with pytest.raises(ValueError):
-                dec.load_state(buffer({bid: [(c, p)]}), 0)
-            assert decoder_state(dec) == before
-        with pytest.raises(ValueError):
-            dec.add_row(bid, row[None])
+    for bid in (0, -1, 4):
+        with pytest.raises(ValueError, match="no batch %d in 1..3" % bid):
+            dec.add_row(bid)
         assert decoder_state(dec) == before
-    with pytest.raises(ValueError):
-        dec.load_state(buffer({3: [(coeff, payload), reception(3, [1, 0])]}), 0)
+    for bid in (1, 2, 3):
+        dec.add_row(bid)
+        assert decoder_state(dec) == before
+    dec.load_state()
     assert decoder_state(dec) == before
-    late = buffer(
-        {
-            1: [reception(1, [1, 1])],
-            2: [reception(2, [2, 1])],
-            3: [(coeff, payload), reception(3, [1, 0])],
-        }
-    )
-    with pytest.raises(ValueError):
-        dec.load_state(late, 0)
-    assert decoder_state(dec) == before
-    dec.add_row(3, row)
+    assert deliver(got, 3, reception(3, [5, 1]))
+    dec.add_row(3)
     assert dec.attempt() and np.array_equal(dec.extract(), file)
 
 
@@ -1586,9 +1650,8 @@ def reference_pick(dec):
     off dec.resolved, by 2 or 1. Between cascades u must equal their count.
     """
     counts = {}
-    for bid, i in dec.index.pos.items():
-        u, rows, queued = batch_state(dec, bid)
-        contribs = dec.index.contribs[i]
+    for i, contribs in enumerate(dec.index.contribs):
+        u, rows, queued = batch_state(dec, i + 1)
         unres = contribs[~dec.resolved[contribs]] if u else contribs[:0]
         assert u == unres.size and not queued
         gap = u - rows
@@ -1625,16 +1688,18 @@ def test_inactivation_pick_equals_the_dict_rule():
     total = 0
     for seed in range(30):
         file, descriptors, got = random_instance(seed + 4000)
-        dec = make_decoder(descriptors, file.shape[0], file.shape[1])
+        fed = holding(got, {})
+        dec = make_decoder(descriptors, file.shape[0], fed)
         picks = checked_picks(dec)
         for bid in descriptors:
-            dec.load_state(holding(got, {bid: held(got, bid)}), 0)
+            give(fed, {bid: held(got, bid)})
+            dec.load_state()
             dec.attempt()
         total += len(picks)
     file, descriptors, got = pinned_instance()
-    dec = make_decoder(descriptors, 600, 4)
+    dec = make_decoder(descriptors, 600, got)
     picks = checked_picks(dec)
-    dec.load_state(got, 0)
+    dec.load_state()
     assert dec.attempt()
     assert sum(p is not None for p in picks) == dec.inactivated == 21
     assert total + len(picks) >= 100
@@ -1655,9 +1720,11 @@ def test_inactivation_pick_breaks_ties_to_the_lowest_packet():
         )
         for bid, ids in contribs.items()
     }
-    dec = make_decoder(descriptors, 6, 0)
+    got = codec.BatchBuffers(3, 1, 2, 0)
+    dec = make_decoder(descriptors, 6, got)
     for bid in contribs:
-        dec.add_row(bid, np.array([1, 0], dtype=np.uint8))
+        assert deliver(got, bid, np.array([1, 0], dtype=np.uint8))
+        dec.add_row(bid)
     states = [batch_state(dec, bid) for bid in contribs]
     assert states == [(2, 1, False), (3, 1, False), (3, 1, False)]
     assert reference_pick(dec) == 1

@@ -118,3 +118,46 @@ def test_only_the_symbolic_system_pivots_outside_gf():
         with open(path) as fh:
             Uses(module).visit(ast.parse(fh.read(), path))
     assert [f.rsplit(":", 1)[0] for f in found] == ["codec._ZSystem.add"], found
+
+
+def test_only_batch_buffers_write_reception_rows():
+    """Reception rows have one writer: outside codec.BatchBuffers no library
+    code assigns into a subscript of an attribute named raw or _raw, so a
+    decoder that reads a receiver's rows in place sees each row as it was
+    absorbed."""
+    found = []
+
+    def writes_rows(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(writes_rows(t) for t in target.elts)
+        while isinstance(target, ast.Subscript):
+            target = target.value
+            if isinstance(target, ast.Attribute) and target.attr in ("raw", "_raw"):
+                return True
+        return False
+
+    class Writes(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef = visit_scope
+
+        def visit_assign(self, node):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(writes_rows(t) for t in targets):
+                found.append("%s:%d" % (".".join(self.scope), node.lineno))
+            self.generic_visit(node)
+
+        visit_Assign = visit_AugAssign = visit_AnnAssign = visit_assign
+
+    for path in sorted(glob.glob(os.path.join(SRC, "batchcast", "*.py"))):
+        module = os.path.basename(path)[:-3]
+        with open(path) as fh:
+            Writes(module).visit(ast.parse(fh.read(), path))
+    outside = [f for f in found if not f.startswith("codec.BatchBuffers.")]
+    assert found and not outside, found

@@ -302,8 +302,9 @@ def test_decoders_hold_the_sessions_descriptor_arrays():
     assert session.decoder_index is index
     for u in users:
         assert u.decoder.index is index
+        assert np.shares_memory(u.decoder._raw, u.buffers.raw)
     for bid, desc in session.descriptors.items():
-        i = index.pos[bid]
+        i = bid - 1
         assert index.contribs[i] is desc.contribs and index.gen_t[i] is desc.gen_t
     for name in ("starts", "slot_batch", "inc_slot", "inc_ptr"):
         with pytest.raises(ValueError, match="read-only"):
@@ -603,7 +604,10 @@ def one_packet_states(buffers, receiver):
 def reference_phase2(session, users, params, seed, uniform, group_distinct, until_tx):
     """Phase 2 one transmission at a time, from the same substreams, on
     one-packet BatchStates built from the users' phase-1 buffers: one
-    codec.recode, k delivery doubles, one absorb per receiver. Returns the
+    codec.recode, k delivery doubles, one absorb per receiver. Each
+    reception also goes into the users' group buffers, which their decoders
+    read, and must gain there exactly when it gains in the BatchState.
+    Returns the
     outcome, ("done", transmissions) or ("stall", slot), the trace and
     every user's BatchStates."""
     states = [one_packet_states(u.buffers, u.user_id) for u in users]
@@ -639,12 +643,14 @@ def reference_phase2(session, users, params, seed, uniform, group_distinct, unti
             if not hit:
                 continue
             u.receptions += 1
-            if not states[u.user_id][bid].absorb(full):
+            gained = states[u.user_id][bid].absorb(full)
+            assert deliver(u.buffers, bid, full, u.user_id) == gained
+            if not gained:
                 u.redundant += 1
                 continue
             u.innovative += 1
             if u.decoder is not None and not u.decoded:
-                u.decoder.add_row(bid, full)
+                u.decoder.add_row(bid)
                 if u.innovative >= f and u.decoder.attempt():
                     u.decoded, u.decode_slot = True, transmissions
                     u.innovative_at_decode = u.innovative
